@@ -1,0 +1,84 @@
+"""Golden runs of every shipped CLI entry point.
+
+Each case runs `cli.main` once and compares its exit code and its full
+output, byte for byte, with a file under tests/golden/.  Rewrites that
+claim to keep words, receipts and exit codes unchanged are held to it.
+
+To regenerate the files after an intended output change, run
+`PYTHONPATH=src python tests/test_cli_golden.py` from the repository root.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from chevcalc import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "instances"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# the two refusals are the intended outcomes of those instance files
+INSTANCE_EXIT = {
+    "decomposition_a2": 0,
+    "dilate_a2": 0,
+    "empty_word": 0,
+    "for_dilation_a2": 0,
+    "lgp_cover23": 0,
+    "lgp_cover23_global": 0,
+    "lgp_cover24": 17,
+    "lgp_unit": 0,
+    "moving_t_a2": 0,
+    "sp_relinc_c2z": 13,
+    "splitting_a2": 0,
+}
+SUITES = ("steinberg", "absolute", "gij", "relcomm", "eee")
+
+
+def _cases():
+    out = []
+    for name, code in sorted(INSTANCE_EXIT.items()):
+        path = str(INSTANCES / (name + ".json"))
+        argv = ["lgp", "--problem", path] if name.startswith("lgp_") else [
+            "demo", "--instance", path]
+        out.append((name + ".json", argv, code))
+    for system in ("A2", "G2"):
+        out.append(("tables_%s.txt" % system, ["tables", "--system", system], 0))
+    for suite in SUITES:
+        argv = ["verify", "--suite", suite, "--system", "A2", "--ring", "Z[t]",
+                "--ideal", "3", "--ideal2", "t", "--count", "4", "--seed", "11"]
+        out.append(("verify_%s.json" % suite, argv, 0))
+    return out
+
+
+CASES = _cases()
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_every_instance_has_a_case():
+    assert sorted(p.stem for p in INSTANCES.glob("*.json")) == sorted(INSTANCE_EXIT)
+
+
+@pytest.mark.parametrize("golden,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(golden, argv, code):
+    got_code, text = _run(argv)
+    assert got_code == code
+    assert text == (GOLDEN / golden).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for golden, argv, code in CASES:
+        got_code, text = _run(argv)
+        if got_code != code:
+            sys.exit("%s exited %d, expected %d" % (golden, got_code, code))
+        (GOLDEN / golden).write_text(text)
