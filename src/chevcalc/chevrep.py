@@ -1,7 +1,9 @@
 """Faithful matrix models of the elementary generators.
 
 These representations are the correctness oracle of the package: a word
-rewrite is accepted only when both sides evaluate to the same matrix.
+rewrite is accepted only when both sides evaluate to the same matrix.  The
+rest of the package reaches them through RewriteEngine's `evaluate`,
+`equal` and `congruence_oracle`.
 Generators are one-parameter subgroups x_a(r) = sum_k r^k * (X_a^k / k!)
 with nilpotent X_a, so every evaluation is a finite exact sum and inverses
 are computed structurally (x_a(r)^-1 = x_a(-r)), never by matrix inversion.

@@ -1,9 +1,7 @@
 """Exact commutative rings for word rewriting.
 
 The rings supported here are multivariate polynomial rings over Z or Z/m,
-optionally localized at a single element s (denominators are powers of s),
-optionally with affine alias variables such as simplex coordinates that
-expand to a polynomial in the true variables.
+optionally localized at a single element s (denominators are powers of s).
 
 Equality in a localized ring is torsion aware: a/s^j = b/s^k holds exactly
 when s^T * (a*s^k - b*s^j) vanishes in the underlying polynomial ring,
@@ -195,13 +193,13 @@ def _format_poly(num, var_names):
 
 
 class Ring:
-    """A polynomial ring over Z or Z/m with optional localization and aliases.
+    """A polynomial ring over Z or Z/m with optional localization.
 
     Instances are immutable.  Two rings with the same parameters compare
     equal and their elements interoperate.
     """
 
-    def __init__(self, base_mod=0, var_names=(), loc_num=None, alias=None):
+    def __init__(self, base_mod=0, var_names=(), loc_num=None):
         if base_mod < 0 or base_mod == 1:
             raise UnsupportedRing("base modulus must be 0 (for Z) or >= 2")
         self.base_mod = base_mod
@@ -214,17 +212,10 @@ class Ring:
         self.loc_num = None if loc_num is None else dict(loc_num)
         if self.loc_num is not None and not self.loc_num:
             raise UnsupportedRing("cannot localize at zero")
-        # alias: name -> monomial dict over the true vars
-        self.alias = {} if alias is None else {k: dict(v) for k, v in alias.items()}
-        for name in self.alias:
-            self._check_var_name(name)
-            if name in self.var_names:
-                raise UnsupportedRing("alias name clashes with a variable")
         self._key = (
             self.base_mod,
             self.var_names,
             None if self.loc_num is None else tuple(sorted(self.loc_num.items())),
-            tuple(sorted((k, tuple(sorted(v.items()))) for k, v in self.alias.items())),
         )
 
     @staticmethod
@@ -255,8 +246,6 @@ class Ring:
             out += "[" + ",".join(self.var_names) + "]"
         if self.loc_num is not None:
             out += "[1/(%s)]" % _format_poly(self.loc_num, self.var_names)
-        for name in sorted(self.alias):
-            out += " {%s=%s}" % (name, _format_poly(self.alias[name], self.var_names))
         return out
 
     __repr__ = __str__
@@ -266,17 +255,20 @@ class Ring:
     def extend(self, *names):
         """Adjoin new polynomial variables."""
         for name in names:
-            if name in self.var_names or name in self.alias:
+            if name in self.var_names:
                 raise UnsupportedRing("variable %r already present" % (name,))
         pad = (0,) * len(names)
         loc = None
         if self.loc_num is not None:
             loc = {e + pad: c for e, c in self.loc_num.items()}
-        alias = {k: {e + pad: c for e, c in v.items()} for k, v in self.alias.items()}
-        return Ring(self.base_mod, self.var_names + tuple(names), loc, alias)
+        return Ring(self.base_mod, self.var_names + tuple(names), loc)
 
     def localize_at(self, s):
-        """Return the localization of this ring at s (an int or an element)."""
+        """Return the localization of this ring at s (an int or an element).
+
+        Equality in the result needs a torsion bound, so a localization
+        without one (Z/m at a non-integer element) is refused here.
+        """
         if self.loc_num is not None:
             raise UnsupportedRing("already localized; build from the base ring")
         if isinstance(s, int):
@@ -285,31 +277,13 @@ class Ring:
             raise UnsupportedRing("localization element must be denominator free")
         if not s.num:
             raise UnsupportedRing("cannot localize at zero")
-        return Ring(self.base_mod, self.var_names, dict(s.num), self.alias)
+        loc = Ring(self.base_mod, self.var_names, dict(s.num))
+        loc.torsion_bound()
+        return loc
 
     def delocalized(self):
         """The same polynomial ring without the localization."""
-        return Ring(self.base_mod, self.var_names, None, self.alias)
-
-    def with_simplex(self, names):
-        """Adjoin simplex coordinates: all of `names`, summing to 1.
-
-        The last name becomes an alias for 1 - (sum of the others), so the
-        true variables are names[:-1].
-        """
-        names = tuple(names)
-        if len(names) < 2:
-            raise UnsupportedRing("a simplex needs at least two coordinates")
-        grown = self.extend(*names[:-1])
-        n = len(grown.var_names)
-        last = {(0,) * n: 1}
-        for i in range(n - (len(names) - 1), n):
-            e = [0] * n
-            e[i] = 1
-            last[tuple(e)] = -1
-        alias = dict(grown.alias)
-        alias[names[-1]] = last
-        return Ring(grown.base_mod, grown.var_names, grown.loc_num, alias)
+        return Ring(self.base_mod, self.var_names)
 
     # ----- element constructors -----
 
@@ -348,8 +322,6 @@ class Ring:
         return RingElement(self, {(0,) * len(self.var_names): c}, 0)
 
     def var(self, name):
-        if name in self.alias:
-            return self._make(dict(self.alias[name]), 0)
         try:
             i = self.var_names.index(name)
         except ValueError:
@@ -418,11 +390,6 @@ class Ring:
             if not any(e):
                 return c
         return None
-
-    def elements_equal(self, a, b):
-        a = self.coerce(a)
-        b = self.coerce(b)
-        return (a - b).is_zero()
 
     # ----- capability queries -----
 
@@ -507,10 +474,8 @@ class Ring:
                 return False
         return True
 
-    def invert_s_smooth_term(self, c, exps=None):
+    def invert_s_smooth_term(self, c, exps):
         """Return 1/(c * x^exps) when c * x^exps divides a power of s."""
-        n = len(self.var_names)
-        exps = tuple(exps) if exps is not None else (0,) * n
         if c == 0:
             raise UnsupportedRing("cannot invert zero")
         if abs(c) == 1 and not any(exps):
@@ -567,23 +532,7 @@ class Ring:
         cfg = {"base_mod": self.base_mod, "vars": list(self.var_names)}
         if self.loc_num is not None:
             cfg["loc"] = _format_poly(self.loc_num, self.var_names)
-        if self.alias:
-            cfg["alias"] = {
-                k: _format_poly(v, self.var_names) for k, v in self.alias.items()
-            }
         return cfg
-
-    @classmethod
-    def from_config(cls, cfg):
-        ring = cls(cfg.get("base_mod", 0), tuple(cfg.get("vars", ())))
-        for name, text in cfg.get("alias", {}).items():
-            expansion = ring.parse(text)
-            alias = dict(ring.alias)
-            alias[name] = dict(expansion.num)
-            ring = Ring(ring.base_mod, ring.var_names, ring.loc_num, alias)
-        if "loc" in cfg:
-            ring = ring.localize_at(ring.parse(cfg["loc"]))
-        return ring
 
 
 class _PolyParser:
@@ -840,15 +789,13 @@ class RingElement:
                     if k:
                         needed.add(name)
         for name in mapping:
-            if name not in self.ring.var_names and name not in self.ring.alias:
+            if name not in self.ring.var_names:
                 raise SubstitutionMismatch("mapping names unknown variable %r" % name)
         missing = needed - set(mapping)
         if missing:
             raise SubstitutionMismatch("mapping misses %s" % sorted(missing))
         images = {}
         for name, img in mapping.items():
-            if name in self.ring.alias:
-                continue
             images[self.ring.var_names.index(name)] = target.coerce(img)
 
         def eval_num(num):
@@ -860,20 +807,6 @@ class RingElement:
                         term = term * images[i] ** k
                 total = total + term
             return total
-
-        # Alias images, when supplied, must agree with the alias expansion.
-        for name, img in mapping.items():
-            if name not in self.ring.alias:
-                continue
-            expansion = self.ring.alias[name]
-            for e in expansion:
-                for i, k in enumerate(e):
-                    if k and i not in images:
-                        raise SubstitutionMismatch(
-                            "alias %r given without its variables" % name
-                        )
-            if eval_num(expansion) != target.coerce(img):
-                raise SubstitutionMismatch("alias %r image is inconsistent" % name)
 
         out = eval_num(self.num)
         if not self.den:
@@ -913,7 +846,7 @@ class IdealSpec:
     """A symbolic description of a finitely generated ideal.
 
     Specs form trees: explicit generators at the leaves, with product,
-    power, squares (`sym_power(2)`) and sum nodes above them.  Expansion
+    squares (`sym_power(2)`) and sum nodes above them.  Expansion
     produces tagged generators so that membership witnesses can name the
     exact product of leaf generators each coefficient multiplies.
     """
@@ -932,13 +865,6 @@ class IdealSpec:
         if other.ring != self.ring:
             raise SubstitutionMismatch("ideal product across rings")
         return IdealSpec(self.ring, "product", (self, other))
-
-    def power(self, k):
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("ideal power needs k >= 1")
-        if k == 1:
-            return self
-        return IdealSpec(self.ring, "power", (self, k))
 
     def sym_power(self, m):
         """The ideal generated by m-th powers of elements of this ideal."""
@@ -967,15 +893,6 @@ class IdealSpec:
                 for ga, ta in a.expand_tagged()
                 for gb, tb in b.expand_tagged()
             )
-        elif self.kind == "power":
-            spec, k = self.parts
-            out = spec.expand_tagged()
-            for _ in range(k - 1):
-                out = tuple(
-                    (ga * gb, ("p", ta, tb))
-                    for ga, ta in out
-                    for gb, tb in spec.expand_tagged()
-                )
         elif self.kind == "sym_power":
             spec, _ = self.parts
             base = spec.expand_tagged()
@@ -1005,20 +922,11 @@ class IdealSpec:
                 return g
         raise KeyError("tag %r not in spec" % (tag,))
 
-    def key(self):
-        if self.kind == "gens":
-            return ("gens", tuple(str(g) for g in self.parts))
-        if self.kind in ("product", "sum"):
-            return (self.kind, self.parts[0].key(), self.parts[1].key())
-        return (self.kind, self.parts[0].key(), self.parts[1])
-
     def describe(self):
         if self.kind == "gens":
             return "(" + ", ".join(str(g) for g in self.parts) + ")"
         if self.kind == "product":
             return "%s*%s" % (self.parts[0].describe(), self.parts[1].describe())
-        if self.kind == "power":
-            return "%s^%d" % (self.parts[0].describe(), self.parts[1])
         if self.kind == "sym_power":
             return "%s^(2)" % self.parts[0].describe()
         return "(%s + %s)" % (self.parts[0].describe(), self.parts[1].describe())
@@ -1072,13 +980,20 @@ class IdealSpec:
                 break
             singles.append((term[0], term[1], g.den, t))
         if singles is not None:
-            return IdealElement(x, self, self._witness_single_terms(x, singles))
-        if len(tagged) == 1:
-            return IdealElement(x, self, self._witness_principal(x, tagged[0]))
-        raise UndecidableIdealClass(
-            "no complete membership test for generators %s"
-            % [str(g) for g, _ in tagged]
-        )
+            combo = self._witness_single_terms(x, singles)
+        elif len(tagged) == 1:
+            combo = self._witness_principal(x, tagged[0])
+        else:
+            raise UndecidableIdealClass(
+                "no complete membership test for generators %s"
+                % [str(g) for g, _ in tagged]
+            )
+        el = IdealElement(x, self, combo)
+        if not el.verify():
+            raise OracleMismatch(
+                "witness reconstruction failed for %s in %s" % (x, self.describe())
+            )
+        return el
 
     def _witness_single_terms(self, x, singles):
         """Membership and witness for single-term generator sets.
@@ -1150,9 +1065,7 @@ class IdealSpec:
         if x.den:
             shift = ring.s_power(x.den)
             combo = {t: c * shift for t, c in combo.items()}
-        out = tuple((c, t) for t, c in combo.items() if not c.is_zero())
-        _check_combo(x, self, out)
-        return out
+        return tuple((c, t) for t, c in combo.items() if not c.is_zero())
 
     def _witness_principal(self, x, tagged_gen):
         """Membership and witness for a single generator.
@@ -1181,25 +1094,13 @@ class IdealSpec:
                     q = q * ring.s_power(j)
                 if g.den:
                     q = q * ring.loc_element() ** g.den
-                combo = ((q, tag),)
-                _check_combo(x, self, combo)
-                return combo
+                return ((q, tag),)
             if ring.loc_num is None:
                 break
             work = work * ring.loc_element()
         if ring.loc_num is None:
             raise NotInIdeal("%s has no exact quotient by %s" % (x, g))
         raise UndecidableIdealClass("principal division did not settle")
-
-
-def _check_combo(x, spec, combo):
-    total = spec.ring.zero()
-    for coeff, tag in combo:
-        total = total + coeff * spec.element_for_tag(tag)
-    if total != x:
-        raise OracleMismatch(
-            "witness reconstruction failed for %s in %s" % (x, spec.describe())
-        )
 
 
 class IdealElement:
@@ -1214,56 +1115,11 @@ class IdealElement:
         self.spec = spec
         self.combo = tuple(combo)
 
-    @classmethod
-    def from_generator(cls, spec, index, scale=None):
-        g, tag = spec.expand_tagged()[index]
-        coeff = spec.ring.one() if scale is None else spec.ring.coerce(scale)
-        return cls(coeff * g, spec, ((coeff, tag),))
-
     def verify(self):
         total = self.spec.ring.zero()
         for coeff, tag in self.combo:
             total = total + coeff * self.spec.element_for_tag(tag)
         return total == self.value
-
-    def scale(self, r):
-        r = self.spec.ring.coerce(r)
-        return IdealElement(
-            self.value * r, self.spec, tuple((c * r, t) for c, t in self.combo)
-        )
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def add(self, other):
-        if other.spec.key() != self.spec.key():
-            raise ValueError("adding witnesses over different ideal specs")
-        return IdealElement(self.value + other.value, self.spec, self.combo + other.combo)
-
-    def product(self, other):
-        spec = self.spec.product(other.spec)
-        combo = tuple(
-            (ca * cb, ("p", ta, tb))
-            for ca, ta in self.combo
-            for cb, tb in other.combo
-        )
-        return IdealElement(self.value * other.value, spec, combo)
-
-    def power(self, k):
-        if k < 1:
-            raise ValueError("power needs k >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out.product(self)
-        return out
-
-    def substitute(self, mapping, target):
-        spec = self.spec.substitute(mapping, target)
-        return IdealElement(
-            self.value.substitute(mapping, target),
-            spec,
-            tuple((c.substitute(mapping, target), t) for c, t in self.combo),
-        )
 
     def __repr__(self):
         return "IdealElement(%s in %s)" % (self.value, self.spec.describe())

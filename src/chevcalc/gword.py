@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .exactring import IdealSpec, RingElement
+from .rootsys import _vneg
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,6 @@ def node_count(w):
     raise TypeError("not a word: %r" % (w,))
 
 
-def gen_count(w):
-    return len(flatten(w))
-
-
 def free_reduce(w):
     """Merge adjacent generators on the same root and drop zero arguments."""
     out = []
@@ -162,6 +159,17 @@ def word_args(w):
 
 def _root_str(root):
     return ",".join(str(x) for x in root)
+
+
+def root_from_text(rs, text):
+    """Parse a root written as comma-separated integers, like 1,-1,0."""
+    try:
+        root = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ParseError("bad root %r" % text) from None
+    if not rs.contains(root):
+        raise ParseError("%r is not a root of %s" % (root, rs))
+    return root
 
 
 def word_to_text(w):
@@ -236,12 +244,7 @@ def word_from_text(text, ring, rs):
             root_tok = take()
             if not isinstance(root_tok, str):
                 raise ParseError("expected a root")
-            try:
-                root = tuple(int(p) for p in root_tok.split(","))
-            except ValueError:
-                raise ParseError("bad root %r" % root_tok) from None
-            if not rs.contains(root):
-                raise ParseError("%r is not a root of %s" % (root, rs))
+            root = root_from_text(rs, root_tok)
             arg = parse_arg()
             out = Gen(root, arg)
         elif head == "inv":
@@ -339,19 +342,10 @@ class BarShape:
 @dataclass(frozen=True)
 class VaserFormShape:
     """The three-generator form x_{-a}(-r) x_a(s) x_{-a}(r), or its
-    conjugate presentation Conj(Gen(a, s), Gen(-a, r)).  Any of root, arg
-    (the s slot) and conj_arg (the r slot) may be pinned."""
+    conjugate presentation Conj(Gen(a, s), Gen(-a, r)).  The root a may
+    be pinned."""
 
     root: object = None
-    arg: object = None
-    conj_arg: object = None
-
-
-@dataclass(frozen=True)
-class AttestedShape:
-    """No structural claim; congruence at the ideal, checked by oracle."""
-
-    ideal: IdealSpec
 
 
 @dataclass(frozen=True)
@@ -426,7 +420,7 @@ def _match_rel_conj_factor(w, conj_ideal, level):
 
 
 def _match_y_factor(w, avoid, conj_ideal, level):
-    banned = (tuple(avoid), tuple(-x for x in avoid))
+    banned = (tuple(avoid), _vneg(avoid))
     if isinstance(w, Inv):
         return _match_y_factor(w.word, avoid, conj_ideal, level)
     if isinstance(w, Gen):
@@ -525,30 +519,22 @@ def _check(w, cert):
             reports.append(r)
         return _merge(*reports)
     if isinstance(cert, VaserFormShape):
-        return _match_vaser(w, cert.root, cert.arg, cert.conj_arg)
-    if isinstance(cert, AttestedShape):
-        return ShapeReport(True, "", ((w, cert.ideal),))
+        return _match_vaser(w, cert.root)
     raise TypeError("unknown certificate %r" % (cert,))
 
 
-def _pin_ok(value, pin):
-    return pin is None or (value - pin).is_zero()
-
-
-def _match_vaser(w, root, arg=None, conj_arg=None):
+def _match_vaser(w, root):
     if isinstance(w, Conj):
         if isinstance(w.base, Gen) and isinstance(w.by, Gen):
-            if w.by.root == tuple(-x for x in w.base.root):
+            if w.by.root == _vneg(w.base.root):
                 if root is None or w.base.root == tuple(root):
-                    if _pin_ok(w.base.arg, arg) and _pin_ok(w.by.arg, conj_arg):
-                        return _OK
+                    return _OK
         return _fail("conjugate is not opposite-root")
     if isinstance(w, Prod) and len(w.factors) == 3:
         a, b, c = w.factors
         if isinstance(a, Gen) and isinstance(b, Gen) and isinstance(c, Gen):
-            if a.root == c.root and a.root == tuple(-x for x in b.root):
+            if a.root == c.root and a.root == _vneg(b.root):
                 if (a.arg + c.arg).is_zero():
                     if root is None or b.root == tuple(root):
-                        if _pin_ok(b.arg, arg) and _pin_ok(c.arg, conj_arg):
-                            return _OK
+                        return _OK
     return _fail("word is not in opposite-conjugate form")

@@ -11,13 +11,13 @@ functions here carry that out exactly and glue the pullbacks:
   at a ninth power into a word whose conjugators live at level (t);
 - `dilate` composes splitting, ninth power, normalization and clearing
   into the pullback itself, tracking every exponent in its receipt;
-- `extract_cover` and `unimodular_combination` handle the cover
-  bookkeeping, and `patch` glues dilated pullbacks over a unimodular
-  cover into one global word.
+- `unimodular_combination` handles the cover bookkeeping, and `patch`
+  glues dilated pullbacks over a unimodular cover into one global word.
 
-Every step is checked against the matrix representations; nothing is
-returned without either a structural certificate or an oracle-verified
-congruence attestation.
+Every step is checked against the matrix representations through the
+RewriteEngine over its output ring, and every receipt comes from that
+engine's `finish`; nothing is returned without either a structural
+certificate or an oracle-verified congruence attestation.
 """
 
 import itertools
@@ -28,7 +28,6 @@ from .errors import (
     ConditionViolated,
     CongruenceFailed,
     LocalizationMismatch,
-    NodeBudgetExceeded,
     NotInIdeal,
     NotSplittingIdeal,
     NotUnimodular,
@@ -50,19 +49,19 @@ from .gword import (
     RelConjShape,
     check_shape,
     inv_word,
-    is_word,
-    node_count,
     substitute_word,
     word_args,
 )
-from .rewrite import Budget, RewriteEngine, RewriteReceipt
+from .rewrite import Budget, RewriteEngine
 
+# Largest number of coefficient tuples the unit-combination fallback may
+# try.  The pool holds 7 + 4*nvars coefficients, so a k-element cover
+# needs (7 + 4*nvars)^k tuples.  A tuple costs about 30 microseconds on an
+# Intel Xeon server core, so a fruitless search stays near 0.6 s; covers
+# of up to four elements in one variable fit.
+MAX_COMBINATION_TUPLES = 20000
 
 # ----- small helpers -----
-
-
-def _self_map(ring):
-    return {n: ring.var(n) for n in ring.var_names}
 
 
 def _lift_map(src, target):
@@ -80,42 +79,6 @@ def _mat_substitute(m, mapping, target):
         if img.num:
             entries[pos] = img
     return RepMatrix(target, m.dim, entries)
-
-
-def _receipt(eng, op, w_in, w_out, cert, target=None, details=None):
-    """Oracle check, certificate check and node gate, like the engine's
-    own finisher; `eng` must live over the ring of the output word."""
-    nodes_in = node_count(w_in) if is_word(w_in) else 0
-    nodes_out = node_count(w_out)
-    if eng.node_budget is not None and nodes_out > eng.node_budget:
-        raise NodeBudgetExceeded(
-            "%s produced %d nodes (budget %d)" % (op, nodes_out, eng.node_budget)
-        )
-    attested = 0
-    if eng.verify:
-        if target is not None:
-            for rep in eng.reps:
-                if not rep.words_equal(w_out, target, eng.ring):
-                    raise OracleMismatch(
-                        "%s output differs from its target in the %s representation"
-                        % (op, rep.kind)
-                    )
-        if cert is not None:
-            report = check_shape(w_out, cert, eng.congruence_oracle())
-            if not report.ok:
-                raise OracleMismatch("%s certificate failed: %s" % (op, report.reason))
-            attested = len(report.attested)
-    return RewriteReceipt(
-        op,
-        w_in,
-        w_out,
-        cert,
-        eng.verify,
-        nodes_in,
-        nodes_out,
-        attested,
-        details or {},
-    )
 
 
 # ----- torsion pinning -----
@@ -154,12 +117,12 @@ def torsion_exponent(g, h, s, var=None):
             raise LocalizationMismatch(
                 "the matrices still differ after inverting %s" % s_elt
             )
-    at_zero = _self_map(ring)
+    at_zero = _lift_map(ring, ring)
     at_zero[var] = ring.zero()
     if _mat_substitute(g, at_zero, ring) != _mat_substitute(h, at_zero, ring):
         raise LocalizationMismatch("the matrices disagree at %s = 0" % var)
     for m in range(bound + 1):
-        dil = _self_map(ring)
+        dil = _lift_map(ring, ring)
         dil[var] = s_elt ** m * ring.var(var)
         if _mat_substitute(g, dil, ring) == _mat_substitute(h, dil, ring):
             return m
@@ -176,8 +139,9 @@ def unimodular_combination(ring, values):
 
     Integer and Z/m families are settled by the ideal witness machinery.
     Over polynomial rings an inconclusive witness falls back to a bounded
-    pool of small coefficients; covers beyond the pool raise
-    UndecidableIdealClass rather than guess.
+    pool of small coefficients; covers beyond the pool, or too large for
+    MAX_COMBINATION_TUPLES tuples of it, raise UndecidableIdealClass rather
+    than guess.
     """
     vals = [ring.coerce(v) for v in values]
     if not vals:
@@ -215,6 +179,12 @@ def _bounded_combination_search(ring, vals):
     for name in ring.var_names:
         x = ring.var(name)
         pool.extend((x, -x, one + x, one - x))
+    if len(pool) ** len(vals) > MAX_COMBINATION_TUPLES:
+        raise UndecidableIdealClass(
+            "a unit combination of %d elements needs %d^%d coefficient tuples, "
+            "more than the %d searched"
+            % (len(vals), len(pool), len(vals), MAX_COMBINATION_TUPLES)
+        )
     for combo in itertools.product(pool, repeat=len(vals)):
         total = ring.zero()
         for c, v in zip(combo, vals):
@@ -222,43 +192,6 @@ def _bounded_combination_search(ring, vals):
         if total == one:
             return list(combo)
     return None
-
-
-def extract_cover(words):
-    """One base-ring element per word, multiplying the distinct denominator
-    values its arguments carry, checked to generate the unit ideal.
-
-    Words without denominators contribute 1.  All words must delocalize to
-    the same base ring; the resulting cover is returned in word order.
-    """
-    if not words:
-        raise NotUnimodular("an empty family of words covers nothing")
-    base = None
-    cover = []
-    for w in words:
-        args = word_args(w)
-        if not args:
-            raise LocalizationMismatch("a word without arguments names no ring")
-        ring = args[0].ring
-        b = ring.delocalized()
-        if base is None:
-            base = b
-        elif b != base:
-            raise LocalizationMismatch(
-                "words over %s and %s do not share a base ring" % (b, base)
-            )
-        vals = []
-        for a in args:
-            if a.den:
-                v = _to_ring(ring.loc_element() ** a.den, b)
-                if all(v != u for u in vals):
-                    vals.append(v)
-        s_w = b.one()
-        for v in vals:
-            s_w = s_w * v
-        cover.append(s_w)
-    unimodular_combination(base, cover)
-    return cover
 
 
 # ----- normalizing a ninth-power splitting -----
@@ -364,8 +297,8 @@ def for_dilation(eng, w, k_spec, var):
     cert = RelConjShape(t_spec, k_spec.product(t_spec))
     details = dict(stats)
     details["budget"] = budget.trace()
-    return out_word, _receipt(
-        eng, "for_dilation", w, out_word, cert, target=w, details=details
+    return out_word, eng.finish(
+        "for_dilation", w, out_word, [(out_word, cert)], w, details=details
     )
 
 
@@ -393,13 +326,12 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
     ring = eng.ring
     if ring.loc_num is None:
         # already integral: nothing to clear
-        return 0, w, _receipt(
-            eng,
+        return 0, w, eng.finish(
             "dilate",
             w,
             w,
-            LevelShape(i_spec),
-            target=w,
+            [(w, LevelShape(i_spec))],
+            w,
             details={"l": 0, "n": 0, "clear_m": 0, "torsion_k": 0, "den_exponents": []},
         )
     if var is None:
@@ -411,12 +343,11 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
     eng_out = RewriteEngine(eng.rs, base_out, verify=eng.verify, node_budget=eng.node_budget)
     i_base = i_spec.substitute(_lift_map(ring, base_out), base_out)
     if isinstance(w, Prod) and not w.factors:
-        return 0, EMPTY, _receipt(
-            eng_out,
+        return 0, EMPTY, eng_out.finish(
             "dilate",
             w,
             EMPTY,
-            LevelShape(i_base),
+            [(EMPTY, LevelShape(i_base))],
             details={"l": 0, "n": 0, "clear_m": 0, "torsion_k": 0, "den_exponents": []},
         )
     t = ring.var(var)
@@ -430,7 +361,7 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
 
     # double the variable through a fresh one and split along it
     vp = var + "p"
-    while vp in ring.var_names or vp in ring.alias:
+    while vp in ring.var_names:
         vp += "p"
     ring2 = ring.extend(vp)
     eng2 = RewriteEngine(eng.rs, ring2, verify=eng.verify, node_budget=eng.node_budget)
@@ -440,7 +371,7 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
     i2 = i_spec.substitute(_lift_map(ring, ring2), ring2)
     f_word = substitute_word(w, doubled, ring2)
     bar, _ = eng2.relative_split(f_word, i2, vp)
-    nine = _self_map(ring2)
+    nine = _lift_map(ring2, ring2)
     nine[vp] = tp ** 9
     bar9 = substitute_word(bar, nine, ring2)
     h9, rec_ford = for_dilation(eng2, bar9, i2, vp)
@@ -481,14 +412,14 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
     # the dilated input must be integral entrywise before it can be compared;
     # raise n when a matrix entry carries a deeper denominator than the word
     s_out = _to_ring(s_elt, base_out)
-    mats_in = [rep.evaluate_word(w, ring) for rep in eng.reps]
+    mats_in = eng.evaluate(w)
     entry_den = 0
     for gm in mats_in:
         for _, v in gm.entries_minus_identity():
             if v.den > entry_den:
                 entry_den = v.den
     if entry_den > n:
-        bump = _self_map(base_out)
+        bump = _lift_map(base_out, base_out)
         bump[var] = s_out ** (entry_den - n) * base_out.var(var)
         h_word = substitute_word(h_word, bump, base_out)
         n = entry_den
@@ -502,19 +433,18 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
     # still differ from the integral dilation by s-torsion in positive
     # var-degrees, and a further bounded dilation kills it
     k = 0
-    for rep, gm in zip(eng.reps, mats_in):
-        hm = rep.evaluate_word(h_word, base_out)
+    for gm, hm in zip(mats_in, eng_out.evaluate(h_word)):
         k = max(k, torsion_exponent(integral_dilation(gm, n), hm, s_out, var))
     l = n + k
     if k:
-        shift = _self_map(base_out)
+        shift = _lift_map(base_out, base_out)
         shift[var] = s_out ** k * base_out.var(var)
         h_final = substitute_word(h_word, shift, base_out)
     else:
         h_final = h_word
     if eng.verify:
-        for rep, gm in zip(eng.reps, mats_in):
-            if rep.evaluate_word(h_final, base_out) != integral_dilation(gm, l):
+        for rep, gm, hm in zip(eng.reps, mats_in, eng_out.evaluate(h_final)):
+            if hm != integral_dilation(gm, l):
                 raise OracleMismatch(
                     "dilate output differs from the dilated input in the %s "
                     "representation" % rep.kind
@@ -531,8 +461,8 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
         "minimized": bool(minimize_l),
         "ninth_power_attested": rec_ford.attested,
     }
-    return l, h_final, _receipt(
-        eng_out, "dilate", w, h_final, LevelShape(i_base), details=details
+    return l, h_final, eng_out.finish(
+        "dilate", w, h_final, [(h_final, LevelShape(i_base))], details=details
     )
 
 
@@ -624,7 +554,7 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
     aux = []
     for k in range(len(data)):
         nm = "u%d" % (k + 1)
-        while nm in base.var_names or nm in base.alias or nm in aux:
+        while nm in base.var_names or nm in aux:
             nm += "u"
         aux.append(nm)
     big = base.extend(*aux)
@@ -676,12 +606,10 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
         for k, d in enumerate(data):
             loc = loc_rings[k]
             out_loc = substitute_word(out, _lift_map(base, loc), loc)
-            for rep in loc_engines[k].reps:
-                if not rep.words_equal(out_loc, d.word, loc):
-                    raise OracleMismatch(
-                        "the glued word differs from local datum %d in the %s "
-                        "representation" % (k + 1, rep.kind)
-                    )
+            if not loc_engines[k].equal(out_loc, d.word):
+                raise OracleMismatch(
+                    "the glued word differs from local datum %d" % (k + 1)
+                )
     details = {
         "cover": [str(s) for s in cover],
         "exponents": exponents,
@@ -689,6 +617,6 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
         "gluing_vars": aux,
         "dilations": dilation_details,
     }
-    return out, _receipt(
-        eng_base, "patch", None, out, LevelShape(problem.ideal), details=details
+    return out, eng_base.finish(
+        "patch", None, out, [(out, LevelShape(problem.ideal))], details=details
     )

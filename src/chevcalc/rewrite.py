@@ -1,12 +1,19 @@
 """Certified word rewriting: expansion, splitting, decomposition, collection.
 
 Every operation takes a word (or the data for one), produces a word of a
-prescribed shape, and returns a RewriteReceipt alongside it.  In verify mode
-the receipt is only issued after two independent checks pass: the output
-evaluates to the same matrix as the input in every configured representation,
-and the output matches its shape certificate.  Factors that the grammar alone
-cannot place are attested by a matrix congruence check; the receipt records
-how many such attestations were needed (zero on the fully structural paths).
+prescribed shape, and returns a RewriteReceipt alongside it.
+
+RewriteEngine owns the matrix representations of one (system, ring) pair
+and is the only place where words meet the oracle: `evaluate` gives a
+word's matrices, `equal` compares two words and `congruence_oracle` tests
+a word against the identity modulo an ideal.  Every engine op, and every
+stage of the patching pipeline, builds its receipt through `finish`.  In
+verify mode `finish` issues the receipt only after two independent checks
+pass: the output evaluates to the same matrix as its target in every
+representation, and each certified part matches its shape.  Factors that
+the grammar alone cannot place are attested by a matrix congruence check;
+the receipt records how many such attestations were needed (zero on the
+fully structural paths).
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +32,7 @@ from .errors import (
     OracleMismatch,
     UndecidableIdealClass,
 )
-from .exactring import IdealElement, IdealSpec
+from .exactring import IdealSpec
 from .gword import (
     EMPTY,
     BarShape,
@@ -50,23 +57,12 @@ from .gword import (
     word_to_text,
 )
 from .rootsys import (
+    _vneg,
+    _vsum,
     build_root_system,
     compute_structure_constants,
     find_unit_sum_decomposition,
 )
-
-
-def _neg(root):
-    return tuple(-x for x in root)
-
-
-def _vsum(a, b, i=1, j=1):
-    return tuple(i * x + j * y for x, y in zip(a, b))
-
-
-def _prod(factors):
-    factors = tuple(f for f in factors if f is not None and f != EMPTY)
-    return Prod(factors)
 
 
 def _conj_factor(f, by):
@@ -153,16 +149,13 @@ class Budget:
     a pipeline work (or fail) is visible in receipts.
     """
 
-    def __init__(self, levels, repeat_last=False, allow_attest=False, limit=None):
+    def __init__(self, levels, repeat_last=False, allow_attest=False):
         self.levels = tuple(levels)
         self.repeat_last = repeat_last
         self.allow_attest = allow_attest
-        self.limit = limit
         self.spent = []
 
     def fund(self, depth):
-        if self.limit is not None and len(self.spent) >= self.limit:
-            return None
         if depth < len(self.levels):
             return self.levels[depth]
         if self.repeat_last and self.levels:
@@ -230,9 +223,21 @@ class RewriteEngine:
         if rs.label in ("A", "C"):
             self.reps.append(get_representation(rs, "defining"))
 
-    # ----- plumbing -----
+    # ----- the oracle -----
+
+    def evaluate(self, w):
+        """The matrices of w, one per representation, in `reps` order."""
+        return [rep.evaluate_word(w, self.ring) for rep in self.reps]
+
+    def equal(self, a, b):
+        """Do a and b evaluate alike?  Stops at the first representation
+        that tells them apart."""
+        return all(rep.words_equal(a, b, self.ring) for rep in self.reps)
 
     def congruence_oracle(self):
+        """A check(word, spec) callable: is the word congruent to the
+        identity modulo spec in every representation?"""
+
         def check(word, spec):
             for rep in self.reps:
                 if not congruence_check(rep.evaluate_word(word, self.ring), spec):
@@ -241,15 +246,14 @@ class RewriteEngine:
 
         return check
 
-    def _assert_equal(self, a, b, op):
-        for rep in self.reps:
-            if not rep.words_equal(a, b, self.ring):
-                raise OracleMismatch(
-                    "%s output differs from its target in the %s representation"
-                    % (op, rep.kind)
-                )
+    def finish(self, op, w_in, w_out, shapes, target=None, details=None):
+        """The receipt of an op or stage that turned w_in into w_out.
 
-    def _finish(self, op, w_in, w_out, cert, target=None, details=None):
+        Gates the node budget, then in verify mode checks that w_out equals
+        `target` (skipped when None, as for output over another ring) and
+        each (word, shape) pair of `shapes`.  The certificate is the shape,
+        or the tuple of shapes when there are several.
+        """
         nodes_in = node_count(w_in) if is_word(w_in) else 0
         nodes_out = node_count(w_out)
         if self.node_budget is not None and nodes_out > self.node_budget:
@@ -258,30 +262,26 @@ class RewriteEngine:
             )
         attested = 0
         if self.verify:
-            goal = target if target is not None else w_in
-            if is_word(goal):
-                self._assert_equal(w_out, goal, op)
-            if cert is not None:
-                report = check_shape(w_out, cert, self.congruence_oracle())
+            if target is not None and not self.equal(w_out, target):
+                raise OracleMismatch("%s output differs from its target" % op)
+            oracle = self.congruence_oracle()
+            for word, shape in shapes:
+                report = check_shape(word, shape, oracle)
                 if not report.ok:
                     raise OracleMismatch("%s certificate failed: %s" % (op, report.reason))
-                attested = len(report.attested)
+                attested += len(report.attested)
+        certs = tuple(shape for _, shape in shapes)
         return RewriteReceipt(
             op,
             w_in,
             w_out,
-            cert,
+            certs[0] if len(certs) == 1 else certs,
             self.verify,
             nodes_in,
             nodes_out,
             attested,
             details or {},
         )
-
-    def _coerce_value(self, value):
-        if isinstance(value, IdealElement):
-            return value.value
-        return self.ring.coerce(value)
 
     def _require_rank(self):
         if self.rs.rank < 2:
@@ -306,7 +306,7 @@ class RewriteEngine:
         beta, gamma = tuple(beta), tuple(gamma)
         p, q = self.ring.coerce(p), self.ring.coerce(q)
         w_in = Comm(Gen(beta, p), Gen(gamma, q))
-        if gamma == _neg(beta):
+        if gamma == _vneg(beta):
             raise OppositeRoots("no expansion for opposite roots %s, %s" % (beta, gamma))
         if beta == gamma:
             out = EMPTY
@@ -319,7 +319,7 @@ class RewriteEngine:
                     Gen(_vsum(beta, gamma, i, j), self.ring.int_(c) * p**i * q**j)
                 )
             out = Prod(tuple(factors))
-        return out, self._finish("expand_commutator", w_in, out, ElemShape())
+        return out, self.finish("expand_commutator", w_in, out, [(out, ElemShape())], w_in)
 
     def _bare_conj(self, gen, peel):
         """x_root(w) conjugated by x_{peel.root}(r) as bare generators.
@@ -356,7 +356,7 @@ class RewriteEngine:
             t1 = Conj(Inv(Comm(Comm(k, Inv(f)), Inv(h))), Prod((f, h)))
             t2 = Conj(Inv(Comm(Comm(Inv(h), Inv(k)), f)), Prod((k, h)))
             out = Prod((t1, t2))
-        return out, self._finish("hall_witt_split", w_in, out, ElemShape())
+        return out, self.finish("hall_witt_split", w_in, out, [(out, ElemShape())], w_in)
 
     # ----- retraction splitting -----
 
@@ -413,14 +413,14 @@ class RewriteEngine:
         tail_word = Prod(tuple(tail))
         j_spec = IdealSpec.gens(self.ring, self.ring.var(var))
         out = Prod((retract, tail_word))
-        receipt = self._finish("absolute_split", w, out, None, details={"var": var})
-        cert = LevelShape(j_spec)
-        if self.verify:
-            report = check_shape(tail_word, cert, self.congruence_oracle())
-            if not report.ok:
-                raise OracleMismatch("absolute_split tail: %s" % report.reason)
-            receipt.attested = len(report.attested)
-        receipt.certificate = cert
+        receipt = self.finish(
+            "absolute_split",
+            w,
+            out,
+            [(tail_word, LevelShape(j_spec))],
+            w,
+            details={"var": var},
+        )
         return retract, tail_word, receipt
 
     # ----- decomposition avoiding a root -----
@@ -534,7 +534,7 @@ class RewriteEngine:
         alpha = tuple(alpha)
         if not self.rs.contains(alpha):
             raise ValueError("%s is not a root of %s" % (alpha, self.rs))
-        value = self._coerce_value(value)
+        value = self.ring.coerce(value)
         try:
             factors, route = self._decompose_factors(alpha, value, i_spec, j_spec)
         except (NotInIdeal, UndecidableIdealClass) as e:
@@ -542,12 +542,14 @@ class RewriteEngine:
                 "the level witness cannot fund x_%s(%s): %s" % (alpha, value, e)
             )
         out = Prod(tuple(factors))
+        w_in = Gen(alpha, value)
         cert = YShape(alpha, j_spec, i_spec.product(j_spec))
-        receipt = self._finish(
+        receipt = self.finish(
             "decompose_avoiding_root",
-            Gen(alpha, value),
+            w_in,
             out,
-            cert,
+            [(out, cert)],
+            w_in,
             details={"route": route},
         )
         return out, receipt
@@ -591,17 +593,18 @@ class RewriteEngine:
         if r.is_zero():
             out = y_word
         else:
-            peel = Gen(_neg(alpha), r)
+            peel = Gen(_vneg(alpha), r)
             factors = []
             for f in (y_word.factors if isinstance(y_word, Prod) else (y_word,)):
                 factors += self._conj_y_factors(f, peel)
             out = Prod(tuple(factors))
         cert = RelConjShape(j_spec, i_spec.product(j_spec))
-        receipt = self._finish(
+        receipt = self.finish(
             "push_vaserstein_conjugate",
             v,
             out,
-            cert,
+            [(out, cert)],
+            v,
             details={"route": y_receipt.details["route"]},
         )
         return out, receipt
@@ -616,7 +619,7 @@ class RewriteEngine:
             if (
                 not self.rs.contains(gamma)
                 or beta == gamma
-                or gamma == _neg(beta)
+                or gamma == _vneg(beta)
             ):
                 continue
             coeffs = [(ij, c) for ij, c in self.sc.comm_coeffs(beta, gamma) if c]
@@ -775,16 +778,17 @@ class RewriteEngine:
         if not self.rs.contains(alpha):
             raise ValueError("%s is not a root of %s" % (alpha, self.rs))
         self._require_rank()
-        value = self._coerce_value(value)
+        value = self.ring.coerce(value)
         stats = {"plain_terms": 0, "double_terms": 0, "defect_terms": 0}
         factors = self._mixed_gen_factors(alpha, value, i_spec, j_spec, stats)
         out = Prod(tuple(factors))
-        cert = MixedCommShape(i_spec, j_spec)
-        receipt = self._finish(
+        w_in = Gen(alpha, value)
+        receipt = self.finish(
             "relative_generation_witness",
-            Gen(alpha, value),
+            w_in,
             out,
-            cert,
+            [(out, MixedCommShape(i_spec, j_spec))],
+            w_in,
             details=stats,
         )
         return out, receipt
@@ -802,7 +806,7 @@ class RewriteEngine:
         pieces = byword.factors if isinstance(byword, Prod) else (byword,)
         for f in pieces:
             if isinstance(f, Gen):
-                if f.root == _neg(peel.root):
+                if f.root == _vneg(peel.root):
                     out += self._blocked_pieces(f, peel, budget, depth, stats)
                 else:
                     out += self._bare_conj(f, peel)
@@ -868,7 +872,7 @@ class RewriteEngine:
             new_state = []
             for kind, f, depth in state:
                 if kind == "gen":
-                    if f.root == _neg(peel.root):
+                    if f.root == _vneg(peel.root):
                         for piece in self._blocked_pieces(f, peel, budget, depth, stats):
                             if isinstance(piece, Gen):
                                 new_state.append(("gen", piece, depth + 1))
@@ -879,7 +883,7 @@ class RewriteEngine:
                             new_state.append(("gen", piece, depth))
                 elif kind == "rel":
                     inner, by = f.base, f.by
-                    if inner.root == _neg(peel.root):
+                    if inner.root == _vneg(peel.root):
                         pieces = self._blocked_pieces(inner, peel, budget, depth, stats)
                     else:
                         pieces = self._bare_conj(inner, peel)
@@ -896,11 +900,12 @@ class RewriteEngine:
             cert = RelConjShape(None, level_spec)
         else:
             cert = LevelShape(level_spec)
-        receipt = self._finish(
+        receipt = self.finish(
             "conjugation_normalize",
             g,
             out,
-            cert,
+            [(out, cert)],
+            g,
             details=dict(stats, budget=budget.trace() if budget else ()),
         )
         return out, receipt
@@ -943,12 +948,10 @@ class RewriteEngine:
                     "generator %s of %s involves %r" % (g, i_spec.describe(), var)
                 )
         j_spec = IdealSpec.gens(self.ring, self.ring.var(var))
-        if self.verify:
-            for rep in self.reps:
-                if not congruence_check(rep.evaluate_word(w, self.ring), j_spec):
-                    raise CongruenceFailed(
-                        "the word is not congruent to the identity mod (%s)" % var
-                    )
+        if self.verify and not self.congruence_oracle()(w, j_spec):
+            raise CongruenceFailed(
+                "the word is not congruent to the identity mod (%s)" % var
+            )
         mapping = self._retraction(var)
         out_factors = []
         prefix = []
@@ -981,16 +984,19 @@ class RewriteEngine:
                 if prefix:
                     piece = _conj_factor(piece, Inv(p_word))
                 out_factors.append(piece)
-        if self.verify and prefix:
-            discard = Prod(tuple(prefix))
-            for rep in self.reps:
-                if not rep.words_equal(discard, EMPTY, self.ring):
-                    raise CongruenceFailed(
-                        "the variable-free remainder does not evaluate to the identity"
-                    )
+        if self.verify and prefix and not self.equal(Prod(tuple(prefix)), EMPTY):
+            raise CongruenceFailed(
+                "the variable-free remainder does not evaluate to the identity"
+            )
         out = Prod(tuple(out_factors))
-        cert = BarShape(i_spec, j_spec)
-        receipt = self._finish("relative_split", w, out, cert, details={"var": var})
+        receipt = self.finish(
+            "relative_split",
+            w,
+            out,
+            [(out, BarShape(i_spec, j_spec))],
+            w,
+            details={"var": var},
+        )
         return out, receipt
 
     # ----- moving the indeterminate -----
@@ -1079,23 +1085,14 @@ class RewriteEngine:
         level_word = Prod(tuple(level_acc))
         mixed_word = Prod(tuple(mixed_acc))
         out = Prod((level_word, mixed_word))
-        receipt = self._finish(
+        receipt = self.finish(
             "move_indeterminate",
             w,
             out,
-            None,
+            [(level_word, LevelShape(ijk)), (mixed_word, MixedCommShape(ij, kj))],
+            w,
             details=stats,
         )
-        if self.verify:
-            oracle = self.congruence_oracle()
-            rep_l = check_shape(level_word, LevelShape(ijk), oracle)
-            if not rep_l.ok:
-                raise OracleMismatch("level part: %s" % rep_l.reason)
-            rep_m = check_shape(mixed_word, MixedCommShape(ij, kj), oracle)
-            if not rep_m.ok:
-                raise OracleMismatch("mixed part: %s" % rep_m.reason)
-            receipt.attested = len(rep_l.attested) + len(rep_m.attested)
-            receipt.certificate = (LevelShape(ijk), MixedCommShape(ij, kj))
         return level_word, mixed_word, receipt
 
     def _split_mixed_factor(self, comm, j_spec, k_spec, i_spec, stats):
@@ -1118,17 +1115,3 @@ class RewriteEngine:
                 generated.append(_conj_factor(piece, byword) if byword else piece)
             stats["witness_terms"] += sum(sub_stats.values())
         return self._comm_with_product(generated, right)
-
-    # ----- sampled congruence probe -----
-
-    def check_commutator_level(self, g, h, ij_spec):
-        """Does [g, h] lie in the congruence group of I*J?
-
-        g and h are words; the commutator is evaluated in every configured
-        representation and compared against the identity modulo the ideal.
-        """
-        comm = Comm(g, h)
-        for rep in self.reps:
-            if not congruence_check(rep.evaluate_word(comm, self.ring), ij_spec):
-                return False
-        return True

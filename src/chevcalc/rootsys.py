@@ -31,6 +31,11 @@ def _vneg(a):
     return tuple(-x for x in a)
 
 
+def _vsum(a, b, i=1, j=1):
+    """The integer combination i*a + j*b."""
+    return tuple(i * x + j * y for x, y in zip(a, b))
+
+
 def _build_a(rank):
     n = rank + 1
     roots = []
@@ -322,10 +327,6 @@ class RootSystem:
     def is_positive(self, r):
         return self.height(r) > 0
 
-    def order_key(self, r):
-        """Position of a positive root in the (height, coords) order."""
-        return self._order[r]
-
     def coroot_coords(self, a):
         """Coordinates of the coroot of a over the simple coroots."""
         target = tuple(Fraction(2 * x, self.norm2(a)) for x in a)
@@ -454,7 +455,7 @@ class StructureConstants:
         out = []
         for i in range(1, 5):
             for j in range(1, 5):
-                v = tuple(i * x + j * y for x, y in zip(a, b))
+                v = _vsum(a, b, i, j)
                 if v in rs._root_set:
                     out.append(((i, j), v))
         out.sort(key=lambda entry: (entry[0][0] + entry[0][1], entry[0][0]))
@@ -529,20 +530,16 @@ def compute_structure_constants(rs):
     return _SC_CACHE[key]
 
 
-def find_unit_sum_decomposition(sc, alpha, ring, avoid=()):
+def find_unit_sum_decomposition(sc, alpha, ring):
     """A pair (beta, gamma, eps) with beta + gamma = alpha and an invertible
     leading commutator coefficient c = c11(beta, gamma); eps * c = 1.
 
-    Roots listed in `avoid` (and their negatives) are excluded from the
-    pair.  Returns None when no decomposition fits.
+    Returns None when no decomposition fits.
     """
     rs = sc.rs
-    banned = set(avoid) | {_vneg(r) for r in avoid}
     for beta in rs.roots:
         gamma = _vsub(alpha, beta)
         if gamma not in rs._root_set:
-            continue
-        if beta in banned or gamma in banned:
             continue
         if beta == gamma or beta == _vneg(gamma):
             continue

@@ -9,7 +9,7 @@ from chevcalc.errors import (
     UndecidableIdealClass,
     UnsupportedRing,
 )
-from chevcalc.exactring import IdealElement, IdealSpec, Ring
+from chevcalc.exactring import IdealSpec, Ring
 
 
 def random_element(ring, rng, max_deg=3, terms=4, coeff=9):
@@ -94,6 +94,16 @@ def test_zero_ring_when_s_nilpotent():
     # 2 is nilpotent mod 4, so inverting it collapses everything.
     assert ring.one() == ring.zero()
     assert ring.torsion_bound() == 2
+
+
+def test_mod_m_localization_needs_an_integer_element():
+    # equality over Z/m localized at s needs a torsion bound, which only an
+    # integer s has; the ring is refused when it is built
+    base = Ring(4, ("t",))
+    with pytest.raises(UnsupportedRing, match="torsion bound"):
+        base.localize_at(base.var("t"))
+    loc = base.localize_at(3)
+    assert loc.var("t") != loc.one()
 
 
 def test_torsion_equality_against_brute_scan():
@@ -225,31 +235,6 @@ def test_substitution_clears_denominators():
     assert half_ring is not None
 
 
-def test_simplex_alias():
-    ring = Ring.integers().with_simplex(("t1", "t2", "t3"))
-    assert ring.var_names == ("t1", "t2")
-    total = ring.var("t1") + ring.var("t2") + ring.var("t3")
-    assert total == ring.one()
-    plain = Ring.integers()
-    el = ring.var("t3") * 2
-    assert el.substitute({"t1": 1, "t2": 0}, plain) == plain.int_(0)
-    value = el.substitute({"t1": 1, "t2": 3, "t3": -3}, plain)
-    assert value == plain.int_(-6)
-    with pytest.raises(SubstitutionMismatch):
-        el.substitute({"t1": 1, "t2": 3, "t3": 5}, plain)
-
-
-def test_config_round_trip():
-    zt = Ring.integers().extend("t")
-    for ring in (
-        Ring.integers(),
-        Ring.integers_mod(8).extend("t", "u"),
-        zt.localize_at(zt.parse("2*t")),
-        Ring.integers().with_simplex(("a", "b", "c")),
-    ):
-        assert Ring.from_config(ring.to_config()) == ring
-
-
 def test_ideal_membership_frozen_cases():
     zt = Ring.integers().extend("t")
     t = zt.var("t")
@@ -352,33 +337,8 @@ def test_sym_power_and_products():
     assert not prod.contains(x)
     w = prod.witness(6 * y + 2 * x)
     assert w.verify()
-    cube = j.power(3)
-    assert cube.contains(x**3 + 5 * x * y**2)
-    assert not cube.contains(x**2)
     with pytest.raises(UnsupportedRing):
         j.sym_power(3)
-
-
-def test_ideal_element_algebra():
-    ring = Ring.integers().extend("t")
-    t = ring.var("t")
-    i = IdealSpec.gens(ring, 2)
-    j = IdealSpec.gens(ring, t)
-    a = IdealElement.from_generator(i, 0, scale=t + 1)
-    b = IdealElement.from_generator(j, 0, scale=3)
-    assert a.verify() and b.verify()
-    p = a.product(b)
-    assert p.value == 6 * t * (t + 1)
-    assert p.verify()
-    assert p.scale(t).verify()
-    assert (-a).verify()
-    assert a.add(IdealElement.from_generator(i, 0)).verify()
-    sq = b.power(2)
-    assert sq.value == 9 * t**2
-    assert sq.verify()
-    dst = Ring.integers_mod(5).extend("t")
-    moved = p.substitute({"t": dst.var("t")}, dst)
-    assert moved.verify()
 
 
 def test_ideal_substitute_keeps_structure():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -30,7 +31,6 @@ from chevcalc.lgp import (
     LocalDatum,
     PatchProblem,
     dilate,
-    extract_cover,
     for_dilation,
     patch,
     torsion_exponent,
@@ -125,7 +125,7 @@ def test_torsion_exponent_input_checks():
         torsion_exponent(gl, il, 2)
 
 
-# ----- unimodular_combination / extract_cover -----
+# ----- unimodular_combination -----
 
 
 def test_unimodular_combination_integers():
@@ -161,42 +161,14 @@ def test_unimodular_combination_beyond_pool_is_undecided():
         unimodular_combination(ring, [X * X, X * X + X**4])
 
 
-def test_extract_cover_collects_denominators():
-    base = Ring(0, ("X",))
-    w1 = Prod((Gen(A, base.localize_at(2).parse("3*X/s")),))
-    w2 = Prod((Gen(C, base.localize_at(3).parse("X/s^2")),))
-    cover = extract_cover([w1, w2])
-    assert cover == [base.int_(2), base.int_(9)]
-
-
-def test_extract_cover_multiplies_distinct_depths():
-    base = Ring(0, ("X",))
-    loc = base.localize_at(2)
-    w1 = Prod((Gen(A, loc.parse("3*X/s")), Gen(C, loc.parse("5*X/s^2"))))
-    w2 = Prod((Gen(A, base.localize_at(3).parse("X/s")),))
-    cover = extract_cover([w1, w2])
-    assert cover == [base.int_(8), base.int_(3)]
-
-
-def test_extract_cover_denominator_free_word():
-    base = Ring(0, ("X",))
-    w = Prod((Gen(A, base.parse("3*X")),))
-    assert extract_cover([w]) == [base.one()]
-
-
-def test_extract_cover_rejections():
-    base = Ring(0, ("X",))
-    w2 = Prod((Gen(A, base.localize_at(2).parse("X/s")),))
-    w4 = Prod((Gen(A, base.localize_at(4).parse("X/s")),))
-    with pytest.raises(NotUnimodular):
-        extract_cover([w2, w4])
-    with pytest.raises(NotUnimodular):
-        extract_cover([])
-    with pytest.raises(LocalizationMismatch):
-        extract_cover([w2, EMPTY])
-    other = Prod((Gen(A, Ring(0, ("Y",)).localize_at(3).parse("Y/s")),))
-    with pytest.raises(LocalizationMismatch):
-        extract_cover([w2, other])
+def test_unimodular_combination_search_is_capped():
+    # a 6-element cover over Z[t,u] would need 15^6 pool tuples
+    ring = Ring(0, ("t", "u"))
+    v = ring.parse("t*u + 2")
+    start = time.perf_counter()
+    with pytest.raises(UndecidableIdealClass, match="coefficient tuples"):
+        unimodular_combination(ring, [v] * 6)
+    assert time.perf_counter() - start < 1.0
 
 
 # ----- for_dilation -----
