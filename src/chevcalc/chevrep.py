@@ -4,9 +4,18 @@ These representations are the correctness oracle of the package: a word
 rewrite is accepted only when both sides evaluate to the same matrix.  The
 rest of the package reaches them through RewriteEngine's `evaluate`,
 `equal` and `congruence_oracle`.
-Generators are one-parameter subgroups x_a(r) = sum_k r^k * (X_a^k / k!)
-with nilpotent X_a, so every evaluation is a finite exact sum and inverses
-are computed structurally (x_a(r)^-1 = x_a(-r)), never by matrix inversion.
+Generators are one-parameter subgroups x_a(r) = sum_k r^k * T_k with
+T_k = X_a^k / k! an integer template and X_a nilpotent, so every
+evaluation is a finite exact sum and inverses are computed structurally
+(x_a(r)^-1 = x_a(-r)), never by matrix inversion.
+
+`evaluate_word` starts from the identity and applies each generator as a
+sparse right update, M <- M + sum_k r^k * (M * T_k): M * T_k is an
+integer combination of the columns of M that T_k reads
+(`RingElement.scale`), and each entry it touches takes one ring
+multiplication by r^k.  No generator matrix is built.  The dense path,
+`generator_matrix` and `RepMatrix.__mul__`, stays as the reference the
+tests compare against and for the left products of `rootsys.comm_coeffs`.
 
 The adjoint model exists for every supported system.  The defining models
 (types A and C) share sign conventions with the adjoint model because
@@ -236,10 +245,53 @@ class Representation:
         return RepMatrix(ring, self.dim, {p: v for p, v in entries.items() if v.num})
 
     def evaluate_word(self, w, ring):
-        m = RepMatrix.identity(ring, self.dim)
-        for gen in gword.flatten(w):
-            m = m * self.generator_matrix(gen.root, ring.coerce(gen.arg))
-        return m
+        return self.evaluate_generators(
+            ((gen.root, ring.coerce(gen.arg)) for gen in gword.flatten(w)), ring
+        )
+
+    def evaluate_generators(self, gens, ring):
+        """The product of x_root(r) over the (root, r) pairs, left to right."""
+        one = ring.one()
+        # column-major: cols[j][i] is entry (i, j)
+        cols = {j: {j: one} for j in range(self.dim)}
+        for root, r in gens:
+            if r.num:
+                self._right_update(cols, root, r)
+        return RepMatrix(
+            ring, self.dim, {(i, j): v for j, col in cols.items() for i, v in col.items()}
+        )
+
+    def _right_update(self, cols, root, r):
+        """cols <- cols * x_root(r), as cols + sum_k r^k * (cols * T_k)."""
+        updates = {}
+        # _divided_powers stores k = 1, 2, ... in order, so r^k costs one
+        # multiplication per k
+        r_k = r
+        for k, t_k in self.powers[root].items():
+            if k > 1:
+                r_k = r_k * r
+            # column j of cols * T_k combines the columns l with T_k[l, j] != 0
+            prod = {}
+            for (l, j), v in t_k.items():
+                acc = prod.setdefault(j, {})
+                for i, x in cols[l].items():
+                    y = x.scale(v)
+                    acc[i] = acc[i] + y if i in acc else y
+            for j, acc in prod.items():
+                upd = updates.setdefault(j, {})
+                for i, y in acc.items():
+                    if y.num:
+                        y = y * r_k
+                        if y.num:
+                            upd[i] = upd[i] + y if i in upd else y
+        for j, upd in updates.items():
+            col = cols[j]
+            for i, y in upd.items():
+                v = col[i] + y if i in col else y
+                if v.num:
+                    col[i] = v
+                else:
+                    col.pop(i, None)
 
     def words_equal(self, u, v, ring):
         return self.evaluate_word(u, ring) == self.evaluate_word(v, ring)

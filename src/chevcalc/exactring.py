@@ -724,6 +724,22 @@ class RingElement:
 
     __rmul__ = __mul__
 
+    def scale(self, n):
+        """self * n for an integer n, without building n as a polynomial.
+
+        The result is the element `self * ring.int_(n)` would give, down to
+        its (num, den) form.
+        """
+        if n == 1:
+            return self
+        num = _poly_scale(self.num, n, self.ring.base_mod)
+        if not num:
+            return self.ring.zero()
+        if self.den and not self.ring.base_mod:
+            # n may share a factor with s, which the canonical form divides out
+            return self.ring._make(num, self.den)
+        return RingElement(self.ring, num, self.den)
+
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")

@@ -6,7 +6,14 @@ prescribed shape, and returns a RewriteReceipt alongside it.
 RewriteEngine owns the matrix representations of one (system, ring) pair
 and is the only place where words meet the oracle: `evaluate` gives a
 word's matrices, `equal` compares two words and `congruence_oracle` tests
-a word against the identity modulo an ideal.  Every engine op, and every
+a word against the identity modulo an ideal.  The three share one memo,
+owned by the engine and dropped with it, that maps (representation, word)
+to the word's matrix, so each distinct word is evaluated once per engine
+(a stage that checks a congruence and then an equality on the same word
+pays for one evaluation).  The memo cannot accept a wrong word: words are
+frozen dataclasses compared field by field, generator arguments compare
+by exact ring equality, and the engine's ring is fixed, so a word that
+finds a cached matrix evaluates to that matrix.  Every engine op, and every
 stage of the patching pipeline, builds its receipt through `finish`.  In
 verify mode `finish` issues the receipt only after two independent checks
 pass: the output evaluates to the same matrix as its target in every
@@ -222,17 +229,29 @@ class RewriteEngine:
         self.reps = [get_representation(rs, "adjoint")]
         if rs.label in ("A", "C"):
             self.reps.append(get_representation(rs, "defining"))
+        # (representation, word) -> matrix, for this engine's lifetime
+        self._matrices = {}
 
     # ----- the oracle -----
 
+    def _matrix(self, rep, w):
+        key = (rep, w)
+        m = self._matrices.get(key)
+        if m is None:
+            m = self._matrices[key] = rep.evaluate_word(w, self.ring)
+        return m
+
     def evaluate(self, w):
-        """The matrices of w, one per representation, in `reps` order."""
-        return [rep.evaluate_word(w, self.ring) for rep in self.reps]
+        """The matrices of w, one per representation, in `reps` order.
+
+        They are the memo's own objects: read them, never modify them.
+        """
+        return [self._matrix(rep, w) for rep in self.reps]
 
     def equal(self, a, b):
         """Do a and b evaluate alike?  Stops at the first representation
         that tells them apart."""
-        return all(rep.words_equal(a, b, self.ring) for rep in self.reps)
+        return all(self._matrix(rep, a) == self._matrix(rep, b) for rep in self.reps)
 
     def congruence_oracle(self):
         """A check(word, spec) callable: is the word congruent to the
@@ -240,7 +259,7 @@ class RewriteEngine:
 
         def check(word, spec):
             for rep in self.reps:
-                if not congruence_check(rep.evaluate_word(word, self.ring), spec):
+                if not congruence_check(self._matrix(rep, word), spec):
                     return False
             return True
 

@@ -469,11 +469,7 @@ class StructureConstants:
             return self._memo[key]
         rep, ring = self._tools()
         p, q = ring.var("P"), ring.var("Q")
-        xa = rep.generator_matrix(a, p)
-        xa_inv = rep.generator_matrix(a, -p)
-        xb = rep.generator_matrix(b, q)
-        xb_inv = rep.generator_matrix(b, -q)
-        m = xa_inv * xb_inv * xa * xb
+        m = rep.evaluate_generators(((a, -p), (b, -q), (a, p), (b, q)), ring)
         out = []
         for (i, j), delta in self.pair_roots(a, b):
             c = self._extract(rep, m, delta, (i, j))

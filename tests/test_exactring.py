@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+import sympy
 
 from chevcalc.errors import (
     NotInIdeal,
@@ -9,7 +11,7 @@ from chevcalc.errors import (
     UndecidableIdealClass,
     UnsupportedRing,
 )
-from chevcalc.exactring import IdealSpec, Ring
+from chevcalc.exactring import IdealSpec, Ring, RingElement, _poly_divide, _poly_mul
 
 
 def random_element(ring, rng, max_deg=3, terms=4, coeff=9):
@@ -348,3 +350,96 @@ def test_ideal_substitute_keeps_structure():
     moved = spec.substitute({"t": dst.var("u") ** 2}, dst)
     assert moved.kind == "product"
     assert [str(g) for g in moved.expand()] == ["3*u^2"]
+
+
+# ----- the polynomial kernels against sympy -----
+
+
+_SYM = sympy.symbols("x y")
+
+
+def _random_poly(rng, mod, terms=5, max_deg=3, coeff=30):
+    out = {}
+    for _ in range(rng.randrange(terms + 1)):
+        e = (rng.randrange(max_deg + 1), rng.randrange(max_deg + 1))
+        c = rng.randrange(-coeff, coeff + 1)
+        if mod:
+            c %= mod
+        if c:
+            out[e] = c
+    return out
+
+
+def _to_sympy(num, mod):
+    if mod:
+        return sympy.Poly.from_dict(dict(num) or {(0, 0): 0}, *_SYM, modulus=mod)
+    return sympy.Poly.from_dict(dict(num) or {(0, 0): 0}, *_SYM, domain=sympy.ZZ)
+
+
+def _from_sympy(poly, mod):
+    assert poly.domain.is_FiniteField if mod else poly.domain.is_ZZ
+    out = {}
+    for e, c in poly.as_dict().items():
+        c = int(c) % mod if mod else int(c)
+        if c:
+            out[e] = c
+    return out
+
+
+@pytest.mark.parametrize("mod", [0, 2, 5, 7])
+def test_poly_mul_matches_sympy(mod):
+    rng = random.Random(100 + mod)
+    for _ in range(60):
+        a, b = _random_poly(rng, mod), _random_poly(rng, mod)
+        want = _from_sympy(_to_sympy(a, mod) * _to_sympy(b, mod), mod)
+        assert _poly_mul(a, b, mod) == want
+
+
+@pytest.mark.parametrize("mod", [0, 2, 5, 7])
+def test_poly_divide_matches_sympy(mod):
+    rng = random.Random(200 + mod)
+    exact = inexact = 0
+    for n in range(80):
+        b = _random_poly(rng, mod)
+        if not b:
+            continue
+        # half the dividends are multiples of b, half are arbitrary
+        a = _random_poly(rng, mod)
+        if n % 2:
+            a = _poly_mul(a, b, mod)
+        try:
+            want = _from_sympy(_to_sympy(a, mod).exquo(_to_sympy(b, mod), auto=False), mod)
+        except sympy.polys.polyerrors.ExactQuotientFailed:
+            want = None
+        got = _poly_divide(a, b, mod)
+        assert got == want
+        if want is None:
+            inexact += 1
+        else:
+            exact += 1
+    assert exact and inexact
+
+
+@pytest.mark.parametrize(
+    "mod,s", [(0, 0), (0, 2), (5, 0), (5, 3), (7, 2), (9, 3), (12, 2), (18, 6), (8, 2)]
+)
+def test_is_zero_matches_sympy(mod, s):
+    # a / s^k is zero exactly when s^N * a vanishes for every large N; over
+    # ZZ and GF(p) that means a = 0, over Z/m it is s-power torsion
+    base = Ring(mod, ("x", "y"))
+    ring = base.localize_at(s) if s else base
+    rng = random.Random(300 + 10 * mod + s)
+    zeros = 0
+    for n in range(60):
+        num = _random_poly(rng, mod, coeff=40)
+        if mod and s and n % 3 == 0:
+            # build torsion: multiply by the cofactor of s in m
+            num = {e: c * (mod // math.gcd(mod, s ** 4)) % mod for e, c in num.items()}
+            num = {e: c for e, c in num.items() if c}
+        elt = RingElement(ring, num, rng.randrange(3) if s else 0)
+        killed = _to_sympy(num, 0) * sympy.Poly(s or 1, *_SYM, domain=sympy.ZZ) ** 16
+        rest = _from_sympy(killed, 0).values()
+        want = all(c % mod == 0 for c in rest) if mod else not rest
+        assert elt.is_zero() == want
+        zeros += want
+    assert zeros

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from chevcalc.chevrep import Representation
 from chevcalc.errors import (
     BudgetExhausted,
     ConditionViolated,
@@ -628,3 +629,65 @@ def test_node_budget_enforced():
     f, h, k = Gen(A, ring.int_(1)), Gen(B, ring.var("t")), Gen(C, ring.int_(2))
     with pytest.raises(NodeBudgetExceeded):
         eng.hall_witt_split(f, h, k)
+
+
+# ----- the engine's evaluation memo -----
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Record the word of every call to Representation.evaluate_word."""
+    seen = []
+    original = Representation.evaluate_word
+
+    def counting(rep, w, ring):
+        seen.append(w)
+        return original(rep, w, ring)
+
+    monkeypatch.setattr(Representation, "evaluate_word", counting)
+    return seen
+
+
+def test_relative_split_evaluates_its_input_once(evaluations):
+    ring = Ring.integers().extend("t")
+    eng = RewriteEngine("A2", ring)
+    t = ring.var("t")
+    w = Prod((Conj(Gen(A, ring.int_(3)), Gen(B, t)), Gen(A, ring.int_(-3))))
+    eng.relative_split(w, IdealSpec.gens(ring, 3), "t")
+    # the congruence check and the equality check in finish share one
+    # evaluation per representation (adjoint and defining)
+    assert len(eng.reps) == 2
+    assert sum(1 for x in evaluations if x == w) == 2
+
+
+def test_memo_keeps_words_that_differ_in_one_generator_apart(evaluations):
+    ring = Ring.integers().extend("t")
+    eng = RewriteEngine("A2", ring)
+    t = ring.var("t")
+    w = Prod((Gen(A, 3 * t), Gen(B, t + 1), Gen(C, ring.int_(2))))
+    assert eng.equal(w, w)
+    assert len(evaluations) == 2
+    for w2 in (
+        Prod((Gen(A, 3 * t), Gen(B, t + 2), Gen(C, ring.int_(2)))),
+        Prod((Gen(A, 3 * t), Gen(C, t + 1), Gen(C, ring.int_(2)))),
+    ):
+        assert not eng.equal(w, w2)
+        assert not eng.equal(w2, w)
+    # an equal word built afresh is a hit, not a new evaluation
+    n = len(evaluations)
+    assert eng.equal(Prod((Gen(A, 3 * t), Gen(B, t + 1), Gen(C, ring.int_(2)))), w)
+    assert len(evaluations) == n
+
+
+def test_a_new_engine_starts_with_an_empty_memo(evaluations):
+    ring = Ring.integers().extend("t")
+    t = ring.var("t")
+    w = Prod((Gen(A, 3 * t), Gen(B, t)))
+    first = RewriteEngine("A2", ring)
+    first.evaluate(w)
+    first.evaluate(w)
+    assert len(evaluations) == 2
+    second = RewriteEngine("A2", ring)
+    assert not second._matrices
+    assert second.evaluate(w) == first.evaluate(w)
+    assert len(evaluations) == 4
