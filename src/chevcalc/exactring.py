@@ -7,6 +7,23 @@ Equality in a localized ring is torsion aware: a/s^j = b/s^k holds exactly
 when s^T * (a*s^k - b*s^j) vanishes in the underlying polynomial ring,
 where T is a precomputed annihilator stabilization bound.
 
+An element is stored as num / s^den, num a dict exponent tuple -> nonzero
+coefficient, reduced mod m over Z/m.  Two constructors keep that form.
+`Ring._make` takes raw data (parsed text, substitution images, witness
+coefficients, powers of 1/s): it reduces every coefficient and drops
+zeros.  `Ring._normal` takes the result of a `_poly_*` kernel, which is
+already reduced and free of zeros, and only fixes the denominator.  Over
+a Z base the form is canonical: the largest power s^k, k <= den, that
+divides num is divided out.  For an integer s that is one division by
+s^k, k read off the gcd of the coefficients; otherwise s is divided out
+one power at a time while the division is exact.
+
+Most products in the matrix oracle have a one-term factor (an argument
+c*t^e, a power of an integer s), so `_poly_mul` and `_poly_divide` treat
+a one-term operand in one pass over the other: distinct exponents stay
+distinct under a shift, so no term needs an accumulator.  Two multi-term
+operands take the general double loop and long division.
+
 The ideal layer carries witnesses.  Membership tests never guess: they
 answer True or False only for generator classes where the test is complete
 (single-term generator sets, principal ideals with well-behaved leading
@@ -15,6 +32,7 @@ terms) and raise UndecidableIdealClass otherwise.
 
 import math
 import re
+from operator import add, sub
 
 from .errors import (
     NotInIdeal,
@@ -89,10 +107,15 @@ def _strip_primes(c, primes):
 
 
 def _poly_mul(a, b, mod):
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        ((e, c),) = b.items()
+        return _poly_mul_term(a, e, c, mod)
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             c = out.get(e, 0) + ca * cb
             if mod:
                 c %= mod
@@ -100,6 +123,25 @@ def _poly_mul(a, b, mod):
                 out[e] = c
             elif e in out:
                 del out[e]
+    return out
+
+
+def _poly_mul_term(a, e, c, mod):
+    """a * c*x^e in one pass.
+
+    Distinct exponents of a stay distinct after the shift by e, so no term
+    needs an accumulator; over Z/m a product can still vanish and is dropped.
+    """
+    shift = any(e)
+    if not mod:
+        if not shift:
+            return {ea: ca * c for ea, ca in a.items()}
+        return {tuple(map(add, ea, e)): ca * c for ea, ca in a.items()}
+    out = {}
+    for ea, ca in a.items():
+        v = ca * c % mod
+        if v:
+            out[tuple(map(add, ea, e)) if shift else ea] = v
     return out
 
 
@@ -148,11 +190,13 @@ def _poly_divide(a, b, mod):
         if math.gcd(cb, mod) != 1:
             return None
         cb_inv = pow(cb, -1, mod)
+    if len(b) == 1:
+        return _poly_divide_term(a, eb, cb_inv if mod else cb, mod)
     rem = dict(a)
     quot = {}
     while rem:
         ea, ca = _lead_term(rem)
-        eq = tuple(x - y for x, y in zip(ea, eb))
+        eq = tuple(map(sub, ea, eb))
         if any(x < 0 for x in eq):
             return None
         if mod:
@@ -163,6 +207,31 @@ def _poly_divide(a, b, mod):
             cq = ca // cb
         quot[eq] = cq
         rem = _poly_add(rem, _poly_mul({eq: cq}, b, mod), mod, sign=-1)
+    return quot
+
+
+def _poly_divide_term(a, e, c, mod):
+    """a / c*x^e in one pass, or None; over Z/m, c is already the inverse.
+
+    Each term of a is divided on its own: the quotient of a term by a term
+    is a term, and distinct exponents give distinct quotients.
+    """
+    shift = any(e)
+    quot = {}
+    for ea, ca in a.items():
+        if shift:
+            eq = tuple(map(sub, ea, e))
+            if min(eq) < 0:
+                return None
+        else:
+            eq = ea
+        if mod:
+            quot[eq] = ca * c % mod
+        else:
+            q, r = divmod(ca, c)
+            if r:
+                return None
+            quot[eq] = q
     return quot
 
 
@@ -212,6 +281,8 @@ class Ring:
         self.loc_num = None if loc_num is None else dict(loc_num)
         if self.loc_num is not None and not self.loc_num:
             raise UnsupportedRing("cannot localize at zero")
+        # s as an int when it is an integer constant, else None
+        self._loc_int = None if loc_num is None else self._as_int_constant(self.loc_num)
         self._key = (
             self.base_mod,
             self.var_names,
@@ -287,27 +358,51 @@ class Ring:
 
     # ----- element constructors -----
 
-    def _reduce(self, c):
-        return c % self.base_mod if self.base_mod else c
-
     def _make(self, num, den):
-        """Normalize and wrap raw (num, den) data."""
+        """Normalize and wrap raw (num, den) data: coefficients are reduced
+        mod m and zero terms dropped before `_normal`."""
+        m = self.base_mod
         clean = {}
         for e, c in num.items():
-            c = self._reduce(c)
+            if m:
+                c %= m
             if c:
                 clean[e] = c
-        if not clean:
-            den = 0
-        elif den and self.base_mod == 0:
-            # Z[vars] is a domain, so dividing out s is canonical.
+        return self._normal(clean, den)
+
+    def _normal(self, num, den):
+        """Wrap (num, den) whose coefficients are already reduced and nonzero,
+        as every `_poly_*` result is, in the canonical form."""
+        if not num:
+            return RingElement(self, num, 0)
+        if den and not self.base_mod:
+            num, den = self._strip_s(num, den)
+        return RingElement(self, num, den)
+
+    def _strip_s(self, num, den):
+        """Divide the largest power s^k, k <= den, out of num / s^den.
+
+        Z[vars] is a domain, so this form is canonical.  For an integer s,
+        s^k divides num exactly when it divides the gcd of its coefficients.
+        """
+        s = self._loc_int
+        if s is None:
             while den:
-                q = _poly_divide(clean, self.loc_num, 0)
+                q = _poly_divide(num, self.loc_num, 0)
                 if q is None:
                     break
-                clean = q
+                num = q
                 den -= 1
-        return RingElement(self, clean, den)
+            return num, den
+        g = math.gcd(*num.values())
+        k = 0
+        while k < den and g % s == 0:
+            g //= s
+            k += 1
+        if k:
+            sk = s**k
+            num = {e: c // sk for e, c in num.items()}
+        return num, den - k
 
     def zero(self):
         return RingElement(self, {}, 0)
@@ -316,7 +411,7 @@ class Ring:
         return self.int_(1)
 
     def int_(self, n):
-        c = self._reduce(n)
+        c = n % self.base_mod if self.base_mod else n
         if not c:
             return self.zero()
         return RingElement(self, {(0,) * len(self.var_names): c}, 0)
@@ -668,7 +763,7 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise SubstitutionMismatch(
                     "mixing elements of %s and %s" % (self.ring, other.ring)
                 )
@@ -682,7 +777,7 @@ class RingElement:
         if self.den == other.den:
             return self.num, other.num, self.den
         lo, hi = (self, other) if self.den < other.den else (other, self)
-        num = dict(lo.num)
+        num = lo.num
         for _ in range(hi.den - lo.den):
             num = _poly_mul(num, self.ring.loc_num, self.ring.base_mod)
         if lo is self:
@@ -694,7 +789,7 @@ class RingElement:
         if other is None:
             return NotImplemented
         a, b, den = self._common(other)
-        return self.ring._make(_poly_add(a, b, self.ring.base_mod), den)
+        return self.ring._normal(_poly_add(a, b, self.ring.base_mod), den)
 
     __radd__ = __add__
 
@@ -703,7 +798,7 @@ class RingElement:
         if other is None:
             return NotImplemented
         a, b, den = self._common(other)
-        return self.ring._make(_poly_add(a, b, self.ring.base_mod, sign=-1), den)
+        return self.ring._normal(_poly_add(a, b, self.ring.base_mod, sign=-1), den)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -712,13 +807,14 @@ class RingElement:
         return other - self
 
     def __neg__(self):
-        return self.ring._make(_poly_scale(self.num, -1, self.ring.base_mod), self.den)
+        num = _poly_scale(self.num, -1, self.ring.base_mod)
+        return self.ring._normal(num, self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.ring._make(
+        return self.ring._normal(
             _poly_mul(self.num, other.num, self.ring.base_mod), self.den + other.den
         )
 
@@ -732,13 +828,8 @@ class RingElement:
         """
         if n == 1:
             return self
-        num = _poly_scale(self.num, n, self.ring.base_mod)
-        if not num:
-            return self.ring.zero()
-        if self.den and not self.ring.base_mod:
-            # n may share a factor with s, which the canonical form divides out
-            return self.ring._make(num, self.den)
-        return RingElement(self.ring, num, self.den)
+        # n may share a factor with s, which the canonical form divides out
+        return self.ring._normal(_poly_scale(self.num, n, self.ring.base_mod), self.den)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -756,7 +847,9 @@ class RingElement:
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.ring.int_(other)
-        if not isinstance(other, RingElement) or other.ring != self.ring:
+        if not isinstance(other, RingElement) or (
+            other.ring is not self.ring and other.ring != self.ring
+        ):
             return NotImplemented
         return (self - other).is_zero()
 
@@ -782,7 +875,7 @@ class RingElement:
             for _ in range(-den):
                 q = _poly_mul(q, self.ring.loc_num, self.ring.base_mod)
             den = 0
-        return self.ring._make(q, den)
+        return self.ring._normal(q, den)
 
     def substitute(self, mapping, target):
         """Map variables through `mapping` into `target`.

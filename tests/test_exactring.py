@@ -11,7 +11,14 @@ from chevcalc.errors import (
     UndecidableIdealClass,
     UnsupportedRing,
 )
-from chevcalc.exactring import IdealSpec, Ring, RingElement, _poly_divide, _poly_mul
+from chevcalc.exactring import (
+    IdealSpec,
+    Ring,
+    RingElement,
+    _poly_add,
+    _poly_divide,
+    _poly_mul,
+)
 
 
 def random_element(ring, rng, max_deg=3, terms=4, coeff=9):
@@ -443,3 +450,144 @@ def test_is_zero_matches_sympy(mod, s):
         assert elt.is_zero() == want
         zeros += want
     assert zeros
+
+
+# ----- the one-term kernels and the normal form -----
+
+
+def _random_term(rng, mod, max_deg=3, coeff=30):
+    while True:
+        c = rng.randrange(-coeff, coeff + 1)
+        if mod:
+            c %= mod
+        if c:
+            return {(rng.randrange(max_deg + 1), rng.randrange(max_deg + 1)): c}
+
+
+def _sympy_mul(a, b, mod):
+    """a * b by sympy: over GF(p) for a prime p, else over ZZ, reduced mod m."""
+    over = mod if sympy.isprime(mod) else 0
+    prod = _from_sympy(_to_sympy(a, over) * _to_sympy(b, over), over)
+    if mod:
+        prod = {e: c % mod for e, c in prod.items() if c % mod}
+    return prod
+
+
+@pytest.mark.parametrize("mod", [0, 2, 5, 7, 9])
+def test_poly_mul_by_a_term_matches_sympy(mod):
+    rng = random.Random(500 + mod)
+    vanished = 0
+    for n in range(80):
+        a, term = _random_poly(rng, mod, terms=6), _random_term(rng, mod)
+        if n % 4 == 0:
+            # a constant factor keeps the exponents of a
+            term = {(0, 0): next(iter(term.values()))}
+        want = _sympy_mul(a, term, mod)
+        assert _poly_mul(a, term, mod) == want
+        assert _poly_mul(term, a, mod) == want
+        vanished += len(want) < len(a)
+    # over Z/9 some products of nonzero coefficients are 0 and must go
+    assert vanished if mod == 9 else not vanished
+
+
+def test_poly_mul_by_a_term_drops_products_that_vanish():
+    assert _poly_mul({(1,): 3}, {(0,): 3}, 9) == {}
+    assert _poly_mul({(1,): 3, (0,): 6}, {(1,): 3}, 9) == {}
+    assert _poly_mul({(1,): 3, (0,): 1}, {(1,): 3}, 9) == {(1,): 3}
+    ring = Ring.integers_mod(9).extend("t")
+    t = ring.var("t")
+    prod = (3 * t) * 3
+    assert prod.num == {} and prod.den == 0 and prod == 0
+
+
+@pytest.mark.parametrize("mod", [0, 2, 5, 7])
+def test_poly_divide_by_a_term_matches_sympy(mod):
+    rng = random.Random(600 + mod)
+    exact = inexact = 0
+    for n in range(80):
+        b = _random_term(rng, mod)
+        a = _random_poly(rng, mod, terms=6)
+        if n % 2:
+            a = _poly_mul(a, b, mod)
+        try:
+            quot = _to_sympy(a, mod).exquo(_to_sympy(b, mod), auto=False)
+            want = _from_sympy(quot, mod)
+        except sympy.polys.polyerrors.ExactQuotientFailed:
+            want = None
+        assert _poly_divide(a, b, mod) == want
+        if want is None:
+            inexact += 1
+        else:
+            exact += 1
+    assert exact and inexact
+
+
+def test_poly_divide_by_a_non_unit_term_mod_m():
+    a = {(2,): 3, (1,): 6}  # 3t^2 + 6t = 3t * (t + 2) in Z/9[t]
+    # 3 is no unit mod 9, so no quotient is claimed even though one exists
+    assert _poly_divide(a, {(1,): 3}, 9) is None
+    # 2 is: (3t^2 + 6t) / 2t = 5 * (3t + 6) = 6t + 3
+    assert _poly_divide(a, {(1,): 2}, 9) == {(1,): 6, (0,): 3}
+    assert _poly_divide({(0,): 3}, {(1,): 2}, 9) is None
+
+
+def _strip_by_division(ring, num, den):
+    """The canonical form by its first definition: divide by s while exact."""
+    while den:
+        q = _poly_divide(num, ring.loc_num, 0)
+        if q is None:
+            break
+        num, den = q, den - 1
+    return num, den
+
+
+@pytest.mark.parametrize("s", [2, 6, -3, 1, "t", "1 + t"])
+def test_normal_form_matches_the_division_loop(s):
+    base = Ring.integers().extend("t")
+    ring = base.localize_at(base.parse(s) if isinstance(s, str) else s)
+    s_el = ring.loc_element()
+    rng = random.Random("normal/%s" % s)
+
+    def element():
+        x = random_element(ring, rng) * s_el ** rng.randrange(4)
+        num, den = dict(x.num), rng.randrange(5)
+        got = ring._make(num, den)
+        assert (got.num, got.den) == _strip_by_division(ring, num, den)
+        return got
+
+    def lift(x, den):
+        num = x.num
+        for _ in range(den - x.den):
+            num = _poly_mul(num, ring.loc_num, 0)
+        return num
+
+    for _ in range(50):
+        x, y = element(), element()
+        prod = x * y
+        want = _strip_by_division(ring, _poly_mul(x.num, y.num, 0), x.den + y.den)
+        assert (prod.num, prod.den) == want
+        den = max(x.den, y.den)
+        for total, sign in ((x + y, 1), (x - y, -1)):
+            num = _poly_add(lift(x, den), lift(y, den), 0, sign)
+            want = _strip_by_division(ring, num, den)
+            assert (total.num, total.den) == (want if want[0] else ({}, 0))
+        n = rng.choice([2, 3, 6, -9])
+        scaled = x.scale(n)
+        want = _strip_by_division(ring, {e: c * n for e, c in x.num.items()}, x.den)
+        assert (scaled.num, scaled.den) == (want if want[0] else ({}, 0))
+
+
+def test_make_reduces_raw_input():
+    ring = Ring.integers_mod(9).extend("t")
+    el = ring._make({(0,): 12, (1,): -4, (2,): 0, (3,): 18, (4,): 9}, 0)
+    assert (el.num, el.den) == ({(0,): 3, (1,): 5}, 0)
+    el = ring._make({(1,): 9, (2,): -18}, 0)
+    assert (el.num, el.den) == ({}, 0)
+    loc = Ring.integers_mod(9).extend("t").localize_at(2)
+    el = loc._make({(0,): 11, (1,): -2}, 2)
+    assert (el.num, el.den) == ({(0,): 2, (1,): 7}, 2)
+    z = Ring.integers().extend("t").localize_at(2)
+    el = z._make({(0,): 0, (1,): -6, (2,): 4}, 1)
+    assert (el.num, el.den) == ({(1,): -3, (2,): 2}, 0)
+    el = z._make({(1,): 0}, 3)
+    assert (el.num, el.den) == ({}, 0)

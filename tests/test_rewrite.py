@@ -30,6 +30,7 @@ from chevcalc.gword import (
     substitute_word,
     word_to_text,
 )
+from chevcalc.lgp import LocalDatum, PatchProblem, patch
 from chevcalc.rewrite import Budget, RewriteEngine, unit_from_idempotent_defect
 from chevcalc.rootsys import build_root_system
 
@@ -607,6 +608,20 @@ def test_receipt_serializes_to_json():
     assert data["op"] == "expand_commutator"
     assert data["oracle_checked"] is True
     assert data["attested"] == 0
+    # nested details stay structured: a patch receipt's dilations are records
+    base = Ring(0, ("X",))
+    data = tuple(
+        LocalDatum(s, Prod((Gen(A, base.localize_at(s).parse("3*X")),))) for s in (2, 3)
+    )
+    _, rec = patch(PatchProblem("A2", base, IdealSpec.gens(base, 3), data, "X"))
+    details = json.loads(json.dumps(rec.to_dict()))["details"]
+    assert details["cover"] == ["2", "3"]
+    assert type(details["exponents"][0]) is int
+    assert [type(d) for d in details["dilations"]] == [dict, dict]
+    for d in details["dilations"]:
+        assert type(d["ninth_power_attested"]) is int
+        assert type(d["minimized"]) is bool
+        assert type(d["den_exponents"]) is list
 
 
 def test_budget_levels_and_limits():
@@ -691,3 +706,21 @@ def test_a_new_engine_starts_with_an_empty_memo(evaluations):
     assert not second._matrices
     assert second.evaluate(w) == first.evaluate(w)
     assert len(evaluations) == 4
+
+
+def test_memo_keys_words_by_their_generator_sequence(evaluations):
+    ring = Ring.integers().extend("t")
+    eng = RewriteEngine("A2", ring)
+    t = ring.var("t")
+    f, g, h = Gen(A, 3 * t), Gen(B, t + 1), Gen(C, ring.int_(2))
+    left = Prod((Prod((f, g)), h))
+    right = Prod((f, Prod((g, h))))
+    assert left != right and flatten(left) == flatten(right)
+    assert eng.equal(left, right)
+    # one evaluation per representation serves both trees
+    assert len(evaluations) == len(eng.reps)
+    # a sequence one generator apart is a new key and stays unequal
+    assert not eng.equal(left, Prod((f, g, Gen(C, ring.int_(3)))))
+    assert not eng.equal(right, Prod((f, g)))
+    # (equal stops at the first representation, which tells them apart)
+    assert len(evaluations) == len(eng.reps) + 2
