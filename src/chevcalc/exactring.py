@@ -19,10 +19,10 @@ s^k, k read off the gcd of the coefficients; otherwise s is divided out
 one power at a time while the division is exact.
 
 Most products in the matrix oracle have a one-term factor (an argument
-c*t^e, a power of an integer s), so `_poly_mul` and `_poly_divide` treat
-a one-term operand in one pass over the other: distinct exponents stay
-distinct under a shift, so no term needs an accumulator.  Two multi-term
-operands take the general double loop and long division.
+c*t^e, a power of an integer s), so `_poly_mul` multiplies by a one-term
+operand in one pass over the other: distinct exponents stay distinct under
+a shift, so no term needs an accumulator.  Two multi-term factors take the
+general double loop.  Exact division is long division for every divisor.
 
 The ideal layer carries witnesses.  Membership tests never guess: they
 answer True or False only for generator classes where the test is complete
@@ -190,8 +190,6 @@ def _poly_divide(a, b, mod):
         if math.gcd(cb, mod) != 1:
             return None
         cb_inv = pow(cb, -1, mod)
-    if len(b) == 1:
-        return _poly_divide_term(a, eb, cb_inv if mod else cb, mod)
     rem = dict(a)
     quot = {}
     while rem:
@@ -207,31 +205,6 @@ def _poly_divide(a, b, mod):
             cq = ca // cb
         quot[eq] = cq
         rem = _poly_add(rem, _poly_mul({eq: cq}, b, mod), mod, sign=-1)
-    return quot
-
-
-def _poly_divide_term(a, e, c, mod):
-    """a / c*x^e in one pass, or None; over Z/m, c is already the inverse.
-
-    Each term of a is divided on its own: the quotient of a term by a term
-    is a term, and distinct exponents give distinct quotients.
-    """
-    shift = any(e)
-    quot = {}
-    for ea, ca in a.items():
-        if shift:
-            eq = tuple(map(sub, ea, e))
-            if min(eq) < 0:
-                return None
-        else:
-            eq = ea
-        if mod:
-            quot[eq] = ca * c % mod
-        else:
-            q, r = divmod(ca, c)
-            if r:
-                return None
-            quot[eq] = q
     return quot
 
 
@@ -461,7 +434,7 @@ class Ring:
         """
         if self.loc_num is None or self.base_mod == 0:
             return 0
-        s = self._as_int_constant(self.loc_num)
+        s = self._loc_int
         if s is None:
             raise UnsupportedRing(
                 "torsion bound needs an integer localization element over Z/m"

@@ -7,21 +7,20 @@ RewriteEngine owns the matrix representations of one (system, ring) pair
 and is the only place where words meet the oracle: `evaluate` gives a
 word's matrices, `equal` compares two words and `congruence_oracle` tests
 a word against the identity modulo an ideal.  The three share one memo,
-owned by the engine and dropped with it, that maps (representation,
-flattened word) to the word's matrix, so each distinct generator sequence
-is evaluated once per engine (a stage that checks a congruence and then an
-equality on the same word pays for one evaluation, and so do two trees
-that re-associate the same generators).  The memo cannot accept a wrong
-word: a matrix is a function of the flattened sequence, generators compare
-root by root and argument by exact ring equality, and the engine's ring is
-fixed, so a word that finds a cached matrix evaluates to that matrix.
-Every engine op, and every stage of the patching pipeline, builds its
-receipt through `finish`.  In verify mode `finish` issues the receipt only
-after two independent checks pass: the output evaluates to the same matrix
-as its target in every representation, and each certified part matches its
-shape.  Factors that the grammar alone cannot place are attested by a
-matrix congruence check; the receipt records how many such attestations
-were needed (zero on the fully structural paths).
+owned by the engine and dropped with it, that maps (representation, word)
+to the word's matrix, so each distinct word is evaluated once per engine
+(a stage that checks a congruence and then an equality on the same word
+pays for one evaluation).  The memo cannot accept a wrong word: words are
+frozen dataclasses compared field by field, generator arguments compare
+by exact ring equality, and the engine's ring is fixed, so a word that
+finds a cached matrix evaluates to that matrix.  Every engine op, and every
+stage of the patching pipeline, builds its receipt through `finish`.  In
+verify mode `finish` issues the receipt only after two independent checks
+pass: the output evaluates to the same matrix as its target in every
+representation, and each certified part matches its shape.  Factors that
+the grammar alone cannot place are attested by a matrix congruence check;
+the receipt records how many such attestations were needed (zero on the
+fully structural paths).
 """
 
 from dataclasses import dataclass, field
@@ -242,14 +241,13 @@ class RewriteEngine:
         self.reps = [get_representation(rs, "adjoint")]
         if rs.label in ("A", "C"):
             self.reps.append(get_representation(rs, "defining"))
-        # (representation, flattened word) -> matrix, for this engine's
-        # lifetime; a matrix depends only on the generator sequence
+        # (representation, word) -> matrix, for this engine's lifetime
         self._matrices = {}
 
     # ----- the oracle -----
 
     def _matrix(self, rep, w):
-        key = (rep, flatten(w))
+        key = (rep, w)
         m = self._matrices.get(key)
         if m is None:
             m = self._matrices[key] = rep.evaluate_word(w, self.ring)

@@ -452,7 +452,7 @@ def test_is_zero_matches_sympy(mod, s):
     assert zeros
 
 
-# ----- the one-term kernels and the normal form -----
+# ----- products and quotients by one term, and the normal form -----
 
 
 def _random_term(rng, mod, max_deg=3, coeff=30):

@@ -707,20 +707,3 @@ def test_a_new_engine_starts_with_an_empty_memo(evaluations):
     assert second.evaluate(w) == first.evaluate(w)
     assert len(evaluations) == 4
 
-
-def test_memo_keys_words_by_their_generator_sequence(evaluations):
-    ring = Ring.integers().extend("t")
-    eng = RewriteEngine("A2", ring)
-    t = ring.var("t")
-    f, g, h = Gen(A, 3 * t), Gen(B, t + 1), Gen(C, ring.int_(2))
-    left = Prod((Prod((f, g)), h))
-    right = Prod((f, Prod((g, h))))
-    assert left != right and flatten(left) == flatten(right)
-    assert eng.equal(left, right)
-    # one evaluation per representation serves both trees
-    assert len(evaluations) == len(eng.reps)
-    # a sequence one generator apart is a new key and stays unequal
-    assert not eng.equal(left, Prod((f, g, Gen(C, ring.int_(3)))))
-    assert not eng.equal(right, Prod((f, g)))
-    # (equal stops at the first representation, which tells them apart)
-    assert len(evaluations) == len(eng.reps) + 2
