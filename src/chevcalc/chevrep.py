@@ -10,10 +10,20 @@ evaluation is a finite exact sum and inverses are computed structurally
 (x_a(r)^-1 = x_a(-r)), never by matrix inversion.
 
 `evaluate_word` starts from the identity and applies each generator as a
-sparse right update, M <- M + sum_k r^k * (M * T_k): M * T_k is an
-integer combination of the columns of M that T_k reads
-(`RingElement.scale`), and each entry it touches takes one ring
-multiplication by r^k.  No generator matrix is built.  The dense path,
+sparse right update, M <- M + sum_k r^k * (M * T_k): column j of M * T_k
+combines the columns l with T_k[l, j] != 0, so each term of those columns
+takes one integer product.  No generator matrix and no ring element is
+built inside the update.  A column is one polynomial dict over a common
+denominator s^D_j, keyed by packed integers (exponents above the row, in
+bit fields sized from the word's degree bound; see `_Packing`), so adding
+exponents is adding keys.  Denominators are aligned by multiplying with a
+power of s; over Z/m coefficients are reduced, and over Z localized at an
+integer s the column's common power of s is divided out by a gcd.  At the
+end each column is unpacked into `RepMatrix` entries through
+`Ring._normal`.  Over a Z base, or over Z/m without a localization, that
+is the element's one normal form, so the stored (num, den) are those ring
+arithmetic gives; over Z/m localized no form is unique, and an entry may
+keep its column's larger denominator power.  The dense path,
 `generator_matrix` and `RepMatrix.__mul__`, stays as the reference the
 tests compare against and for the left products of `rootsys.comm_coeffs`.
 
@@ -22,6 +32,8 @@ The adjoint model exists for every supported system.  The defining models
 their non-simple generators are propagated through the same minimal
 decomposition brackets that define the structure constants.
 """
+
+import math
 
 from .errors import InvalidType, OracleMismatch
 from . import gword
@@ -153,6 +165,168 @@ class RepMatrix:
         )
 
 
+class _Packing:
+    """Integer keys for the terms of one evaluation.
+
+    The term c * x^e in row i of a column is stored under the key
+    (e_1 << o_1) + (e_2 << o_2) + ... + i: the row in the low `row_bits`,
+    then one bit field per variable.  Each field is wide enough for the
+    largest exponent of its variable that the evaluation can reach, so
+    adding two keys adds their exponents with no carry between fields.
+    """
+
+    def __init__(self, ring, dim, gens):
+        """`gens` lists (largest k of T_k, argument) for every generator."""
+        nvars = len(ring.var_names)
+        degree = [0] * nvars
+        den = 0
+        for top, r in gens:
+            for i in range(nvars):
+                degree[i] += top * max(e[i] for e in r.num)
+            den += top * r.den
+        self.mod = ring.base_mod
+        self.s_int = ring._loc_int
+        s = ring.loc_num
+        if s is not None and self.s_int is None:
+            # aligning denominators multiplies by powers of a polynomial s
+            for i in range(nvars):
+                degree[i] += den * max(e[i] for e in s)
+        self.row_bits = (dim - 1).bit_length()
+        self.row_mask = (1 << self.row_bits) - 1
+        self.fields = []
+        offset = 0
+        for bound in degree:
+            width = bound.bit_length()
+            self.fields.append((offset, (1 << width) - 1))
+            offset += width
+        self._shifts = [off + self.row_bits for off, _ in self.fields]
+        self._exponents = {}
+        # 1/s^k is aligned away by multiplying with s^k
+        self._s_powers = {0: {0: 1}}
+        self._s = None if s is None or self.s_int is not None else self.pack(s)
+
+    def pack(self, num):
+        shifts = self._shifts
+        return {
+            sum(x << shift for x, shift in zip(e, shifts)): c for e, c in num.items()
+        }
+
+    def unpack(self, col):
+        """{row: {exponent tuple: coefficient}} for one packed column."""
+        rows = {}
+        exponents = self._exponents
+        for key, c in col.items():
+            high = key >> self.row_bits
+            e = exponents.get(high)
+            if e is None:
+                e = exponents[high] = tuple(
+                    (high >> offset) & mask for offset, mask in self.fields
+                )
+            rows.setdefault(key & self.row_mask, {})[e] = c
+        return rows
+
+    def s_power(self, k):
+        """s^k as a packed polynomial."""
+        out = self._s_powers.get(k)
+        if out is None:
+            if self.s_int is not None:
+                c = self.s_int**k
+                if self.mod:
+                    c %= self.mod
+                out = {0: c} if c else {}
+            else:
+                out = _packed_mul(self.s_power(k - 1), self._s, self.mod)
+            self._s_powers[k] = out
+        return out
+
+    def times(self, a, f):
+        """a * f for packed a and f; a new dict even when f is 1."""
+        if len(f) != 1:
+            return _packed_mul(a, f, self.mod)
+        ((shift, c),) = f.items()
+        if not shift:
+            if c == 1:
+                return dict(a)
+            return {key: x * c for key, x in a.items()}
+        # distinct keys stay distinct under one shift
+        return {key + shift: x * c for key, x in a.items()}
+
+    def finish(self, col, den):
+        """Reduce a column over s^den and drop its zeros; over Z localized
+        at an integer s, divide out the largest common power s^k, k <= den."""
+        m = self.mod
+        if m:
+            col = {key: y for key, x in col.items() if (y := x % m)}
+        else:
+            col = {key: x for key, x in col.items() if x}
+        if not col:
+            return col, 0
+        s = self.s_int
+        if den and not m and s is not None:
+            g = math.gcd(*col.values())
+            k = 0
+            while k < den and g % s == 0:
+                g //= s
+                k += 1
+            if k:
+                sk = s**k
+                col = {key: x // sk for key, x in col.items()}
+                den -= k
+        return col, den
+
+
+def _packed_mul(a, b, mod):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = ka + kb
+            out[key] = out.get(key, 0) + ca * cb
+    if mod:
+        return {key: y for key, x in out.items() if (y := x % mod)}
+    return {key: x for key, x in out.items() if x}
+
+
+def _group_by_column(mats):
+    """{j: [(l, k, T_k[l, j]), ...]} over the nonzero entries of every T_k."""
+    by_col = {}
+    for k, t_k in mats.items():
+        for (l, j), v in t_k.items():
+            by_col.setdefault(j, []).append((l, k, v))
+    return by_col
+
+
+def _right_update(cols, dens, by_col, r, d, pk):
+    """cols <- cols * x_root(r / s^d), as cols + sum_k r^k * (cols * T_k).
+
+    `r` is packed and `by_col` is `_group_by_column` of the root's T_k.
+    Every column it writes is built from the columns as they were before.
+    """
+    r_pows = [None, r]
+    out = {}
+    for j, terms in by_col.items():
+        dj = dens[j]
+        for l, k, _ in terms:
+            dj = max(dj, dens[l] + k * d)
+        acc = pk.times(cols[j], pk.s_power(dj - dens[j]))
+        get = acc.get
+        for l, k, v in terms:
+            while len(r_pows) <= k:
+                r_pows.append(_packed_mul(r_pows[-1], r, pk.mod))
+            mult = r_pows[k]
+            if dj > dens[l] + k * d:
+                mult = pk.times(mult, pk.s_power(dj - dens[l] - k * d))
+            src = cols[l]
+            for shift, c in mult.items():
+                c *= v
+                for key, x in src.items():
+                    key += shift
+                    acc[key] = get(key, 0) + x * c
+        out[j] = pk.finish(acc, dj)
+    for j, (col, dj) in out.items():
+        cols[j] = col
+        dens[j] = dj
+
+
 class Representation:
     """Exponentiated generator templates for one root system."""
 
@@ -251,47 +425,23 @@ class Representation:
 
     def evaluate_generators(self, gens, ring):
         """The product of x_root(r) over the (root, r) pairs, left to right."""
-        one = ring.one()
-        # column-major: cols[j][i] is entry (i, j)
-        cols = {j: {j: one} for j in range(self.dim)}
+        gens = [(root, r) for root, r in gens if r.num]
+        pk = _Packing(ring, self.dim, [(max(self.powers[root]), r) for root, r in gens])
+        # column-major: cols[j] holds the packed terms of column j, all over
+        # the common denominator s^dens[j]
+        cols = [{j: 1} for j in range(self.dim)]
+        dens = [0] * self.dim
+        grouped = {}
         for root, r in gens:
-            if r.num:
-                self._right_update(cols, root, r)
-        return RepMatrix(
-            ring, self.dim, {(i, j): v for j, col in cols.items() for i, v in col.items()}
-        )
-
-    def _right_update(self, cols, root, r):
-        """cols <- cols * x_root(r), as cols + sum_k r^k * (cols * T_k)."""
-        updates = {}
-        # _divided_powers stores k = 1, 2, ... in order, so r^k costs one
-        # multiplication per k
-        r_k = r
-        for k, t_k in self.powers[root].items():
-            if k > 1:
-                r_k = r_k * r
-            # column j of cols * T_k combines the columns l with T_k[l, j] != 0
-            prod = {}
-            for (l, j), v in t_k.items():
-                acc = prod.setdefault(j, {})
-                for i, x in cols[l].items():
-                    y = x.scale(v)
-                    acc[i] = acc[i] + y if i in acc else y
-            for j, acc in prod.items():
-                upd = updates.setdefault(j, {})
-                for i, y in acc.items():
-                    if y.num:
-                        y = y * r_k
-                        if y.num:
-                            upd[i] = upd[i] + y if i in upd else y
-        for j, upd in updates.items():
-            col = cols[j]
-            for i, y in upd.items():
-                v = col[i] + y if i in col else y
-                if v.num:
-                    col[i] = v
-                else:
-                    col.pop(i, None)
+            by_col = grouped.get(root)
+            if by_col is None:
+                by_col = grouped[root] = _group_by_column(self.powers[root])
+            _right_update(cols, dens, by_col, pk.pack(r.num), r.den, pk)
+        entries = {}
+        for j, col in enumerate(cols):
+            for i, num in pk.unpack(col).items():
+                entries[(i, j)] = ring._normal(num, dens[j])
+        return RepMatrix(ring, self.dim, entries)
 
     def words_equal(self, u, v, ring):
         return self.evaluate_word(u, ring) == self.evaluate_word(v, ring)

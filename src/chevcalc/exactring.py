@@ -18,8 +18,8 @@ divides num is divided out.  For an integer s that is one division by
 s^k, k read off the gcd of the coefficients; otherwise s is divided out
 one power at a time while the division is exact.
 
-Most products in the matrix oracle have a one-term factor (an argument
-c*t^e, a power of an integer s), so `_poly_mul` multiplies by a one-term
+Most products have a one-term factor (an argument c*t^e, a power of an
+integer s, a witness coefficient), so `_poly_mul` multiplies by a one-term
 operand in one pass over the other: distinct exponents stay distinct under
 a shift, so no term needs an accumulator.  Two multi-term factors take the
 general double loop.  Exact division is long division for every divisor.
@@ -792,17 +792,6 @@ class RingElement:
         )
 
     __rmul__ = __mul__
-
-    def scale(self, n):
-        """self * n for an integer n, without building n as a polynomial.
-
-        The result is the element `self * ring.int_(n)` would give, down to
-        its (num, den) form.
-        """
-        if n == 1:
-            return self
-        # n may share a factor with s, which the canonical form divides out
-        return self.ring._normal(_poly_scale(self.num, n, self.ring.base_mod), self.den)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:

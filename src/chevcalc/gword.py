@@ -72,26 +72,34 @@ def inv_word(w):
 
 def flatten(w):
     """The word as a plain tuple of generators."""
+    out = []
+    _flatten_into(w, False, out)
+    return tuple(out)
+
+
+def _flatten_into(w, inverse, out):
+    """Append the generators of w, or of w^-1 when `inverse`, to out."""
     if isinstance(w, Gen):
-        return (w,)
-    if isinstance(w, Inv):
-        return flatten(inv_word(w.word))
-    if isinstance(w, Prod):
-        out = ()
-        for f in w.factors:
-            out += flatten(f)
-        return out
-    if isinstance(w, Conj):
-        by = flatten(w.by)
-        return flatten(inv_word(Prod(by))) + flatten(w.base) + by
-    if isinstance(w, Comm):
-        return (
-            flatten(inv_word(w.left))
-            + flatten(inv_word(w.right))
-            + flatten(w.left)
-            + flatten(w.right)
-        )
-    raise TypeError("not a word: %r" % (w,))
+        out.append(Gen(w.root, -w.arg) if inverse else w)
+    elif isinstance(w, Inv):
+        _flatten_into(w.word, not inverse, out)
+    elif isinstance(w, Prod):
+        for f in reversed(w.factors) if inverse else w.factors:
+            _flatten_into(f, inverse, out)
+    elif isinstance(w, Conj):
+        # (by^-1 base by)^-1 = by^-1 base^-1 by
+        _flatten_into(w.by, True, out)
+        _flatten_into(w.base, inverse, out)
+        _flatten_into(w.by, False, out)
+    elif isinstance(w, Comm):
+        # [l, r] = l^-1 r^-1 l r and [l, r]^-1 = [r, l]
+        a, b = (w.right, w.left) if inverse else (w.left, w.right)
+        _flatten_into(a, True, out)
+        _flatten_into(b, True, out)
+        _flatten_into(a, False, out)
+        _flatten_into(b, False, out)
+    else:
+        raise TypeError("not a word: %r" % (w,))
 
 
 def node_count(w):

@@ -5,10 +5,10 @@ import pytest
 from chevcalc.chevrep import RepMatrix, congruence_check, get_representation
 from chevcalc.errors import InvalidType
 from chevcalc.exactring import IdealSpec, Ring
-from chevcalc.gword import Comm, Gen, Prod, flatten, inv_word
+from chevcalc.gword import Comm, Gen, Prod, inv_word
 from chevcalc.rootsys import build_root_system, compute_structure_constants
 
-from wordgen import random_ring_element
+from wordgen import dense_evaluate, random_ring_element
 
 
 def test_adjoint_bracket_homomorphism():
@@ -160,16 +160,18 @@ def test_congruence_check():
 # ----- the sparse evaluation against the dense reference -----
 
 
-def _dense_evaluate(rep, w, ring):
-    m = RepMatrix.identity(ring, rep.dim)
-    for g in flatten(w):
-        m = m * rep.generator_matrix(g.root, ring.coerce(g.arg))
-    return m
-
-
 def _oracle_rings():
     zt = Ring.integers().extend("t")
-    return (zt, zt.localize_at(2), Ring.integers_mod(9).extend("t"))
+    return (
+        zt,
+        zt.localize_at(2),
+        Ring.integers_mod(9).extend("t"),
+        zt.localize_at(zt.var("t") + 3),
+        Ring.integers_mod(9).extend("t").localize_at(2),
+        Ring.integers_mod(4).extend("t").localize_at(2),
+        # the doubled ring that `lgp.dilate` evaluates over
+        Ring.integers().extend("X", "Xp").localize_at(3),
+    )
 
 
 def _random_arg(ring, rng):
@@ -206,24 +208,42 @@ def test_sparse_evaluation_matches_dense_product(label, rank, kind, length):
                     for _ in range(length)
                 )
             )
-            m = rep.evaluate_word(w, ring)
-            ref = _dense_evaluate(rep, w, ring)
-            assert m == ref
-            # these rings have one normal form per element, so the two
-            # paths agree entry by entry, down to the stored data
-            assert _raw(m) == _raw(ref)
+            _assert_matches_dense(rep, w, ring)
 
 
-def test_scale_matches_product_with_an_integer():
-    zt = Ring.integers().extend("t")
-    z9t = Ring.integers_mod(9).extend("t")
-    rings = (zt, zt.localize_at(2), zt.localize_at(zt.var("t") + 3), z9t, z9t.localize_at(2))
-    rng = random.Random(31)
-    for ring in rings:
-        for _ in range(12):
-            x = _random_arg(ring, rng)
-            for n in (0, 1, -1, 2, -2, 3, 4, 9, -18, 27, rng.randrange(-50, 51)):
-                got = x.scale(n)
-                want = x * ring.int_(n)
-                assert got == want
-                assert (got.num, got.den) == (want.num, want.den)
+def _assert_matches_dense(rep, w, ring):
+    m = rep.evaluate_word(w, ring)
+    ref = dense_evaluate(rep, w, ring)
+    assert m == ref
+    if ring.base_mod == 0 or ring.loc_num is None:
+        # one normal form per element: the stored data agree as well
+        assert _raw(m) == _raw(ref)
+
+
+def _degree_40_args(ring, rng):
+    """Arguments whose every variable reaches degree 40."""
+    top = ring.one()
+    for name in ring.var_names:
+        top = top * ring.var(name) ** 40
+    out = [top, ring.int_(rng.randrange(2, 9)) * top - ring.one()]
+    if ring.loc_num is not None:
+        out.append(top * ring.s_power(1))
+    return out
+
+
+@pytest.mark.parametrize(
+    "label,rank,kind", [("A", 2, "adjoint"), ("G", 2, "adjoint"), ("C", 3, "defining")]
+)
+def test_packed_fields_hold_degree_40_arguments(label, rank, kind):
+    # x_a(r) x_-a(r) reaches the exponent bound: X_-a^k X_a^k has nonzero
+    # entries, so a field one bit too narrow loses the top exponent
+    rs = build_root_system(label, rank)
+    rep = get_representation(rs, kind)
+    for n, ring in enumerate(_oracle_rings()):
+        rng = random.Random("deg40/%s%d/%d" % (label, rank, n))
+        args = _degree_40_args(ring, rng)
+        a = rs.roots[0]
+        for r in args:
+            _assert_matches_dense(rep, Prod((Gen(a, r), Gen(rs.neg(a), r))), ring)
+        w = Prod(tuple(Gen(rng.choice(rs.roots), rng.choice(args)) for _ in range(4)))
+        _assert_matches_dense(rep, w, ring)

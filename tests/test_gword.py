@@ -55,6 +55,49 @@ def test_flatten_and_inverse_against_matrices():
         assert rep.evaluate_word(Inv(w), ring) == rep.evaluate_word(inv_word(w), ring)
 
 
+def _flatten_by_concatenation(w):
+    """flatten's earlier definition, quadratic in the word length: the
+    reference for the one-pass version."""
+    if isinstance(w, Gen):
+        return (w,)
+    if isinstance(w, Inv):
+        return _flatten_by_concatenation(inv_word(w.word))
+    if isinstance(w, Prod):
+        out = ()
+        for f in w.factors:
+            out += _flatten_by_concatenation(f)
+        return out
+    if isinstance(w, Conj):
+        by = _flatten_by_concatenation(w.by)
+        return (
+            _flatten_by_concatenation(inv_word(Prod(by)))
+            + _flatten_by_concatenation(w.base)
+            + by
+        )
+    return (
+        _flatten_by_concatenation(inv_word(w.left))
+        + _flatten_by_concatenation(inv_word(w.right))
+        + _flatten_by_concatenation(w.left)
+        + _flatten_by_concatenation(w.right)
+    )
+
+
+def test_flatten_matches_the_concatenating_definition():
+    ring = Ring.integers().extend("t")
+    rng = random.Random("flatten")
+    words = [random_word(A2, ring, rng, depth=6) for _ in range(40)]
+    # deep chains of conjugates and commutators, inverted on the way down
+    w = Gen(A2.roots[0], ring.var("t"))
+    for i in range(12):
+        other = Gen(rng.choice(A2.roots), ring.int_(i + 2))
+        w = (Conj(w, other), Comm(other, w), Inv(Conj(other, Inv(w))))[i % 3]
+        words.append(w)
+    for w in words:
+        got = flatten(w)
+        assert isinstance(got, tuple)
+        assert got == _flatten_by_concatenation(w)
+
+
 def test_free_reduce():
     ring = Ring.integers().extend("t")
     t = ring.var("t")

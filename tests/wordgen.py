@@ -1,6 +1,7 @@
 """Shared helpers for randomized tests."""
 
-from chevcalc.gword import Comm, Conj, Gen, Inv, Prod
+from chevcalc.chevrep import RepMatrix
+from chevcalc.gword import Comm, Conj, Gen, Inv, Prod, flatten
 
 
 def random_ring_element(ring, rng, max_deg=2, terms=3, coeff=6):
@@ -40,3 +41,12 @@ def random_word(rs, ring, rng, depth=2, args=None):
         random_word(rs, ring, rng, depth - 1, args),
         random_word(rs, ring, rng, depth - 1, args),
     )
+
+
+def dense_evaluate(rep, w, ring):
+    """The word's matrix as a product of dense generator matrices: the
+    reference for `Representation.evaluate_word`."""
+    m = RepMatrix.identity(ring, rep.dim)
+    for g in flatten(w):
+        m = m * rep.generator_matrix(g.root, ring.coerce(g.arg))
+    return m
