@@ -22,7 +22,16 @@ Most products have a one-term factor (an argument c*t^e, a power of an
 integer s, a witness coefficient), so `_poly_mul` multiplies by a one-term
 operand in one pass over the other: distinct exponents stay distinct under
 a shift, so no term needs an accumulator.  Two multi-term factors take the
-general double loop.  Exact division is long division for every divisor.
+general double loop.  Exact division is long division for every divisor:
+the remainder is updated in place and a heap hands out its leading term.
+Over Z localized at a polynomial s in one variable (t + 3, say), the
+normal form divides dense coefficient lists instead, one per monomial in
+the other variables.  Where the form is canonical (a Z base, or no
+localization), equality compares the stored (num, den).
+
+`RingElement.substitute` maps through one-term images (every image in
+`lgp`'s lifts and dilations, var -> s^e * var) in one pass over the
+terms with one normalization; other images take ring products.
 
 The ideal layer carries witnesses.  Membership tests never guess: they
 answer True or False only for generator classes where the test is complete
@@ -30,6 +39,7 @@ answer True or False only for generator classes where the test is complete
 terms) and raise UndecidableIdealClass otherwise.
 """
 
+import heapq
 import math
 import re
 from operator import add, sub
@@ -175,6 +185,11 @@ def _lead_term(num):
     return e, num[e]
 
 
+def _descending(e):
+    """A heap entry that pops exponents in descending `_lead_term` order."""
+    return (-sum(e), tuple(-x for x in e)), e
+
+
 def _poly_divide(a, b, mod):
     """Exact division a / b, or None when no exact quotient is found.
 
@@ -190,10 +205,20 @@ def _poly_divide(a, b, mod):
         if math.gcd(cb, mod) != 1:
             return None
         cb_inv = pow(cb, -1, mod)
+    # The remainder is updated in place; a heap of its exponents under the
+    # same order hands out the leading term.  Every term a step adds sits
+    # below the term it cancels, so a popped exponent that has left the
+    # remainder is stale and is skipped.
     rem = dict(a)
+    heap = [_descending(e) for e in rem]
+    heapq.heapify(heap)
+    tail = [(e, c) for e, c in b.items() if e != eb]
     quot = {}
     while rem:
-        ea, ca = _lead_term(rem)
+        ea = heapq.heappop(heap)[1]
+        ca = rem.pop(ea, None)
+        if ca is None:
+            continue
         eq = tuple(map(sub, ea, eb))
         if any(x < 0 for x in eq):
             return None
@@ -204,8 +229,95 @@ def _poly_divide(a, b, mod):
                 return None
             cq = ca // cb
         quot[eq] = cq
-        rem = _poly_add(rem, _poly_mul({eq: cq}, b, mod), mod, sign=-1)
+        for e, c in tail:
+            e = tuple(map(add, eq, e))
+            old = rem.get(e)
+            v = (0 if old is None else old) - cq * c
+            if mod:
+                v %= mod
+            if v:
+                rem[e] = v
+                if old is None:
+                    heapq.heappush(heap, _descending(e))
+            elif old is not None:
+                del rem[e]
     return quot
+
+
+def _dense_divide(p, s):
+    """Exact quotient of dense coefficient lists (lowest degree first, top
+    coefficients nonzero) over Z, or None."""
+    d = len(s) - 1
+    n = len(p) - 1 - d
+    if n < 0 or (s[0] and p[0] % s[0]):
+        return None
+    r = list(p)
+    q = [0] * (n + 1)
+    lead = s[d]
+    for k in range(n, -1, -1):
+        c = r[k + d]
+        if c:
+            if c % lead:
+                return None
+            c //= lead
+            q[k] = c
+            for j in range(d):
+                r[k + j] -= c * s[j]
+    return None if any(r[:d]) else q
+
+
+def _strip_dense(num, den, i, s):
+    """`Ring._strip_s` for s a polynomial in variable i alone: num splits
+    into dense polynomials in that variable, one per monomial in the other
+    variables, and s divides num exactly when it divides each of them."""
+    parts = {}
+    for e, c in num.items():
+        parts.setdefault(e[:i] + e[i + 1 :], {})[e[i]] = c
+    dense = {}
+    for rest, part in parts.items():
+        p = dense[rest] = [0] * (1 + max(part))
+        for k, c in part.items():
+            p[k] = c
+    while den:
+        divided = {}
+        for rest, p in dense.items():
+            q = _dense_divide(p, s)
+            if q is None:
+                break
+            divided[rest] = q
+        if len(divided) < len(dense):
+            break
+        dense, den = divided, den - 1
+    out = {}
+    for rest, p in dense.items():
+        for k, c in enumerate(p):
+            if c:
+                out[rest[:i] + (k,) + rest[i:]] = c
+    return out, den
+
+
+def _eval_monomial(num, images, target):
+    """num with variable i sent to the one-term image images[i] (den 0, or
+    zero): c*x^e goes to c * prod(c_i^e_i) * x^(sum of e_i f_i), terms
+    that land on one exponent add up, and `_make` normalizes once."""
+    mod = target.base_mod
+    terms = {i: next(iter(img.num.items()), None) for i, img in images.items()}
+    zero = (0,) * len(target.var_names)
+    out = {}
+    for e, c in num.items():
+        exp = zero
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            term = terms[i]
+            if term is None:
+                break
+            f, ci = term
+            c *= pow(ci, k, mod) if mod else ci**k
+            exp = tuple(x + k * y for x, y in zip(exp, f))
+        else:
+            out[exp] = out.get(exp, 0) + c
+    return target._make(out, 0)
 
 
 def _format_poly(num, var_names):
@@ -256,6 +368,17 @@ class Ring:
             raise UnsupportedRing("cannot localize at zero")
         # s as an int when it is an integer constant, else None
         self._loc_int = None if loc_num is None else self._as_int_constant(self.loc_num)
+        # (variable index, dense coefficients) when s is a polynomial in one
+        # variable, as t + 3 is
+        self._loc_dense = None
+        if self.loc_num is not None and self._loc_int is None:
+            used = {i for e in self.loc_num for i, k in enumerate(e) if k}
+            if len(used) == 1:
+                (i,) = used
+                dense = [0] * (1 + max(e[i] for e in self.loc_num))
+                for e, c in self.loc_num.items():
+                    dense[e[i]] = c
+                self._loc_dense = (i, dense)
         self._key = (
             self.base_mod,
             self.var_names,
@@ -359,6 +482,8 @@ class Ring:
         s^k divides num exactly when it divides the gcd of its coefficients.
         """
         s = self._loc_int
+        if s is None and self._loc_dense is not None:
+            return _strip_dense(num, den, *self._loc_dense)
         if s is None:
             while den:
                 q = _poly_divide(num, self.loc_num, 0)
@@ -813,6 +938,9 @@ class RingElement:
             other.ring is not self.ring and other.ring != self.ring
         ):
             return NotImplemented
+        if self.ring.base_mod == 0 or self.ring.loc_num is None:
+            # one normal form: equal elements store equal (num, den)
+            return self.den == other.den and self.num == other.num
         return (self - other).is_zero()
 
     def __hash__(self):
@@ -846,7 +974,9 @@ class RingElement:
         carries a denominator) must be covered.  The base change Z -> Z/m or
         Z/m -> Z/m' with m' | m is applied to coefficients.  Denominators are
         resolved by exact division, by matching the target localization, or
-        by inverting an integer image of s, in that order.
+        by inverting an integer image of s, in that order.  When every image
+        is one term (or zero) with no denominator, each term maps to one term
+        in a single pass (`_eval_monomial`).
         """
         if self.ring.base_mod:
             if target.base_mod == 0 or self.ring.base_mod % target.base_mod:
@@ -868,8 +998,11 @@ class RingElement:
         images = {}
         for name, img in mapping.items():
             images[self.ring.var_names.index(name)] = target.coerce(img)
+        monomial = all(len(img.num) <= 1 and not img.den for img in images.values())
 
         def eval_num(num):
+            if monomial:
+                return _eval_monomial(num, images, target)
             total = target.zero()
             for e, c in num.items():
                 term = target.int_(c)

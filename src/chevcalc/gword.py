@@ -5,6 +5,13 @@ a formal inverse Inv, a product Prod, a conjugate Conj(base, by) meaning
 by^-1 * base * by, and a commutator Comm(left, right) meaning
 left^-1 * right^-1 * left * right.
 
+`collect` is the one merging routine.  It drops generators with zero
+argument and the nodes left around nothing, and merges adjacent factors
+on one root, but never flattens Conj, Comm or Inv, so a collected word
+keeps every shape certificate its input had, with no more attestations.
+The pipeline runs it wherever a stage hands a word on; `free_reduce` is
+`collect` of the flattened word.
+
 Shape certificates describe the subgroup a word visibly belongs to.
 `check_shape` pattern matches a word against a certificate and reports
 which factors, if any, could only be justified by the matrix congruence
@@ -117,24 +124,91 @@ def node_count(w):
 
 def free_reduce(w):
     """Merge adjacent generators on the same root and drop zero arguments."""
+    return collect(Prod(flatten(w)))
+
+
+def collect(w):
+    """An equal word, never larger, with the same node kinds.
+
+    Drops generators with zero argument, and Conj, Inv and Comm nodes whose
+    base (or one commutator side) collects to nothing; a Conj whose
+    conjugator collects to nothing becomes its base.  In every product,
+    conjugators included, adjacent generators on one root merge, and so do
+    adjacent Conj(x_a(p), c) * Conj(x_a(q), c) into Conj(x_a(p + q), c);
+    a merge that cancels exposes the next pair, folded greedily.  A product
+    of one factor inside the word becomes that factor.  Conj, Comm and Inv
+    are never flattened, so a factor that matched a shape certificate
+    still matches it, and merging or dropping factors adds no attestation.
+    A Prod input gives a Prod.
+    """
+    if isinstance(w, Prod):
+        return Prod(tuple(_collect_factors(w.factors)))
+    c = _collect(w)
+    return EMPTY if c is None else c
+
+
+def _collect(w):
+    """The collected word, or None when it collects to nothing."""
+    if isinstance(w, Gen):
+        return None if w.arg.is_zero() else w
+    if isinstance(w, Prod):
+        factors = _collect_factors(w.factors)
+        if not factors:
+            return None
+        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
+    if isinstance(w, Inv):
+        inner = _collect(w.word)
+        return None if inner is None else Inv(inner)
+    if isinstance(w, Conj):
+        base = _collect(w.base)
+        if base is None:
+            return None
+        by = _collect(w.by)
+        return base if by is None else Conj(base, by)
+    if isinstance(w, Comm):
+        left = _collect(w.left)
+        right = None if left is None else _collect(w.right)
+        return None if right is None else Comm(left, right)
+    raise TypeError("not a word: %r" % (w,))
+
+
+def _collect_factors(factors):
     out = []
-    for g in flatten(w):
-        if out and out[-1].root == g.root:
-            merged = out[-1].arg + g.arg
-            out.pop()
-            if not merged.is_zero():
-                out.append(Gen(g.root, merged))
-        elif not g.arg.is_zero():
-            out.append(g)
-        # A freshly exposed pair may now be adjacent; fold greedily.
-        while len(out) >= 2 and out[-1].root == out[-2].root:
-            merged = out[-2].arg + out[-1].arg
-            root = out[-1].root
-            out.pop()
-            out.pop()
-            if not merged.is_zero():
-                out.append(Gen(root, merged))
-    return Prod(tuple(out))
+    for f in factors:
+        f = _collect(f)
+        if f is None:
+            continue
+        if out:
+            merged = _merge_pair(out[-1], f)
+            if merged is not None:
+                out.pop()
+                if merged is not EMPTY:
+                    out.append(merged)
+                continue
+        out.append(f)
+    return out
+
+
+def _merge_pair(a, b):
+    """a * b as one factor, EMPTY when it cancels, None when a and b do not
+    merge.  Factors on the stack never merge with their neighbour, so a
+    merge result cannot merge with the factor below it either."""
+    if isinstance(a, Gen):
+        if not isinstance(b, Gen) or a.root != b.root:
+            return None
+        arg = a.arg + b.arg
+        return EMPTY if arg.is_zero() else Gen(a.root, arg)
+    if (
+        isinstance(a, Conj)
+        and isinstance(b, Conj)
+        and isinstance(a.base, Gen)
+        and isinstance(b.base, Gen)
+        and a.base.root == b.base.root
+        and a.by == b.by
+    ):
+        arg = a.base.arg + b.base.arg
+        return EMPTY if arg.is_zero() else Conj(Gen(a.base.root, arg), a.by)
+    return None
 
 
 def substitute_word(w, mapping, target):

@@ -14,6 +14,13 @@ functions here carry that out exactly and glue the pullbacks:
 - `unimodular_combination` handles the cover bookkeeping, and `patch`
   glues dilated pullbacks over a unimodular cover into one global word.
 
+Words are collected (`gword.collect`) where a stage hands them on: the
+output of `for_dilation`, the cleared word of `dilate` and the glued word
+of `patch`.  Collection drops x_a(0) and conjugates of it and merges
+adjacent factors on one root, so a datum written as x_a(3X/2)^2 reaches
+`dilate` as the integral x_a(3X) and needs no dilation.  Every collected
+word still passes through `finish`.
+
 Every step is checked against the matrix representations through the
 RewriteEngine over its output ring, and every receipt comes from that
 engine's `finish`; nothing is returned without either a structural
@@ -48,6 +55,7 @@ from .gword import (
     Prod,
     RelConjShape,
     check_shape,
+    collect,
     inv_word,
     substitute_word,
     word_args,
@@ -266,7 +274,7 @@ def for_dilation(eng, w, k_spec, var):
                 "input is not a relative splitting at %s^9: %s" % (var, report.reason)
             )
     level_spec = k_spec.product(cube)
-    budget = Budget([(k_spec, t_spec)], repeat_last=False, allow_attest=True)
+    budget = Budget([(k_spec, t_spec)], allow_attest=True)
     stats = {
         "level_factors": 0,
         "mixed_factors": 0,
@@ -293,7 +301,7 @@ def for_dilation(eng, w, k_spec, var):
             stats["mixed_factors"] += len(mixed_w.factors)
         else:
             _normalize_level_factor(eng, f, level_spec, budget, out, stats)
-    out_word = Prod(tuple(out))
+    out_word = collect(Prod(tuple(out)))
     cert = RelConjShape(t_spec, k_spec.product(t_spec))
     details = dict(stats)
     details["budget"] = budget.trace()
@@ -407,7 +415,7 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
     # collapse the auxiliary variable
     drop = _lift_map(ring, base_out)
     drop[vp] = base_out.one()
-    h_word = substitute_word(cleared, drop, base_out)
+    h_word = collect(substitute_word(cleared, drop, base_out))
 
     # the dilated input must be integral entrywise before it can be compared;
     # raise n when a matrix entry carries a deeper denominator than the word
@@ -599,7 +607,7 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
             out_factors.extend(img.factors)
         else:
             out_factors.append(img)
-    out = Prod(tuple(out_factors))
+    out = collect(Prod(tuple(out_factors)))
 
     eng_base = RewriteEngine(problem.system, base, verify=verify, node_budget=node_budget)
     if verify:

@@ -56,6 +56,7 @@ from .gword import (
     YShape,
     _match_rel_like,
     check_shape,
+    collect,
     flatten,
     free_reduce,
     inv_word,
@@ -156,17 +157,14 @@ class Budget:
     a pipeline work (or fail) is visible in receipts.
     """
 
-    def __init__(self, levels, repeat_last=False, allow_attest=False):
+    def __init__(self, levels, allow_attest=False):
         self.levels = tuple(levels)
-        self.repeat_last = repeat_last
         self.allow_attest = allow_attest
         self.spent = []
 
     def fund(self, depth):
         if depth < len(self.levels):
             return self.levels[depth]
-        if self.repeat_last and self.levels:
-            return self.levels[-1]
         return None
 
     def charge(self, depth, root, value, note):
@@ -890,6 +888,9 @@ class RewriteEngine:
         consumes one budget level to decompose the blocked argument away
         from +-alpha first.  With no budget events the output stays level
         `level_spec`; otherwise it is certified with level-J conjugators.
+        The output is collected (`gword.collect`) before its receipt, so
+        the zero arguments and the adjacent same-root pieces the peels
+        leave behind never reach the oracle.
         """
         if isinstance(g, Gen):
             base, peels = g, ()
@@ -922,7 +923,7 @@ class RewriteEngine:
                     for piece in pieces:
                         new_state.append(("rel", _conj_factor(piece, by2), depth))
             state = new_state
-        out = Prod(tuple(f for _, f, _ in state))
+        out = collect(Prod(tuple(f for _, f, _ in state)))
         spent = stats["decompositions"] + stats["attest_falls"]
         if spent and budget is not None and budget.levels:
             i0, j0 = budget.levels[0]

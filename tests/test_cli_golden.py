@@ -29,6 +29,7 @@ INSTANCE_EXIT = {
     "for_dilation_a2": 0,
     "lgp_cover23": 0,
     "lgp_cover23_global": 0,
+    "lgp_cover23_interleaved": 0,
     "lgp_cover24": 17,
     "lgp_unit": 0,
     "moving_t_a2": 0,

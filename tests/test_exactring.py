@@ -531,6 +531,114 @@ def test_poly_divide_by_a_non_unit_term_mod_m():
     assert _poly_divide({(0,): 3}, {(1,): 2}, 9) is None
 
 
+@pytest.mark.parametrize("mod", [0, 7])
+def test_poly_divide_long_dividends_by_x_plus_3_matches_sympy(mod):
+    # dividends of 200 and more terms, the size a packed matrix entry over
+    # a ring localized at t + 3 reaches
+    rng = random.Random(700 + mod)
+    b = {(1, 0): 1, (0, 0): 3}
+    for n in range(6):
+        q = {}
+        for e in ((i, j) for i in range(25) for j in range(10)):
+            c = rng.randrange(-10**6, 10**6)
+            if mod:
+                c %= mod
+            if c:
+                q[e] = c
+        a = _poly_mul(q, b, mod)
+        if n % 2:
+            a = _poly_add(a, {(0, 1): 1}, mod)
+        assert len(a) >= 200
+        try:
+            want = _from_sympy(_to_sympy(a, mod).exquo(_to_sympy(b, mod), auto=False), mod)
+        except sympy.polys.polyerrors.ExactQuotientFailed:
+            want = None
+        assert _poly_divide(a, b, mod) == want
+        assert (want is None) == bool(n % 2)
+
+
+def _sympy_strip(num, den, s_num):
+    """Divide s out of num / s^den while exact, by sympy over ZZ."""
+    a, s = _to_sympy(num, 0), _to_sympy(s_num, 0)
+    while den and not a.is_zero:
+        try:
+            a = a.exquo(s, auto=False)
+        except sympy.polys.polyerrors.ExactQuotientFailed:
+            break
+        den -= 1
+    return _from_sympy(a, 0), den
+
+
+@pytest.mark.parametrize("s", ["x + 3", "2*x^2 - 3", "y - 1", "x*y + 1", "x + y"])
+def test_normal_form_at_a_polynomial_matches_sympy(s):
+    # one-variable s takes the dense path, the others long division
+    base = Ring.integers().extend("x", "y")
+    ring = base.localize_at(base.parse(s))
+    rng = random.Random("sympy-normal/%s" % s)
+    stripped = 0
+    for _ in range(40):
+        num = _random_poly(rng, 0, terms=8, max_deg=4)
+        for _ in range(rng.randrange(4)):
+            num = _poly_mul(num, ring.loc_num, 0)
+        den = rng.randrange(5)
+        got = ring._make(dict(num), den)
+        want = _sympy_strip(num, den, ring.loc_num) if num else ({}, 0)
+        assert (got.num, got.den) == want
+        stripped += got.den < den
+    assert stripped
+
+
+def _sympy_image(el, images, mod):
+    """el with variable i sent to images[i], expanded by sympy."""
+    syms = sympy.symbols("v0:%d" % len(el.ring.var_names))
+    expr = sympy.Add(*(c * sympy.Mul(*(x**k for x, k in zip(syms, e))) for e, c in el.num.items()))
+    out = sympy.expand(expr.subs(dict(zip(syms, images)), simultaneous=True))
+    poly = sympy.Poly(out, *_SYM, domain=sympy.ZZ)
+    return _from_sympy(poly, 0) if not mod else {
+        e: c % mod for e, c in _from_sympy(poly, 0).items() if c % mod}
+
+
+@pytest.mark.parametrize("mod", [0, 12])
+def test_monomial_substitution_matches_sympy(mod):
+    # one-term images, zero images among them, and images that send
+    # distinct exponents of the source onto one exponent of the target
+    src = Ring(mod, ("t", "u", "w"))
+    dst = Ring(mod // 3 if mod else 0, ("x", "y"))
+    x, y = _SYM
+    rng = random.Random("monomial/%d" % mod)
+    choices = [
+        (dst.var("x"), x),
+        (dst.var("y"), y),
+        (dst.zero(), 0),
+        (dst.int_(5) * dst.var("x") ** 2, 5 * x**2),
+        (dst.int_(-2) * dst.var("x") * dst.var("y"), -2 * x * y),
+        (dst.int_(7), 7),
+    ]
+    collided = 0
+    for _ in range(60):
+        el = random_element(src, rng, max_deg=3, terms=6)
+        picks = [rng.choice(choices) for _ in src.var_names]
+        mapping = dict(zip(src.var_names, (img for img, _ in picks)))
+        got = el.substitute(mapping, dst)
+        assert got.den == 0
+        assert got.num == _sympy_image(el, [sym for _, sym in picks], dst.base_mod)
+        collided += len(got.num) < len(el.num)
+    assert collided
+
+
+def test_monomial_substitution_resolves_denominators():
+    ring = Ring.integers().extend("t").localize_at(2)
+    dst = Ring.integers().extend("v")
+    x = ring.parse("(2*t + t^2)/s^2")
+    assert x.substitute({"t": 2 * dst.var("v")}, dst) == dst.parse("v + v^2")
+    assert x.substitute({"t": 4 * dst.var("v")}, dst) == dst.parse("2*v + 4*v^2")
+    poly = Ring.integers().extend("t")
+    at = poly.localize_at(poly.parse("t + 3"))
+    same = Ring.integers().extend("v").localize_at(Ring.integers().extend("v").parse("v + 3"))
+    y = at.var("t") * at.s_power(1)
+    assert y.substitute({"t": same.var("v")}, same) * same.loc_element() == same.var("v")
+
+
 def _strip_by_division(ring, num, den):
     """The canonical form by its first definition: divide by s while exact."""
     while den:

@@ -20,6 +20,7 @@ from chevcalc.gword import (
     VaserFormShape,
     YShape,
     check_shape,
+    collect,
     flatten,
     free_reduce,
     inv_word,
@@ -34,6 +35,7 @@ from chevcalc.rootsys import build_root_system
 from wordgen import random_ring_element, random_word
 
 A2 = build_root_system("A", 2)
+A, B = (1, -1, 0), (0, 1, -1)
 
 
 def eval_gens(rep, gens, ring):
@@ -114,6 +116,84 @@ def test_free_reduce():
     for _ in range(8):
         w = random_word(A2, ring, rng, depth=3)
         assert rep.evaluate_word(w, ring) == rep.evaluate_word(free_reduce(w), ring)
+
+
+# ----- collect: one test per rule -----
+
+
+def _collect_ring():
+    ring = Ring.integers().extend("t")
+    return ring, ring.var("t"), ring.zero()
+
+
+def test_collect_drops_zero_generators_inside_and_outside_conjugators():
+    ring, t, zero = _collect_ring()
+    by = Prod((Gen(B, zero), Gen(A, t), Gen(B, zero)))
+    w = Prod((Gen(A, zero), Conj(Gen(B, t), by), Gen(B, zero)))
+    assert collect(w) == Prod((Conj(Gen(B, t), Gen(A, t)),))
+    assert collect(Gen(A, zero)) == EMPTY
+
+
+def test_collect_drops_nodes_around_nothing():
+    ring, t, zero = _collect_ring()
+    x = Gen(A, t)
+    nothing = Prod((Gen(B, zero),))
+    w = Prod((Conj(nothing, x), Inv(nothing), Comm(x, nothing), Comm(nothing, x), x))
+    assert collect(w) == Prod((x,))
+
+
+def test_collect_conjugate_by_nothing_is_its_base():
+    ring, t, zero = _collect_ring()
+    base = Comm(Gen(A, t), Gen(B, t))
+    w = Prod((Conj(base, Prod((Gen(A, t), Gen(A, -t)))),))
+    assert collect(w) == Prod((base,))
+
+
+def test_collect_merges_adjacent_generators_and_refolds():
+    ring, t, zero = _collect_ring()
+    w = Prod((Gen(A, t), Gen(A, t + 1), Gen(B, t)))
+    assert collect(w) == Prod((Gen(A, 2 * t + 1), Gen(B, t)))
+    # cancelling the middle pair exposes the outer pair, inside a conjugator too
+    inner = Prod((Gen(A, t), Gen(B, t), Gen(B, -t), Gen(A, 2 * t)))
+    w = Prod((Conj(Gen(B, t), inner), Gen(A, t), Gen(B, t), Gen(B, -t), Gen(A, -t)))
+    assert collect(w) == Prod((Conj(Gen(B, t), Gen(A, 3 * t)),))
+
+
+def test_collect_merges_conjugates_sharing_a_conjugator():
+    ring, t, zero = _collect_ring()
+    c = Prod((Gen(B, t), Gen(A, 1 + t)))
+    w = Prod((Conj(Gen(A, t), c), Conj(Gen(A, 2 * t), c), Gen(B, t)))
+    assert collect(w) == Prod((Conj(Gen(A, 3 * t), c), Gen(B, t)))
+    w = Prod((Gen(B, t), Conj(Gen(A, t), c), Conj(Gen(A, -t), c), Gen(B, -t)))
+    assert collect(w) == EMPTY
+    # different conjugators or roots stay apart
+    d = Prod((Gen(B, 2 * t), Gen(A, 1 + t)))
+    w = Prod((Conj(Gen(A, t), c), Conj(Gen(A, t), d), Conj(Gen(B, t), d)))
+    assert collect(w) == w
+
+
+def test_collect_never_flattens_conj_comm_or_inv():
+    ring, t, zero = _collect_ring()
+    x, y = Gen(A, t), Gen(B, t)
+    w = Prod((Conj(x, y), Conj(Inv(x), y), Inv(Prod((x, y))), Comm(x, y), Prod((x, y))))
+    got = collect(w)
+    assert got == w
+    assert [type(f) for f in got.factors] == [Conj, Conj, Inv, Comm, Prod]
+    # a one-factor product inside the word is its factor
+    assert collect(Prod((Conj(x, Prod((y,))),))) == Prod((Conj(x, y),))
+    assert collect(Inv(Prod((x,)))) == Inv(x)
+
+
+def test_collect_is_idempotent_and_free_reduce_is_collect_of_flatten():
+    ring, t, zero = _collect_ring()
+    rng = random.Random(7)
+    args = [zero, t, -t, ring.int_(1), ring.int_(-1)]
+    for _ in range(30):
+        w = random_word(A2, ring, rng, depth=3, args=args)
+        once = collect(w)
+        assert collect(once) == once
+        assert node_count(once) <= node_count(w)
+        assert free_reduce(w) == collect(Prod(flatten(w)))
 
 
 def test_counts():

@@ -326,32 +326,54 @@ def test_dilate_input_checks():
 # ----- patch -----
 
 
-def crafted_problem():
+def crafted_problem(interleaved=False):
+    # x_a(3X) x_c(3X) over R_2 and R_3; a and c commute.  Interleaved, the
+    # factors that carry denominators are not adjacent, so no collection
+    # clears them and both dilations stay real.
     base = Ring(0, ("X",))
     l2, l3 = base.localize_at(2), base.localize_at(3)
-    d1 = Prod((Gen(A, l2.parse("3*X/s")), Gen(A, l2.parse("3*X/s")), Gen(C, l2.parse("3*X"))))
-    d2 = Prod((Gen(A, l3.parse("3*X")), Gen(C, l3.parse("6*X/s^2")), Gen(C, l3.parse("21*X/s^2"))))
+    a2, c2 = Gen(A, l2.parse("3*X/s")), Gen(C, l2.parse("3*X"))
+    a3 = Gen(A, l3.parse("3*X"))
+    c6, c21 = Gen(C, l3.parse("6*X/s^2")), Gen(C, l3.parse("21*X/s^2"))
+    if interleaved:
+        d1, d2 = Prod((a2, c2, a2)), Prod((c6, a3, c21))
+    else:
+        d1, d2 = Prod((a2, a2, c2)), Prod((a3, c6, c21))
     prob = PatchProblem("A2", base, IdealSpec.gens(base, 3),
                         (LocalDatum(2, d1), LocalDatum(3, d2)), "X")
     g_word = Prod((Gen(A, base.parse("3*X")), Gen(C, base.parse("3*X"))))
     return base, prob, g_word
 
 
-def test_patch_glues_crafted_cover():
-    base, prob, g_word = crafted_problem()
-    out, rec = patch(prob)
+def _check_glued(base, prob, g_word, out, rec):
     assert rec.details["cover"] == ["2", "3"]
-    assert rec.details["exponents"] == [9, 9]
-    assert rec.details["coefficients"] == ["-7804", "203"]
     assert rec.details["gluing_vars"] == ["u1", "u2"]
     assert rec.attested == 0
-    # the coefficients really partition 1 across the powered cover
-    assert -7804 * 2**9 + 203 * 3**9 == 1
     eng = RewriteEngine("A2", base)
     for rep in eng.reps:
         assert rep.words_equal(out, g_word, base)
     report = check_shape(out, LevelShape(prob.ideal), eng.congruence_oracle())
     assert report.ok
+
+
+def test_patch_glues_crafted_cover():
+    base, prob, g_word = crafted_problem()
+    out, rec = patch(prob)
+    # collection merges x_a(3X/2)^2 into x_a(3X): the data are integral
+    assert rec.details["exponents"] == [0, 0]
+    assert rec.details["coefficients"] == ["0", "1"]
+    assert out == g_word
+    _check_glued(base, prob, g_word, out, rec)
+
+
+def test_patch_glues_interleaved_crafted_cover():
+    base, prob, g_word = crafted_problem(interleaved=True)
+    out, rec = patch(prob)
+    assert rec.details["exponents"] == [9, 9]
+    assert rec.details["coefficients"] == ["-7804", "203"]
+    # the coefficients really partition 1 across the powered cover
+    assert -7804 * 2**9 + 203 * 3**9 == 1
+    _check_glued(base, prob, g_word, out, rec)
 
 
 def test_patch_reproduces_random_integral_words():

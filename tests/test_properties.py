@@ -1,20 +1,37 @@
 """Property tests of word evaluation on random A2, C2 and G2 words: the
-kernel against the dense product, inverses and the Hall–Witt identity.
+kernel against the dense product, inverses and the Hall–Witt identity;
+and of `gword.collect` on `wordgen` words: it keeps the element, is
+idempotent, never grows a word and keeps LevelShape and RelConjShape
+certificates with no more attestations.
 
 Words are nested Inv/Conj/Comm/Prod trees over c*t^e arguments (divided
 by a power of s over a localized ring).  Examples are derandomized and
 bounded so that the suite stays deterministic and fast.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevcalc.chevrep import get_representation
-from chevcalc.exactring import Ring
-from chevcalc.gword import Comm, Conj, Gen, Inv, Prod
-from chevcalc.rootsys import build_root_system
+from chevcalc.exactring import IdealSpec, Ring
+from chevcalc.gword import (
+    Comm,
+    Conj,
+    Gen,
+    Inv,
+    LevelShape,
+    Prod,
+    RelConjShape,
+    check_shape,
+    collect,
+    node_count,
+)
+from chevcalc.rewrite import RewriteEngine
+from chevcalc.rootsys import _vneg, build_root_system
 
-from wordgen import dense_evaluate
+from wordgen import dense_evaluate, random_level_word, random_word
 
 SYSTEMS = ("A2", "C2", "G2")
 RINGS = {
@@ -88,3 +105,40 @@ def test_hall_witt_identity(label, ring_name, data):
         )
     )
     assert rep.evaluate_word(w, ring).is_identity()
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@pytest.mark.parametrize("label", SYSTEMS)
+@settings(PROPERTY, max_examples=8)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_collect_keeps_the_element_and_the_shape(label, ring_name, seed):
+    rs, _, ring = _setup(label, ring_name)
+    eng = RewriteEngine(rs, ring)
+    oracle = eng.congruence_oracle()
+    rng = random.Random(seed)
+    t = ring.var("t")
+    # few roots and small arguments, zero among them, so that merges,
+    # cancellations and empty nodes are common
+    roots = (rs.roots[0], _vneg(rs.roots[0]), rs.roots[1])
+    args = [ring.zero(), t, -t, ring.one(), 2 * t]
+    if ring.loc_num is not None:
+        args.append(t * ring.s_power(1))
+    level_args = [3 * a for a in args]
+    ideal = IdealSpec.gens(ring, 3)
+
+    def level_word():
+        return random_level_word(rs, ring, rng, level_args, args, depth=2, roots=roots)
+
+    level_w = level_word()
+    rel_w = Prod(tuple(level_word() for _ in range(4)))
+    any_w = random_word(rs, ring, rng, depth=3, args=args, roots=roots)
+    for w in (level_w, rel_w, any_w):
+        got = collect(w)
+        assert eng.equal(got, w)
+        assert collect(got) == got
+        assert node_count(got) <= node_count(w)
+    for w, shape in ((level_w, LevelShape(ideal)), (rel_w, RelConjShape(None, ideal))):
+        before = check_shape(w, shape, oracle)
+        assert before.ok
+        after = check_shape(collect(w), shape, oracle)
+        assert after.ok and len(after.attested) <= len(before.attested)

@@ -430,6 +430,18 @@ def test_conjugation_normalize_stays_level_without_blocks():
     assert rec.details["decompositions"] == 0
 
 
+def test_conjugation_normalize_collects_its_output():
+    # peeling x_b(1) and then x_b(-1) leaves x_a(t) x_c(t) x_c(-t); collected,
+    # the pieces on c cancel
+    ring = Ring.integers().extend("t")
+    eng = RewriteEngine("A2", ring)
+    t = ring.var("t")
+    g = Conj(Gen(A, t), Prod((Gen(B, ring.int_(1)), Gen(B, ring.int_(-1)))))
+    out, rec = eng.conjugation_normalize(g, IdealSpec.gens(ring, t))
+    assert out == Prod((Gen(A, t),))
+    assert rec.attested == 0
+
+
 def test_conjugation_normalize_funds_blocked_peel():
     ring = Ring.integers().extend("t", "u")
     eng = RewriteEngine("A2", ring)
@@ -469,7 +481,7 @@ def test_conjugation_normalize_deeper_conjugator():
     J = IdealSpec.gens(ring, u)
     level = IdealSpec.gens(ring, t * u * u)
     g = Conj(Gen(A, t * u * u), Prod((Gen(B, u), Gen((-1, 1, 0), ring.int_(2)))))
-    budget = Budget([(I, J)], repeat_last=True)
+    budget = Budget([(I, J)])
     out, rec = eng.conjugation_normalize(g, level, budget)
     assert rec.details["decompositions"] >= 1
     assert rec.attested == 0
@@ -631,8 +643,6 @@ def test_budget_levels_and_limits():
     assert b.fund(0) == (I, I)
     assert b.fund(1) == (I, I)
     assert b.fund(2) is None
-    b2 = Budget([(I, I)], repeat_last=True)
-    assert b2.fund(9) == (I, I)
     b3 = Budget([(I, I)])
     b3.charge(0, A, ring.var("t"), "test")
     assert b3.trace()[0]["note"] == "test"

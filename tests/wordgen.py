@@ -17,30 +17,55 @@ def random_ring_element(ring, rng, max_deg=2, terms=3, coeff=6):
     return el
 
 
-def random_gen(rs, ring, rng, args=None):
-    root = rng.choice(rs.roots)
+def random_gen(rs, ring, rng, args=None, roots=None):
+    root = rng.choice(rs.roots if roots is None else roots)
     arg = random_ring_element(ring, rng) if args is None else rng.choice(args)
     return Gen(root, arg)
 
 
-def random_word(rs, ring, rng, depth=2, args=None):
+def random_word(rs, ring, rng, depth=2, args=None, roots=None):
     if depth == 0 or rng.random() < 0.3:
-        return random_gen(rs, ring, rng, args)
+        return random_gen(rs, ring, rng, args, roots)
     kind = rng.randrange(4)
     if kind == 0:
-        return Inv(random_word(rs, ring, rng, depth - 1, args))
+        return Inv(random_word(rs, ring, rng, depth - 1, args, roots))
     if kind == 1:
         n = rng.randrange(3)
-        return Prod(tuple(random_word(rs, ring, rng, depth - 1, args) for _ in range(n)))
+        return Prod(
+            tuple(random_word(rs, ring, rng, depth - 1, args, roots) for _ in range(n))
+        )
     if kind == 2:
         return Conj(
-            random_word(rs, ring, rng, depth - 1, args),
-            random_word(rs, ring, rng, depth - 1, args),
+            random_word(rs, ring, rng, depth - 1, args, roots),
+            random_word(rs, ring, rng, depth - 1, args, roots),
         )
     return Comm(
-        random_word(rs, ring, rng, depth - 1, args),
-        random_word(rs, ring, rng, depth - 1, args),
+        random_word(rs, ring, rng, depth - 1, args, roots),
+        random_word(rs, ring, rng, depth - 1, args, roots),
     )
+
+
+def random_level_word(rs, ring, rng, level_args, args, depth=2, roots=None):
+    """A word that visibly lies at the level of `level_args`: its leaves take
+    level arguments, and the conjugators and the other commutator sides are
+    random words over `args`."""
+    if depth == 0 or rng.random() < 0.3:
+        return random_gen(rs, ring, rng, level_args, roots)
+
+    def level():
+        return random_level_word(rs, ring, rng, level_args, args, depth - 1, roots)
+
+    def other():
+        return random_word(rs, ring, rng, depth - 1, args, roots)
+
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Inv(level())
+    if kind == 1:
+        return Prod(tuple(level() for _ in range(rng.randrange(3))))
+    if kind == 2:
+        return Conj(level(), other())
+    return Comm(level(), other()) if rng.random() < 0.5 else Comm(other(), level())
 
 
 def dense_evaluate(rep, w, ring):
