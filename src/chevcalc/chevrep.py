@@ -151,7 +151,7 @@ class RepMatrix:
         if not isinstance(other, RepMatrix) or other.ring != self.ring:
             return NotImplemented
         positions = set(self.entries) | set(other.entries)
-        return all(self.entry(*p) == other.entry(*p) for p in positions)
+        return all((self.entry(*p) - other.entry(*p)).is_zero() for p in positions)
 
     def __hash__(self):
         return hash((self.ring, self.dim))

@@ -24,10 +24,6 @@ operand in one pass over the other: distinct exponents stay distinct under
 a shift, so no term needs an accumulator.  Two multi-term factors take the
 general double loop.  Exact division is long division for every divisor:
 the remainder is updated in place and a heap hands out its leading term.
-Over Z localized at a polynomial s in one variable (t + 3, say), the
-normal form divides dense coefficient lists instead, one per monomial in
-the other variables.  Where the form is canonical (a Z base, or no
-localization), equality compares the stored (num, den).
 
 `RingElement.substitute` maps through one-term images (every image in
 `lgp`'s lifts and dilations, var -> s^e * var) in one pass over the
@@ -244,58 +240,6 @@ def _poly_divide(a, b, mod):
     return quot
 
 
-def _dense_divide(p, s):
-    """Exact quotient of dense coefficient lists (lowest degree first, top
-    coefficients nonzero) over Z, or None."""
-    d = len(s) - 1
-    n = len(p) - 1 - d
-    if n < 0 or (s[0] and p[0] % s[0]):
-        return None
-    r = list(p)
-    q = [0] * (n + 1)
-    lead = s[d]
-    for k in range(n, -1, -1):
-        c = r[k + d]
-        if c:
-            if c % lead:
-                return None
-            c //= lead
-            q[k] = c
-            for j in range(d):
-                r[k + j] -= c * s[j]
-    return None if any(r[:d]) else q
-
-
-def _strip_dense(num, den, i, s):
-    """`Ring._strip_s` for s a polynomial in variable i alone: num splits
-    into dense polynomials in that variable, one per monomial in the other
-    variables, and s divides num exactly when it divides each of them."""
-    parts = {}
-    for e, c in num.items():
-        parts.setdefault(e[:i] + e[i + 1 :], {})[e[i]] = c
-    dense = {}
-    for rest, part in parts.items():
-        p = dense[rest] = [0] * (1 + max(part))
-        for k, c in part.items():
-            p[k] = c
-    while den:
-        divided = {}
-        for rest, p in dense.items():
-            q = _dense_divide(p, s)
-            if q is None:
-                break
-            divided[rest] = q
-        if len(divided) < len(dense):
-            break
-        dense, den = divided, den - 1
-    out = {}
-    for rest, p in dense.items():
-        for k, c in enumerate(p):
-            if c:
-                out[rest[:i] + (k,) + rest[i:]] = c
-    return out, den
-
-
 def _eval_monomial(num, images, target):
     """num with variable i sent to the one-term image images[i] (den 0, or
     zero): c*x^e goes to c * prod(c_i^e_i) * x^(sum of e_i f_i), terms
@@ -368,17 +312,6 @@ class Ring:
             raise UnsupportedRing("cannot localize at zero")
         # s as an int when it is an integer constant, else None
         self._loc_int = None if loc_num is None else self._as_int_constant(self.loc_num)
-        # (variable index, dense coefficients) when s is a polynomial in one
-        # variable, as t + 3 is
-        self._loc_dense = None
-        if self.loc_num is not None and self._loc_int is None:
-            used = {i for e in self.loc_num for i, k in enumerate(e) if k}
-            if len(used) == 1:
-                (i,) = used
-                dense = [0] * (1 + max(e[i] for e in self.loc_num))
-                for e, c in self.loc_num.items():
-                    dense[e[i]] = c
-                self._loc_dense = (i, dense)
         self._key = (
             self.base_mod,
             self.var_names,
@@ -482,8 +415,6 @@ class Ring:
         s^k divides num exactly when it divides the gcd of its coefficients.
         """
         s = self._loc_int
-        if s is None and self._loc_dense is not None:
-            return _strip_dense(num, den, *self._loc_dense)
         if s is None:
             while den:
                 q = _poly_divide(num, self.loc_num, 0)
@@ -938,9 +869,6 @@ class RingElement:
             other.ring is not self.ring and other.ring != self.ring
         ):
             return NotImplemented
-        if self.ring.base_mod == 0 or self.ring.loc_num is None:
-            # one normal form: equal elements store equal (num, den)
-            return self.den == other.den and self.num == other.num
         return (self - other).is_zero()
 
     def __hash__(self):

@@ -571,7 +571,7 @@ def _sympy_strip(num, den, s_num):
 
 @pytest.mark.parametrize("s", ["x + 3", "2*x^2 - 3", "y - 1", "x*y + 1", "x + y"])
 def test_normal_form_at_a_polynomial_matches_sympy(s):
-    # one-variable s takes the dense path, the others long division
+    # s in one variable and in two, monic and not
     base = Ring.integers().extend("x", "y")
     ring = base.localize_at(base.parse(s))
     rng = random.Random("sympy-normal/%s" % s)
