@@ -37,7 +37,7 @@ from .gword import (
 )
 from .lgp import LocalDatum, PatchProblem, dilate, for_dilation, patch
 from .rewrite import RewriteEngine
-from .rootsys import _vneg, build_root_system
+from .rootsys import _vneg, system_from_label as system_object
 
 # one exit code per error family; 0 ok, 1 failed checks, 2 usage
 EXIT_CODES = {
@@ -96,13 +96,6 @@ def ring_from_text(text):
 
 def ideal_from_texts(ring, texts):
     return IdealSpec.gens(ring, *[ring.parse(t) for t in texts])
-
-
-def system_object(label):
-    try:
-        return build_root_system(label[0], int(label[1:]))
-    except (IndexError, ValueError):
-        raise errors.InvalidType("bad root system label %r" % label) from None
 
 
 def load_json(path):

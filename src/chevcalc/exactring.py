@@ -872,7 +872,10 @@ class RingElement:
         return (self - other).is_zero()
 
     def __hash__(self):
-        if self.ring.base_mod == 0 or self.den == 0:
+        # the stored form is canonical over Z and over unlocalized Z/m; over
+        # a localized Z/m equal elements can be stored apart (2/s and 1 over
+        # Z/9 localized at s = 2), so those hash by the ring alone
+        if self.ring.base_mod == 0 or self.ring.loc_num is None:
             return hash((self.ring, tuple(sorted(self.num.items())), self.den))
         return hash(self.ring)
 

@@ -10,7 +10,8 @@ argument and the nodes left around nothing, and merges adjacent factors
 on one root, but never flattens Conj, Comm or Inv, so a collected word
 keeps every shape certificate its input had, with no more attestations.
 The pipeline runs it wherever a stage hands a word on; `free_reduce` is
-`collect` of the flattened word.
+`collect` of the flattened word.  `unwrap` is the one walk through the
+Inv and Conj wrappers around a factor's core.
 
 Shape certificates describe the subgroup a word visibly belongs to.
 `check_shape` pattern matches a word against a certificate and reports
@@ -75,6 +76,26 @@ def inv_word(w):
     if isinstance(w, Comm):
         return Comm(w.right, w.left)
     raise TypeError("not a word: %r" % (w,))
+
+
+def unwrap(w):
+    """(core, inverted, by): w is core, or core^-1 when `inverted`,
+    conjugated by `by` (None when w has no Conj wrapper).
+
+    Strips Inv and Conj wrappers and one-factor products; inversion and
+    conjugation commute, so the order of the wrappers does not matter.
+    """
+    inverted, by = False, None
+    while True:
+        if isinstance(w, Inv):
+            inverted, w = not inverted, w.word
+        elif isinstance(w, Conj):
+            by = w.by if by is None else Prod((w.by, by))
+            w = w.base
+        elif isinstance(w, Prod) and len(w.factors) == 1:
+            w = w.factors[0]
+        else:
+            return w, inverted, by
 
 
 def flatten(w):

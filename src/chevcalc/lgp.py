@@ -50,7 +50,6 @@ from .gword import (
     Comm,
     Conj,
     Gen,
-    Inv,
     LevelShape,
     Prod,
     RelConjShape,
@@ -58,6 +57,7 @@ from .gword import (
     collect,
     inv_word,
     substitute_word,
+    unwrap,
     word_args,
 )
 from .rewrite import Budget, RewriteEngine
@@ -205,36 +205,18 @@ def _bounded_combination_search(ring, vals):
 # ----- normalizing a ninth-power splitting -----
 
 
-def _conj_gen_form(f):
-    """Collapse Inv/Conj wrappers around a single generator to Gen or
-    Conj(Gen, word); None when the core is not one generator."""
-    by = None
-    neg = False
-    while True:
-        if isinstance(f, Conj):
-            by = f.by if by is None else Prod((f.by, by))
-            f = f.base
-        elif isinstance(f, Inv):
-            neg = not neg
-            f = f.word
-        elif isinstance(f, Prod) and len(f.factors) == 1:
-            f = f.factors[0]
-        elif isinstance(f, Gen):
-            break
-        else:
-            return None
-    g = Gen(f.root, -f.arg) if neg else f
-    return g if by is None else Conj(g, by)
-
-
 def _normalize_level_factor(eng, f, level_spec, budget, out, stats):
-    g = _conj_gen_form(f)
-    if g is None:
+    g, inverted, by = unwrap(f)
+    if not isinstance(g, Gen):
         out.append(f)
         stats["kept_factors"] += 1
         return
+    if inverted:
+        g = Gen(g.root, -g.arg)
     try:
-        piece, rec = eng.conjugation_normalize(g, level_spec, budget)
+        piece, rec = eng.conjugation_normalize(
+            g if by is None else Conj(g, by), level_spec, budget
+        )
     except (ConditionViolated, NoUnitCombination):
         # no decomposition route over this ring; the factor stays whole
         # and rides as a congruence attestation
@@ -285,10 +267,7 @@ def for_dilation(eng, w, k_spec, var):
     }
     out = []
     for f in (w.factors if isinstance(w, Prod) else (w,)):
-        core = f
-        while isinstance(core, (Inv, Conj)):
-            core = core.word if isinstance(core, Inv) else core.base
-        if isinstance(core, Comm):
+        if isinstance(unwrap(f)[0], Comm):
             try:
                 level_w, mixed_w, _ = eng.move_indeterminate(Prod((f,)), cube, k_spec)
             except (ConditionViolated, NoUnitCombination):

@@ -62,14 +62,15 @@ from .gword import (
     inv_word,
     is_word,
     node_count,
+    unwrap,
     word_to_text,
 )
 from .rootsys import (
     _vneg,
     _vsum,
-    build_root_system,
     compute_structure_constants,
     find_unit_sum_decomposition,
+    system_from_label,
 )
 
 
@@ -230,7 +231,7 @@ class RewriteEngine:
 
     def __init__(self, rs, ring, verify=True, node_budget=200000):
         if isinstance(rs, str):
-            rs = build_root_system(rs[0], int(rs[1:]))
+            rs = system_from_label(rs)
         self.rs = rs
         self.sc = compute_structure_constants(rs)
         self.ring = ring
@@ -337,37 +338,18 @@ class RewriteEngine:
         w_in = Comm(Gen(beta, p), Gen(gamma, q))
         if gamma == _vneg(beta):
             raise OppositeRoots("no expansion for opposite roots %s, %s" % (beta, gamma))
-        if beta == gamma:
-            out = EMPTY
-        else:
-            factors = []
-            for (i, j), c in self.sc.comm_coeffs(beta, gamma):
-                if c == 0:
-                    continue
-                factors.append(
-                    Gen(_vsum(beta, gamma, i, j), self.ring.int_(c) * p**i * q**j)
-                )
-            out = Prod(tuple(factors))
+        factors = [] if beta == gamma else self._comm_gens(beta, gamma, p, q)
+        out = Prod(tuple(factors))
         return out, self.finish("expand_commutator", w_in, out, [(out, ElemShape())], w_in)
 
-    def _bare_conj(self, gen, peel):
-        """x_root(w) conjugated by x_{peel.root}(r) as bare generators.
-
-        Requires peel.root != -gen.root; equal roots commute outright.
-        """
-        if gen.root == peel.root:
-            return [gen]
-        out = [gen]
-        for (i, j), c in self.sc.comm_coeffs(gen.root, peel.root):
-            if c == 0:
-                continue
-            out.append(
-                Gen(
-                    _vsum(gen.root, peel.root, i, j),
-                    self.ring.int_(c) * gen.arg**i * peel.arg**j,
-                )
-            )
-        return out
+    def _comm_gens(self, beta, gamma, p, q):
+        """[x_beta(p), x_gamma(q)] as generators, one per nonzero Chevalley
+        coefficient in `comm_coeffs` order ((1,1) first).  beta != +-gamma."""
+        return [
+            Gen(_vsum(beta, gamma, i, j), self.ring.int_(c) * p**i * q**j)
+            for (i, j), c in self.sc.comm_coeffs(beta, gamma)
+            if c
+        ]
 
     # ----- Hall-Witt -----
 
@@ -486,13 +468,8 @@ class RewriteEngine:
         """x_alpha(X*r) via [x_beta(X), x_gamma(eps*r)], tail peeled off."""
         er = eps * r
         head = [Gen(beta, -big_x), Conj(Gen(beta, big_x), Gen(gamma, er))]
-        tail = []
-        for (i, j), c in self.sc.comm_coeffs(beta, gamma):
-            if (i, j) == (1, 1) or c == 0:
-                continue
-            tail.append(
-                Gen(_vsum(beta, gamma, i, j), self.ring.int_(c) * big_x**i * er**j)
-            )
+        # the (1,1) term comes first and is nonzero for a unit pair
+        tail = self._comm_gens(beta, gamma, big_x, er)[1:]
         return head + [Gen(g.root, -g.arg) for g in reversed(tail)]
 
     def _y_route_square(self, config, p0, q):
@@ -585,24 +562,6 @@ class RewriteEngine:
 
     # ----- opposite-root conjugation -----
 
-    def _conj_y_factors(self, f, peel):
-        """A Y-factor conjugated by x_{peel.root}(r), still in shape.
-
-        Every root in f avoids +-alpha while peel.root = -alpha, so all the
-        Chevalley expansions below are away from opposite pairs and the new
-        arguments are multiples of the old ones.
-        """
-        if isinstance(f, Inv):
-            return [inv_word(x) for x in reversed(self._conj_y_factors(f.word, peel))]
-        if isinstance(f, Gen):
-            return self._bare_conj(f, peel)
-        if isinstance(f, Conj):
-            base_pieces = self._bare_conj(f.base, peel)
-            by_pieces = self._bare_conj(f.by, peel)
-            by_word = by_pieces[0] if len(by_pieces) == 1 else Prod(tuple(by_pieces))
-            return [Conj(g, by_word) for g in base_pieces]
-        raise TypeError("not a Y-shaped factor: %r" % (f,))
-
     def push_vaserstein_conjugate(self, v, i_spec, j_spec):
         """An opposite-root conjugate of x_alpha(s), rewritten level-J.
 
@@ -622,11 +581,9 @@ class RewriteEngine:
         if r.is_zero():
             out = y_word
         else:
-            peel = Gen(_vneg(alpha), r)
-            factors = []
-            for f in (y_word.factors if isinstance(y_word, Prod) else (y_word,)):
-                factors += self._conj_y_factors(f, peel)
-            out = Prod(tuple(factors))
+            # the Y-factors avoid +-alpha, so no peel is blocked
+            pieces = self._peel(y_word, Gen(_vneg(alpha), r), None, 0, None)
+            out = Prod(tuple(f for f, _ in pieces))
         cert = RelConjShape(j_spec, i_spec.product(j_spec))
         receipt = self.finish(
             "push_vaserstein_conjugate",
@@ -733,46 +690,32 @@ class RewriteEngine:
             out = []
             for coeff, tag in wit.combo:
                 side, sub = tag
-                if side == "l" and sub[0] == "l":
-                    _, ta, tj = sub[1]
-                    v = j_spec.element_for_tag(tj)
-                    if ta[0] == "sq":
-                        if defect_combo is None:
-                            defect_combo = unit_from_idempotent_defect(self.ring)
-                        u = i_spec.element_for_tag(ta[1])
-                        out += self._defect_difference(
-                            beta, gamma, n12, coeff * v, u, defect_combo, stats
-                        )
-                    else:
-                        u1 = i_spec.element_for_tag(ta[1])
-                        u2 = i_spec.element_for_tag(ta[2])
-                        p = self.ring.int_(sigma) * coeff * u1 * v
-                        out.append(Comm(Gen(delta, p), Gen(gamma, u2)))
-                        stats["double_terms"] += 1
-                elif side == "l":
-                    _, tp, tj = sub[1]
-                    _, _, ti = tp
-                    u = i_spec.element_for_tag(ti)
-                    v = j_spec.element_for_tag(tj)
-                    p = self.ring.int_(sigma) * coeff * u
-                    out.append(Comm(Gen(delta, p), Gen(gamma, v)))
-                    stats["double_terms"] += 1
+                if side == "l" and sub[0] == "r":
+                    # 2*I*J: x_alpha(2*coeff*u*v) doubles u*v
+                    _, (_, _, ti), tj = sub[1]
+                    p, q = i_spec.element_for_tag(ti), j_spec.element_for_tag(tj)
                 else:
-                    _, ti, tb = sub
-                    u = i_spec.element_for_tag(ti)
+                    # I^(2)*J squares the I side, I*J^(2) the J side
+                    if side == "l":
+                        _, tb, tj = sub[1]
+                        sq_spec, plain = i_spec, j_spec.element_for_tag(tj)
+                    else:
+                        _, ti, tb = sub
+                        sq_spec, plain = j_spec, i_spec.element_for_tag(ti)
                     if tb[0] == "sq":
                         if defect_combo is None:
                             defect_combo = unit_from_idempotent_defect(self.ring)
-                        v = j_spec.element_for_tag(tb[1])
+                        q = sq_spec.element_for_tag(tb[1])
                         out += self._defect_difference(
-                            beta, gamma, n12, coeff * u, v, defect_combo, stats
+                            beta, gamma, n12, coeff * plain, q, defect_combo, stats
                         )
-                    else:
-                        v1 = j_spec.element_for_tag(tb[1])
-                        v2 = j_spec.element_for_tag(tb[2])
-                        p = self.ring.int_(sigma) * coeff * u * v1
-                        out.append(Comm(Gen(delta, p), Gen(gamma, v2)))
-                        stats["double_terms"] += 1
+                        continue
+                    # a mixed square s1*s2 doubles plain*s1 against s2
+                    p = plain * sq_spec.element_for_tag(tb[1])
+                    q = sq_spec.element_for_tag(tb[2])
+                p = self.ring.int_(sigma) * coeff * p
+                out.append(Comm(Gen(delta, p), Gen(gamma, q)))
+                stats["double_terms"] += 1
             return out
         config = self._c_short_config(alpha)
         if config is not None:
@@ -824,35 +767,43 @@ class RewriteEngine:
 
     # ----- conjugation normalization -----
 
-    def _peel_conjugator(self, byword, peel, budget, depth, stats):
-        """Conjugate a level-J conjugator word by one generator.
+    def _peel(self, f, peel, budget, depth, stats):
+        """f conjugated by the generator `peel`, as (piece, depth) pairs.
 
-        Flat arguments stay inside the conjugator ideal: ordinary pieces
-        expand with arguments that are multiples of their own, and blocked
-        pieces are re-decomposed one budget level deeper.
+        A generator off -peel.root expands by the Chevalley commutator
+        formula, with arguments that are multiples of its own, and its
+        pieces keep its depth.  A blocked generator (on -peel.root) is
+        decomposed away from +-its root with the budget level at its depth,
+        and its pieces sit one level deeper.  A conjugate peels its base
+        before its conjugator, so budget charges keep that order; a
+        conjugator that peels to one piece stays unwrapped.  Decomposition
+        pieces avoid +-the blocked root, so peeling them never re-enters
+        `_blocked_pieces`.
         """
-        out = []
-        pieces = byword.factors if isinstance(byword, Prod) else (byword,)
-        for f in pieces:
-            if isinstance(f, Gen):
-                if f.root == _vneg(peel.root):
-                    out += self._blocked_pieces(f, peel, budget, depth, stats)
-                else:
-                    out += self._bare_conj(f, peel)
-            elif isinstance(f, Conj):
-                base_pieces = self._peel_conjugator(f.base, peel, budget, depth, stats)
-                by_pieces = self._peel_conjugator(f.by, peel, budget, depth, stats)
-                by_word = Prod(tuple(by_pieces))
-                out += [_conj_factor(g, by_word) for g in base_pieces]
-            elif isinstance(f, Inv):
-                inner = self._peel_conjugator(f.word, peel, budget, depth, stats)
-                out += [inv_word(x) for x in reversed(inner)]
-            else:
-                raise TypeError("conjugator piece %r is not peelable" % (f,))
-        return out
+        if isinstance(f, Gen):
+            if f.root == _vneg(peel.root):
+                blocked = self._blocked_pieces(f, peel, budget, depth, stats)
+                return [(p, depth + 1) for p in blocked]
+            # x_a(w) ** x_b(r) = x_a(w) [x_a(w), x_b(r)]; equal roots commute
+            if f.root == peel.root:
+                return [(f, depth)]
+            tail = self._comm_gens(f.root, peel.root, f.arg, peel.arg)
+            return [(p, depth) for p in [f] + tail]
+        if isinstance(f, Conj):
+            base = self._peel(f.base, peel, budget, depth, stats)
+            by = [p for p, _ in self._peel(f.by, peel, budget, depth, stats)]
+            by_word = by[0] if len(by) == 1 else Prod(tuple(by))
+            return [(_conj_factor(p, by_word), d) for p, d in base]
+        if isinstance(f, Inv):
+            inner = self._peel(f.word, peel, budget, depth, stats)
+            return [(inv_word(p), d) for p, d in reversed(inner)]
+        if isinstance(f, Prod):
+            return [x for g in f.factors for x in self._peel(g, peel, budget, depth, stats)]
+        raise TypeError("%r is not peelable" % (f,))
 
     def _blocked_pieces(self, gen, peel, budget, depth, stats):
-        """x_delta(w) ** x_{-delta}(r) through a funded decomposition."""
+        """x_delta(w) ** x_{-delta}(r) through a funded decomposition, or
+        the conjugate itself as an attestation when the budget allows one."""
         level = budget.fund(depth) if budget is not None else None
         if level is None:
             if budget is not None and budget.allow_attest:
@@ -875,10 +826,7 @@ class RewriteEngine:
             )
         budget.charge(depth, gen.root, gen.arg, route)
         stats["decompositions"] += 1
-        out = []
-        for f in factors:
-            out += self._conj_y_factors(f, peel)
-        return out
+        return [p for f in factors for p, _ in self._peel(f, peel, None, depth, None)]
 
     def conjugation_normalize(self, g, level_spec, budget=None):
         """Peel the conjugator of Conj(Gen(alpha, a), c) one generator at a time.
@@ -886,8 +834,13 @@ class RewriteEngine:
         Peels on roots other than -alpha are plain Chevalley expansions and
         keep every argument a multiple of an existing one; a peel on -alpha
         consumes one budget level to decompose the blocked argument away
-        from +-alpha first.  With no budget events the output stays level
-        `level_spec`; otherwise it is certified with level-J conjugators.
+        from +-alpha first.  The peel state is one list of (factor, depth)
+        pairs, each peel mapped over it by `_peel`, so two rules hold: the
+        pieces of a blocked generator sit one level deeper than it, whether
+        it stands alone or is the base of a conjugate, and decomposition
+        pieces never re-enter `_blocked_pieces` (they avoid +-the blocked
+        root).  With no budget events the output stays level `level_spec`;
+        otherwise it is certified with level-J conjugators.
         The output is collected (`gword.collect`) before its receipt, so
         the zero arguments and the adjacent same-root pieces the peels
         leave behind never reach the oracle.
@@ -899,31 +852,10 @@ class RewriteEngine:
         else:
             raise TypeError("conjugation_normalize needs Conj(Gen(...), word)")
         stats = {"decompositions": 0, "attest_falls": 0}
-        state = [("gen", base, 0)]
+        state = [(base, 0)]
         for peel in peels:
-            new_state = []
-            for kind, f, depth in state:
-                if kind == "gen":
-                    if f.root == _vneg(peel.root):
-                        for piece in self._blocked_pieces(f, peel, budget, depth, stats):
-                            if isinstance(piece, Gen):
-                                new_state.append(("gen", piece, depth + 1))
-                            else:
-                                new_state.append(("rel", piece, depth + 1))
-                    else:
-                        for piece in self._bare_conj(f, peel):
-                            new_state.append(("gen", piece, depth))
-                elif kind == "rel":
-                    inner, by = f.base, f.by
-                    if inner.root == _vneg(peel.root):
-                        pieces = self._blocked_pieces(inner, peel, budget, depth, stats)
-                    else:
-                        pieces = self._bare_conj(inner, peel)
-                    by2 = Prod(tuple(self._peel_conjugator(by, peel, budget, depth, stats)))
-                    for piece in pieces:
-                        new_state.append(("rel", _conj_factor(piece, by2), depth))
-            state = new_state
-        out = collect(Prod(tuple(f for _, f, _ in state)))
+            state = [x for f, d in state for x in self._peel(f, peel, budget, d, stats)]
+        out = collect(Prod(tuple(f for f, _ in state)))
         spent = stats["decompositions"] + stats["attest_falls"]
         if spent and budget is not None and budget.levels:
             i0, j0 = budget.levels[0]
@@ -1091,16 +1023,7 @@ class RewriteEngine:
         mixed_acc = []
         stats = {"level_factors": 0, "comm_factors": 0, "witness_terms": 0}
         for f in (w.factors if isinstance(w, Prod) else (w,)):
-            un = f
-            invert = False
-            conj_by = None
-            while isinstance(un, (Inv, Conj)):
-                if isinstance(un, Inv):
-                    invert = not invert
-                    un = un.word
-                else:
-                    conj_by = un.by if conj_by is None else Prod((un.by, conj_by))
-                    un = un.base
+            un, invert, conj_by = unwrap(f)
             if isinstance(un, Comm):
                 pieces = self._split_mixed_factor(un, j_spec, k_spec, i_spec, stats)
                 if invert:

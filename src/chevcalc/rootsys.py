@@ -425,6 +425,15 @@ def build_root_system(label, rank):
     return _SYSTEM_CACHE[key]
 
 
+def system_from_label(label):
+    """The root system a label such as "A2" or "G2" names; InvalidType when
+    it names none."""
+    try:
+        return build_root_system(label[0], int(label[1:]))
+    except (IndexError, ValueError):
+        raise InvalidType("bad root system label %r" % (label,)) from None
+
+
 class StructureConstants:
     """Group-level commutator coefficients, extracted and cached per pair.
 

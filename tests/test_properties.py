@@ -2,7 +2,10 @@
 kernel against the dense product, inverses and the Hall–Witt identity;
 and of `gword.collect` on `wordgen` words: it keeps the element, is
 idempotent, never grows a word and keeps LevelShape and RelConjShape
-certificates with no more attestations.
+certificates with no more attestations; and of
+`RewriteEngine.conjugation_normalize` under the budget that
+`lgp.for_dilation` builds: every blocked peel is either charged to the
+budget or falls back to an attestation.
 
 Words are nested Inv/Conj/Comm/Prod trees over c*t^e arguments (divided
 by a power of s over a localized ring).  Examples are derandomized and
@@ -28,7 +31,7 @@ from chevcalc.gword import (
     collect,
     node_count,
 )
-from chevcalc.rewrite import RewriteEngine
+from chevcalc.rewrite import Budget, RewriteEngine
 from chevcalc.rootsys import _vneg, build_root_system
 
 from wordgen import dense_evaluate, random_level_word, random_word
@@ -142,3 +145,42 @@ def test_collect_keeps_the_element_and_the_shape(label, ring_name, seed):
         assert before.ok
         after = check_shape(collect(w), shape, oracle)
         assert after.ok and len(after.attested) <= len(before.attested)
+
+
+@pytest.mark.parametrize("label", ("A2", "A3"))
+def test_conjugation_normalize_under_the_dilation_budget(label):
+    # x_a(c*t*u^2) conjugated by 1-3 generators, about 40 % of them on -a,
+    # normalized under Budget([((t), (u))], allow_attest=True): a blocked
+    # peel at depth 0 is funded by the level, a blocked peel one level
+    # deeper falls back to an attestation
+    ring = Ring.integers().extend("t", "u")
+    t, u = ring.var("t"), ring.var("u")
+    I, J = IdealSpec.gens(ring, t), IdealSpec.gens(ring, u)
+    level = IdealSpec.gens(ring, t * u * u)
+    eng = RewriteEngine(label, ring)
+    roots = sorted(eng.rs.roots)
+    coeffs = [ring.int_(c) for c in (1, -1, 2, 3)]
+    falls = []
+
+    @settings(PROPERTY, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        a = rng.choice(roots)
+        others = [r for r in roots if r != _vneg(a)]
+        by = tuple(
+            Gen(
+                _vneg(a) if rng.random() < 0.4 else rng.choice(others),
+                rng.choice(coeffs) * rng.choice((ring.one(), u)),
+            )
+            for _ in range(rng.randint(1, 3))
+        )
+        g = Conj(Gen(a, rng.choice(coeffs) * t * u * u), Prod(by))
+        budget = Budget([(I, J)], allow_attest=True)
+        _, rec = eng.conjugation_normalize(g, level, budget)
+        assert rec.oracle_checked
+        assert len(budget.spent) == rec.details["decompositions"]
+        falls.append(rec.details["attest_falls"])
+
+    check()
+    assert any(n > 0 for n in falls)

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from chevcalc import cli
 from chevcalc.chevrep import Representation
 from chevcalc.errors import (
     BudgetExhausted,
     ConditionViolated,
     CongruenceFailed,
+    InvalidType,
     NodeBudgetExceeded,
     NoUnitCombination,
     NotExtendedIdeal,
@@ -646,6 +648,15 @@ def test_budget_levels_and_limits():
     b3 = Budget([(I, I)])
     b3.charge(0, A, ring.var("t"), "test")
     assert b3.trace()[0]["note"] == "test"
+
+
+@pytest.mark.parametrize("label", ("A", "A2x", ""))
+def test_bad_system_labels_are_invalid_types(label):
+    ring = Ring.integers()
+    with pytest.raises(InvalidType):
+        RewriteEngine(label, ring)
+    with pytest.raises(InvalidType):
+        cli.system_object(label)
 
 
 def test_node_budget_enforced():
