@@ -46,7 +46,7 @@ def _cases():
         argv = ["lgp", "--problem", path] if name.startswith("lgp_") else [
             "demo", "--instance", path]
         out.append((name + ".json", argv, code))
-    for system in ("A2", "G2"):
+    for system in ("A2", "B3", "C2", "G2"):
         out.append(("tables_%s.txt" % system, ["tables", "--system", system], 0))
     for suite in SUITES:
         argv = ["verify", "--suite", suite, "--system", "A2", "--ring", "Z[t]",
