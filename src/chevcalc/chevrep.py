@@ -23,9 +23,9 @@ end each column is unpacked into `RepMatrix` entries through
 `Ring._normal`.  Over a Z base, or over Z/m without a localization, that
 is the element's one normal form, so the stored (num, den) are those ring
 arithmetic gives; over Z/m localized no form is unique, and an entry may
-keep its column's larger denominator power.  The dense path,
-`generator_matrix` and `RepMatrix.__mul__`, stays as the reference the
-tests compare against and for the left products of `rootsys.comm_coeffs`.
+keep its column's larger denominator power.  The dense reference the
+tests compare against, a product of full generator matrices, lives in
+tests/wordgen.py (`dense_evaluate`).
 
 The adjoint model exists for every supported system.  The defining models
 (types A and C) share sign conventions with the adjoint model because
@@ -100,32 +100,6 @@ class RepMatrix:
         self.dim = dim
         self.entries = entries
 
-    @classmethod
-    def identity(cls, ring, dim):
-        one = ring.one()
-        return cls(ring, dim, {(i, i): one for i in range(dim)})
-
-    def __mul__(self, other):
-        if not isinstance(other, RepMatrix) or other.ring != self.ring:
-            raise TypeError("can only multiply matching RepMatrix values")
-        rows = {}
-        for (i, k), a in self.entries.items():
-            rows.setdefault(i, []).append((k, a))
-        cols = {}
-        for (k, j), b in other.entries.items():
-            cols.setdefault(k, []).append((j, b))
-        out = {}
-        for i, row in rows.items():
-            acc = {}
-            for k, a in row:
-                for j, b in cols.get(k, ()):
-                    prod = a * b
-                    acc[j] = acc[j] + prod if j in acc else prod
-            for j, v in acc.items():
-                if v.num:
-                    out[(i, j)] = v
-        return RepMatrix(self.ring, self.dim, out)
-
     def entry(self, i, j):
         return self.entries.get((i, j), self.ring.zero())
 
@@ -143,9 +117,6 @@ class RepMatrix:
         for i in range(self.dim):
             if i not in seen:
                 yield (i, i), self.ring.int_(-1)
-
-    def is_identity(self):
-        return all(v.is_zero() for _, v in self.entries_minus_identity())
 
     def __eq__(self, other):
         if not isinstance(other, RepMatrix) or other.ring != self.ring:
@@ -336,8 +307,6 @@ class Representation:
         self.dim = dim
         # powers[root][k] is the integer matrix X_root^k / k!
         self.powers = powers
-        # templates[root] keeps the k = 1 matrix for coefficient extraction
-        self.templates = {root: mats[1] for root, mats in powers.items()}
 
     @classmethod
     def adjoint(cls, rs):
@@ -350,8 +319,9 @@ class Representation:
         powers = {}
         for a in rs.roots:
             x = {}
+            neg_a = _vneg(a)
             for b in rs.roots:
-                if b == _vneg(a):
+                if b == neg_a:
                     for i, c in enumerate(rs.coroot_coords(a)):
                         if c:
                             x[(h_idx(i), idx[b])] = c
@@ -406,17 +376,6 @@ class Representation:
         return cls(rs, "defining", dim, powers)
 
     # ----- evaluation -----
-
-    def generator_matrix(self, root, r):
-        ring = r.ring
-        entries = {(i, i): ring.one() for i in range(self.dim)}
-        r_pow = ring.one()
-        for k, mat in sorted(self.powers[root].items()):
-            r_pow = r_pow * r
-            for pos, v in mat.items():
-                term = r_pow * v
-                entries[pos] = entries[pos] + term if pos in entries else term
-        return RepMatrix(ring, self.dim, {p: v for p, v in entries.items() if v.num})
 
     def evaluate_word(self, w, ring):
         return self.evaluate_generators(

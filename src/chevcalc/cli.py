@@ -37,7 +37,7 @@ from .gword import (
 )
 from .lgp import LocalDatum, PatchProblem, dilate, for_dilation, patch
 from .rewrite import RewriteEngine
-from .rootsys import _vneg, system_from_label as system_object
+from .rootsys import _vneg, compute_structure_constants, system_from_label as system_object
 
 # one exit code per error family; 0 ok, 1 failed checks, 2 usage
 EXIT_CODES = {
@@ -125,7 +125,7 @@ def emit_json(path, payload):
 
 def cmd_tables(args):
     rs = system_object(args.system)
-    eng = RewriteEngine(rs, Ring.integers())
+    sc = compute_structure_constants(rs)
     roots = sorted(rs.roots)
     lines = ["system %s  roots %d" % (args.system, len(roots))]
     for r in roots:
@@ -136,7 +136,7 @@ def cmd_tables(args):
                 continue
             coeffs = [
                 "(%d,%d)%+d" % (i, j, c)
-                for (i, j), c in eng.sc.comm_coeffs(beta, gamma)
+                for (i, j), c in sc.comm_coeffs(beta, gamma)
                 if c
             ]
             if coeffs:
@@ -188,13 +188,12 @@ def _random_elem_word(rs, ring, rng, size):
 def _suite_steinberg(eng, i_spec, j_spec, rng, count):
     ring = eng.ring
     roots = sorted(eng.rs.roots)
+    # for b != +-g, [x_b, x_g] = 1 exactly when b + g is not a root
     commuting = [
         (b, g)
         for b in roots
         for g in roots
-        if b != g
-        and g != _vneg(b)
-        and all(c == 0 for _, c in eng.sc.comm_coeffs(b, g))
+        if b != g and g != _vneg(b) and eng.rs.add(b, g) is None
     ]
     failures = []
     for _ in range(count):

@@ -2,12 +2,23 @@
 
 Every supported system is realized with integer coordinates (the systems
 with half-integer textbook coordinates are scaled by 2, which changes no
-structure constant).  Lie-level constants N(a, b) are built from the
-extraspecial pairs of the height ordering; group-level commutator
-coefficients are extracted symbolically from a faithful representation
-and cached.
+structure constant).  Simple-root coordinates come from root strings:
+adding one simple root at a time inside the root set reaches every
+positive root, and the closure must be the whole root set.  E6 and E7 are
+that closure of their simple roots inside E8.  A coroot's coordinates over
+the simple coroots are c_i * (a_i, a_i) / (a, a).
+
+Lie-level constants N(a, b) are built from the extraspecial pairs of the
+height ordering.  Group-level commutator coefficients follow from them by
+the Chevalley commutator formula (Carter, Simple Groups of Lie Type,
+Thm 5.2.2) and are cached per pair; see `StructureConstants`.  The tests
+check them against coefficients read off adjoint matrix products
+(`extracted_comm_coeffs` in tests/wordgen.py).  Everything here is integer
+arithmetic, with every division checked exact, except the Lie constants,
+whose recursion passes through fractions.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import InvalidType, OppositeRoots, OracleMismatch
@@ -158,50 +169,37 @@ def _e8_simple():
 
 
 def _build_e(rank):
-    all_roots = _e8_roots()
     simple = _e8_simple()[:rank]
     if rank == 8:
-        return all_roots, simple
-    roots = [r for r in all_roots if _solve_in_span(simple, r) is not None]
-    return roots, simple
+        return _e8_roots(), simple
+    # E6 and E7: the roots of E8 that root strings reach from their simple roots
+    return list(_simple_coords(_e8_roots(), simple)), simple
 
 
-def _solve_in_span(basis_vecs, target):
-    """Exact rational solution of sum(c_i * basis_i) = target, or None."""
-    n = len(target)
-    k = len(basis_vecs)
-    rows = [[Fraction(basis_vecs[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pivot = None
-        for i in range(r, n):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    sol = [Fraction(0)] * k
-    for row, c in zip(rows, pivots):
-        sol[c] = row[k]
-    for i in range(r, n):
-        if rows[i][k]:
-            return None
-    # Verify (protects against rank deficiencies).
-    for i in range(n):
-        tot = sum(sol[j] * basis_vecs[j][i] for j in range(k))
-        if tot != target[i]:
-            return None
-    return tuple(sol)
+def _simple_coords(roots, simple):
+    """{root: simple-root coordinates} over the roots that root strings
+    reach inside `roots`: each simple root has a unit vector, r + a_i (when
+    in `roots`) has r's coordinates plus e_i, and -r has minus r's.  Every
+    positive root is reached this way from a simple root, one simple root
+    at a time, so integer coordinates come from additions alone."""
+    root_set = set(roots)
+    n = len(simple)
+    coords = {a: _basis(n, i) for i, a in enumerate(simple)}
+    frontier = list(simple)
+    while frontier:
+        reached = []
+        for r in frontier:
+            for i, a in enumerate(simple):
+                v = _vadd(r, a)
+                if v in root_set and v not in coords:
+                    coords[v] = _vadd(coords[r], _basis(n, i))
+                    reached.append(v)
+        frontier = reached
+    for r, c in list(coords.items()):
+        if _vneg(r) in coords:
+            raise OracleMismatch("root %r and its negative are both positive" % (r,))
+        coords[_vneg(r)] = _vneg(c)
+    return coords
 
 
 _BUILDERS = {
@@ -231,15 +229,12 @@ class RootSystem:
         self._root_set = set(roots)
         self.ambient_dim = len(simple[0])
         # Simple coordinates, heights, and a deterministic order.
-        self._coords = {}
-        for r in roots:
-            sol = _solve_in_span(self.simple, r)
-            if sol is None or any(c.denominator != 1 for c in sol):
-                raise OracleMismatch("root %r outside the simple-root lattice" % (r,))
-            coords = tuple(int(c) for c in sol)
-            if not (all(c >= 0 for c in coords) or all(c <= 0 for c in coords)):
-                raise OracleMismatch("root %r with mixed signs" % (r,))
-            self._coords[r] = coords
+        self._coords = _simple_coords(roots, self.simple)
+        if set(self._coords) != self._root_set:
+            raise OracleMismatch(
+                "%s%d: root strings from the simple roots reach %d roots, not the %d given"
+                % (label, rank, len(self._coords), len(self._root_set))
+            )
         self.roots = tuple(
             sorted(roots, key=lambda r: (sum(self._coords[r]), self._coords[r]))
         )
@@ -328,15 +323,16 @@ class RootSystem:
         return self.height(r) > 0
 
     def coroot_coords(self, a):
-        """Coordinates of the coroot of a over the simple coroots."""
-        target = tuple(Fraction(2 * x, self.norm2(a)) for x in a)
-        basis = [
-            tuple(Fraction(2 * x, self.norm2(si)) for x in si) for si in self.simple
-        ]
-        sol = _solve_in_span(basis, target)
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise OracleMismatch("coroot outside the simple coroot lattice")
-        return tuple(int(c) for c in sol)
+        """Coordinates of the coroot 2a/(a, a) over the simple coroots
+        2a_i/(a_i, a_i): c_i * (a_i, a_i) / (a, a) for a = sum c_i a_i."""
+        norm = self.norm2(a)
+        out = []
+        for c, si in zip(self._coords[a], self.simple):
+            q, rem = divmod(c * self.norm2(si), norm)
+            if rem:
+                raise OracleMismatch("coroot outside the simple coroot lattice")
+            out.append(q)
+        return tuple(out)
 
     # ----- Lie-level structure constants -----
 
@@ -434,29 +430,36 @@ def system_from_label(label):
         raise InvalidType("bad root system label %r" % (label,)) from None
 
 
+def _exact(num, den):
+    q, rem = divmod(num, den)
+    if rem:
+        raise OracleMismatch("nonintegral commutator coefficient %d/%d" % (num, den))
+    return q
+
+
 class StructureConstants:
-    """Group-level commutator coefficients, extracted and cached per pair.
+    """Group-level commutator coefficients, computed and cached per pair.
 
     For roots a != +-b, `comm_coeffs(a, b)` returns the coefficients c of
     [x_a(P), x_b(Q)] = prod over roots i*a+j*b (i, j >= 1, ordered by
     (i+j, i) ascending) of x_{i*a+j*b}(c * P^i * Q^j), where the commutator
     convention is [g, h] = g^-1 h^-1 g h.
+
+    They come from the Lie constants by the Chevalley commutator formula
+    (Carter, Simple Groups of Lie Type, Thm 5.2.2).  With
+    M(x, y, i) = N(x, y) N(x, x+y) ... N(x, (i-1)x+y) / i!:
+
+        c_i1 = (-1)^(i+1) M(a, b, i)     c_1j = (-1)^j M(b, a, j)
+        c_32 = -2 M(a+b, a, 2) / 3       c_23 = -M(a+b, b, 2) / 3
+
+    Every division is exact or raises OracleMismatch.  The tests hold these
+    against coefficients extracted from products of adjoint matrices
+    (`extracted_comm_coeffs` in tests/wordgen.py).
     """
 
     def __init__(self, rs):
         self.rs = rs
         self._memo = {}
-        self._rep = None
-        self._ring = None
-
-    def _tools(self):
-        if self._rep is None:
-            from . import chevrep
-            from .exactring import Ring
-
-            self._rep = chevrep.Representation.adjoint(self.rs)
-            self._ring = Ring.integers().extend("P", "Q")
-        return self._rep, self._ring
 
     def pair_roots(self, a, b):
         """Roots i*a + j*b with i, j >= 1, in (i+j, i) ascending order."""
@@ -476,46 +479,28 @@ class StructureConstants:
         key = (a, b)
         if key in self._memo:
             return self._memo[key]
-        rep, ring = self._tools()
-        p, q = ring.var("P"), ring.var("Q")
-        m = rep.evaluate_generators(((a, -p), (b, -q), (a, p), (b, q)), ring)
-        out = []
-        for (i, j), delta in self.pair_roots(a, b):
-            c = self._extract(rep, m, delta, (i, j))
-            out.append(((i, j), c))
-            if c:
-                arg = ring.int_(-c) * p**i * q**j
-                m = rep.generator_matrix(delta, arg) * m
-        if not m.is_identity():
-            raise OracleMismatch(
-                "commutator of %r, %r does not reduce to the identity" % (a, b)
-            )
-        out = tuple(out)
+        out = tuple((ij, self._coefficient(a, b, ij)) for ij, _ in self.pair_roots(a, b))
         self._memo[key] = out
         return out
 
-    def _extract(self, rep, m, delta, ij):
-        """Coefficient of P^i Q^j via proportionality with the ad matrix."""
+    def _coefficient(self, a, b, ij):
         i, j = ij
-        x_delta = rep.templates[delta]
-        c = None
-        seen = {}
-        for (r, col), entry in m.entries_minus_identity():
-            coeff = entry.num.get((i, j), 0)
-            if coeff:
-                seen[(r, col)] = coeff
-        for pos, base in x_delta.items():
-            got = seen.pop(pos, 0)
-            if got % base:
-                raise OracleMismatch("non-proportional residual at %r" % (pos,))
-            ratio = got // base
-            if c is None:
-                c = ratio
-            elif c != ratio:
-                raise OracleMismatch("inconsistent coefficient extraction")
-        if seen:
-            raise OracleMismatch("residual outside the root space at %s" % (seen,))
-        return c if c is not None else 0
+        if j == 1:
+            return (-1) ** (i + 1) * self._m(a, b, i)
+        if i == 1:
+            return (-1) ** j * self._m(b, a, j)
+        if ij == (3, 2):
+            return _exact(-2 * self._m(_vadd(a, b), a, 2), 3)
+        if ij == (2, 3):
+            return _exact(-self._m(_vadd(a, b), b, 2), 3)
+        raise OracleMismatch("no commutator coefficient for %d*a + %d*b" % ij)
+
+    def _m(self, x, y, i):
+        """M(x, y, i) = N(x, y) N(x, x+y) ... N(x, (i-1)x+y) / i!."""
+        prod = 1
+        for k in range(i):
+            prod *= self.rs.lie_constant(x, _vsum(x, y, k, 1))
+        return _exact(prod, math.factorial(i))
 
     def c11(self, a, b):
         """The leading coefficient of [x_a(P), x_b(Q)] on a + b."""

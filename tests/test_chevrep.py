@@ -2,13 +2,20 @@ import random
 
 import pytest
 
-from chevcalc.chevrep import RepMatrix, congruence_check, get_representation
+from chevcalc.chevrep import congruence_check, get_representation
 from chevcalc.errors import InvalidType
 from chevcalc.exactring import IdealSpec, Ring
 from chevcalc.gword import Comm, Gen, Prod, inv_word
 from chevcalc.rootsys import build_root_system, compute_structure_constants
 
-from wordgen import dense_evaluate, random_ring_element
+from wordgen import (
+    dense_evaluate,
+    generator_matrix,
+    identity_matrix,
+    is_identity,
+    matmul,
+    random_ring_element,
+)
 
 
 def test_adjoint_bracket_homomorphism():
@@ -20,8 +27,8 @@ def test_adjoint_bracket_homomorphism():
         rng = random.Random(rank * 100 + ord(label))
         pairs = [(a, b) for a in rs.roots for b in rs.roots if a != b]
         for a, b in rng.sample(pairs, min(25, len(pairs))):
-            xa = rep.templates[a]
-            xb = rep.templates[b]
+            xa = rep.powers[a][1]
+            xb = rep.powers[b][1]
             bracket = {}
             for (i, j), v in xa.items():
                 for (jj, k), w in xb.items():
@@ -42,7 +49,7 @@ def test_adjoint_bracket_homomorphism():
                 assert bracket == {}
             else:
                 n = rs.lie_constant(a, b)
-                expected = {k: n * v for k, v in rep.templates[s].items()}
+                expected = {k: n * v for k, v in rep.powers[s][1].items()}
                 assert bracket == expected
 
 
@@ -94,10 +101,10 @@ def test_steinberg_additivity(label, rank, kind):
             root = rng.choice(rs.roots)
             r = random_ring_element(ring, rng)
             s = random_ring_element(ring, rng)
-            lhs = rep.generator_matrix(root, r) * rep.generator_matrix(root, s)
-            assert lhs == rep.generator_matrix(root, r + s)
-            prod = rep.generator_matrix(root, r) * rep.generator_matrix(root, -r)
-            assert prod.is_identity()
+            lhs = matmul(generator_matrix(rep, root, r), generator_matrix(rep, root, s))
+            assert lhs == generator_matrix(rep, root, r + s)
+            prod = matmul(generator_matrix(rep, root, r), generator_matrix(rep, root, -r))
+            assert is_identity(prod)
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("C", 2), ("G", 2)])
@@ -120,12 +127,12 @@ def test_commutator_formula_on_matrices(label, rank):
     for a, b in rng.sample(pairs, 10):
         word = Comm(Gen(a, r), Gen(b, s))
         lhs = rep.evaluate_word(word, ring)
-        rhs = RepMatrix.identity(ring, rep.dim)
+        rhs = identity_matrix(ring, rep.dim)
         coeffs = dict(sc.comm_coeffs(a, b))
         for (i, j), delta in sc.pair_roots(a, b):
             c = coeffs.get((i, j), 0)
             if c:
-                rhs = rhs * rep.generator_matrix(delta, r**i * s**j * ring.int_(c))
+                rhs = matmul(rhs, generator_matrix(rep, delta, r**i * s**j * ring.int_(c)))
         assert lhs == rhs
 
 
@@ -139,7 +146,7 @@ def test_evaluate_word_inverse():
     ]
     w = Prod(tuple(gens))
     m = rep.evaluate_word(Prod((w, inv_word(w))), ring)
-    assert m.is_identity()
+    assert is_identity(m)
     assert rep.words_equal(w, w, ring)
 
 
@@ -154,7 +161,7 @@ def test_congruence_check():
     assert congruence_check(m, spec)
     bad_spec = IdealSpec.gens(ring, ring.int_(4))
     assert not congruence_check(m, bad_spec)
-    assert congruence_check(RepMatrix.identity(ring, rep.dim), bad_spec)
+    assert congruence_check(identity_matrix(ring, rep.dim), bad_spec)
 
 
 # ----- the sparse evaluation against the dense reference -----

@@ -1,14 +1,19 @@
+import math
 import random
 
 import pytest
 
-from chevcalc.errors import InvalidType, OppositeRoots
+from chevcalc import rootsys
+from chevcalc.chevrep import get_representation
+from chevcalc.errors import InvalidType, OppositeRoots, OracleMismatch
 from chevcalc.exactring import Ring
 from chevcalc.rootsys import (
     build_root_system,
     compute_structure_constants,
     find_unit_sum_decomposition,
 )
+
+from wordgen import extracted_comm_coeffs
 
 MANDATORY = [
     ("A", 2),
@@ -227,3 +232,101 @@ def test_find_unit_sum_decomposition():
     assert got is not None
     beta, gamma, eps = got
     assert eps * sc_c2.c11(beta, gamma) == half.one()
+
+
+# ----- integer coordinates on every supported system -----
+
+SUPPORTED = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def _root_count(label, n):
+    return {
+        "A": n * (n + 1),
+        "B": 2 * n * n,
+        "C": 2 * n * n,
+        "D": 2 * n * (n - 1),
+        "E": {6: 72, 7: 126, 8: 240}.get(n),
+        "F": 48,
+        "G": 12,
+    }[label]
+
+
+@pytest.mark.parametrize("label,rank", SUPPORTED, ids=["%s%d" % s for s in SUPPORTED])
+def test_coordinates_and_coroots_recover_each_root(label, rank):
+    rs = build_root_system(label, rank)
+    assert len(rs.roots) == _root_count(label, rank)
+    simple_norms = [rs.norm2(a) for a in rs.simple]
+    lcm = math.lcm(*simple_norms)
+    for r in rs.roots:
+        # sum c_i a_i = r
+        combo = [0] * rs.ambient_dim
+        for c, a in zip(rs.coords(r), rs.simple):
+            combo = [x + c * y for x, y in zip(combo, a)]
+        assert tuple(combo) == r
+        # sum c_i 2a_i/(a_i, a_i) = 2r/(r, r), times lcm * (r, r)
+        combo = [0] * rs.ambient_dim
+        for c, a, norm in zip(rs.coroot_coords(r), rs.simple, simple_norms):
+            combo = [x + c * 2 * (lcm // norm) * y for x, y in zip(combo, a)]
+        assert [rs.norm2(r) * x for x in combo] == [2 * lcm * x for x in r]
+
+
+def test_root_strings_must_reach_exactly_the_given_roots(monkeypatch):
+    a2_roots, a2_simple = rootsys._build_a(2)
+    builders = {
+        # a vector no root string reaches
+        "extra": (a2_roots + [(2, -1, -1)], a2_simple),
+        # simple roots whose sum is not a root reach only four roots
+        "not a base": (a2_roots, [(1, -1, 0), (0, -1, 1)]),
+        # (1,-1,0) + (-1,0,1) + ... reaches -(1,-1,0) as a positive root
+        "both signs": (a2_roots, [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]),
+    }
+    for roots, simple in builders.values():
+        monkeypatch.setitem(rootsys._BUILDERS, "A", (lambda rank: (roots, simple), 1, 8))
+        with pytest.raises(OracleMismatch):
+            rootsys.RootSystem("A", 2)
+
+
+@pytest.mark.parametrize("label,rank", MANDATORY + [("F", 4)])
+def test_pairs_commute_exactly_when_their_sum_is_no_root(label, rank):
+    rs = build_root_system(label, rank)
+    sc = compute_structure_constants(rs)
+    for a in rs.roots:
+        for b in rs.roots:
+            if a != b and b != rs.neg(a):
+                commute = all(c == 0 for _, c in sc.comm_coeffs(a, b))
+                assert commute == (rs.add(a, b) is None)
+
+
+# ----- the closed form against coefficients read off adjoint matrices -----
+
+
+def _assert_closed_form_matches_extraction(rs, pairs):
+    sc = compute_structure_constants(rs)
+    rep = get_representation(rs, "adjoint")
+    for a, b in pairs:
+        assert sc.comm_coeffs(a, b) == extracted_comm_coeffs(rep, sc, a, b)
+
+
+def _pairs(rs):
+    return [(a, b) for a in rs.roots for b in rs.roots if a != b and b != rs.neg(a)]
+
+
+@pytest.mark.parametrize(
+    "label,rank",
+    [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G", 2)],
+)
+def test_commutator_formula_matches_extraction_on_every_pair(label, rank):
+    rs = build_root_system(label, rank)
+    _assert_closed_form_matches_extraction(rs, _pairs(rs))
+
+
+def test_commutator_formula_matches_extraction_on_f4_sample():
+    rs = build_root_system("F", 4)
+    pairs = random.Random("F4 pairs").sample(_pairs(rs), 300)
+    _assert_closed_form_matches_extraction(rs, pairs)

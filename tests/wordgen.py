@@ -1,6 +1,9 @@
-"""Shared helpers for randomized tests."""
+"""Shared helpers for randomized tests, and the dense references that the
+fast paths of the package are tested against."""
 
 from chevcalc.chevrep import RepMatrix
+from chevcalc.errors import OracleMismatch
+from chevcalc.exactring import Ring
 from chevcalc.gword import Comm, Conj, Gen, Inv, Prod, flatten
 
 
@@ -68,10 +71,102 @@ def random_level_word(rs, ring, rng, level_args, args, depth=2, roots=None):
     return Comm(level(), other()) if rng.random() < 0.5 else Comm(other(), level())
 
 
+# ----- dense references -----
+
+
+def identity_matrix(ring, dim):
+    one = ring.one()
+    return RepMatrix(ring, dim, {(i, i): one for i in range(dim)})
+
+
+def matmul(a, b):
+    """The product of two RepMatrix values over one ring, row by row."""
+    if a.ring != b.ring:
+        raise TypeError("can only multiply matching RepMatrix values")
+    rows = {}
+    for (i, k), x in a.entries.items():
+        rows.setdefault(i, []).append((k, x))
+    cols = {}
+    for (k, j), y in b.entries.items():
+        cols.setdefault(k, []).append((j, y))
+    out = {}
+    for i, row in rows.items():
+        acc = {}
+        for k, x in row:
+            for j, y in cols.get(k, ()):
+                prod = x * y
+                acc[j] = acc[j] + prod if j in acc else prod
+        for j, v in acc.items():
+            if v.num:
+                out[(i, j)] = v
+    return RepMatrix(a.ring, a.dim, out)
+
+
+def is_identity(m):
+    return all(v.is_zero() for _, v in m.entries_minus_identity())
+
+
+def generator_matrix(rep, root, r):
+    """The full matrix of x_root(r) = 1 + sum_k r^k * X_root^k / k!."""
+    ring = r.ring
+    entries = {(i, i): ring.one() for i in range(rep.dim)}
+    r_pow = ring.one()
+    for k, mat in sorted(rep.powers[root].items()):
+        r_pow = r_pow * r
+        for pos, v in mat.items():
+            term = r_pow * v
+            entries[pos] = entries[pos] + term if pos in entries else term
+    return RepMatrix(ring, rep.dim, {p: v for p, v in entries.items() if v.num})
+
+
 def dense_evaluate(rep, w, ring):
     """The word's matrix as a product of dense generator matrices: the
     reference for `Representation.evaluate_word`."""
-    m = RepMatrix.identity(ring, rep.dim)
+    m = identity_matrix(ring, rep.dim)
     for g in flatten(w):
-        m = m * rep.generator_matrix(g.root, ring.coerce(g.arg))
+        m = matmul(m, generator_matrix(rep, g.root, ring.coerce(g.arg)))
     return m
+
+
+def extracted_comm_coeffs(rep, sc, a, b):
+    """The coefficients of [x_a(P), x_b(Q)] read off adjoint matrices: the
+    reference for `StructureConstants.comm_coeffs`.
+
+    Walking the roots i*a + j*b in `pair_roots` order, the P^i Q^j part of
+    the remaining matrix minus 1 must be c times X_{i*a+j*b}; x_{i*a+j*b}
+    (-c P^i Q^j) is then multiplied away on the left, and what is left at
+    the end must be the identity.
+    """
+    ring = Ring.integers().extend("P", "Q")
+    p, q = ring.var("P"), ring.var("Q")
+    m = rep.evaluate_generators(((a, -p), (b, -q), (a, p), (b, q)), ring)
+    out = []
+    for (i, j), delta in sc.pair_roots(a, b):
+        c = _proportion(m, rep.powers[delta][1], (i, j))
+        out.append(((i, j), c))
+        if c:
+            m = matmul(generator_matrix(rep, delta, ring.int_(-c) * p**i * q**j), m)
+    if not is_identity(m):
+        raise OracleMismatch("commutator of %r, %r does not reduce to the identity" % (a, b))
+    return tuple(out)
+
+
+def _proportion(m, x_delta, ij):
+    """c with the P^i Q^j coefficients of m - 1 equal to c * x_delta."""
+    seen = {}
+    for pos, entry in m.entries_minus_identity():
+        coeff = entry.num.get(ij, 0)
+        if coeff:
+            seen[pos] = coeff
+    c = None
+    for pos, base in x_delta.items():
+        got = seen.pop(pos, 0)
+        if got % base:
+            raise OracleMismatch("non-proportional residual at %r" % (pos,))
+        if c is None:
+            c = got // base
+        elif c != got // base:
+            raise OracleMismatch("inconsistent coefficient extraction")
+    if seen:
+        raise OracleMismatch("residual outside the root space at %s" % (seen,))
+    return c if c is not None else 0
