@@ -27,12 +27,14 @@ from chevcalc.gword import (
     is_word,
     node_count,
     substitute_word,
+    unwrap,
     word_from_text,
     word_to_text,
 )
 from chevcalc.rootsys import build_root_system
 
 from wordgen import (
+    dense_evaluate,
     generator_matrix,
     identity_matrix,
     is_identity,
@@ -201,6 +203,26 @@ def test_collect_is_idempotent_and_free_reduce_is_collect_of_flatten():
         assert collect(once) == once
         assert node_count(once) <= node_count(w)
         assert free_reduce(w) == collect(Prod(flatten(w)))
+
+
+def test_unwrap_through_inv_and_one_factor_products():
+    ring = Ring.integers().extend("t")
+    t = ring.var("t")
+    rep = get_representation(A2, "adjoint")
+    core = Comm(Gen(A, ring.int_(2)), Gen(B, t))
+    by = Gen((1, 0, -1), ring.int_(1))
+    for w, inverted in (
+        (Inv(core), True),
+        (Prod((core,)), False),
+        (Conj(Prod((Inv(Prod((core,))),)), by), True),
+        (Inv(Conj(Inv(core), by)), False),
+    ):
+        got, inv, conj_by = unwrap(w)
+        assert got == core and inv == inverted
+        rebuilt = Inv(got) if inv else got
+        if conj_by is not None:
+            rebuilt = Conj(rebuilt, conj_by)
+        assert dense_evaluate(rep, rebuilt, ring) == dense_evaluate(rep, w, ring)
 
 
 def test_counts():

@@ -36,9 +36,18 @@ from chevcalc.lgp import LocalDatum, PatchProblem, patch
 from chevcalc.rewrite import Budget, RewriteEngine, unit_from_idempotent_defect
 from chevcalc.rootsys import build_root_system
 
-from wordgen import random_ring_element, random_word
+from wordgen import dense_evaluate, random_ring_element, random_word
 
 A, B, C = (1, -1, 0), (0, 1, -1), (1, 0, -1)
+
+
+def dense_equal(eng, a, b):
+    """Do a and b multiply out alike as dense generator products, the
+    reference that is independent of the engine's oracle?"""
+    return all(
+        dense_evaluate(rep, a, eng.ring) == dense_evaluate(rep, b, eng.ring)
+        for rep in eng.reps
+    )
 
 
 def ideal_element(spec, rng, terms=2):
@@ -226,6 +235,27 @@ def test_decompose_c2_long_two_length_route():
         assert g.root not in banned
 
 
+def test_decompose_c2_long_doubles_a_mixed_square():
+    # with J = (4tu, 6) the witness of 96t^2u^2 in I*J*J^(2) leans on the
+    # mixed square 2*(4tu)*6, which x_alpha(2pq) writes as one short-short
+    # commutator; found by a seeded search over two-generator J in C2
+    base = Ring.integers().extend("t", "u")
+    ring = base.localize_at(base.parse("t^2+t"))
+    eng = RewriteEngine("C2", ring)
+    t, u = ring.var("t"), ring.var("u")
+    I = IdealSpec.gens(ring, 1)
+    J = IdealSpec.gens(ring, 4 * t * u, 6)
+    value = 96 * t**2 * u**2
+    out, rec = eng.decompose_avoiding_root((2, 0), value, I, J)
+    # the doubled pieces are the conjugates with a short base root
+    assert any(
+        isinstance(f, Conj) and eng.rs.is_short(f.base.root) for f in out.factors
+    )
+    assert rec.details["route"] == "length-two-string"
+    assert rec.attested == 0
+    assert dense_equal(eng, out, Gen((2, 0), value))
+
+
 def test_decompose_c3_long_over_z():
     ring = Ring.integers().extend("u", "v")
     eng = RewriteEngine("C3", ring)
@@ -385,6 +415,22 @@ def test_relative_generation_b2_matches_c2_behavior():
         long_root, ring.var("u") ** 2 * ring.var("v"), I, J
     )
     assert rec.details["defect_terms"] >= 1
+
+
+def test_relative_generation_c2_long_doubles_a_mixed_square():
+    # over Z/9 the witness of 3t^3u + 3t^2u^2 uses the mixed square
+    # 2*(2t)*6 of I^(2), doubled against the plain J side as one
+    # [x_delta, x_gamma] commutator; found by a seeded search in C2
+    ring = Ring.integers_mod(9).extend("t", "u")
+    eng = RewriteEngine("C2", ring)
+    t, u = ring.var("t"), ring.var("u")
+    I = IdealSpec.gens(ring, 2 * t, 6)
+    J = IdealSpec.gens(ring, 4 * t * u)
+    value = 3 * t**3 * u + 3 * t**2 * u**2
+    out, rec = eng.relative_generation_witness((-2, 0), value, I, J)
+    assert rec.details["double_terms"] >= 1
+    assert rec.attested == 0
+    assert dense_equal(eng, out, Gen((-2, 0), value))
 
 
 def test_relative_generation_c2_over_z_refused():
@@ -583,6 +629,37 @@ def test_move_indeterminate_flipped_commutator():
     level, mixed, rec = eng.move_indeterminate(w, J, K)
     assert level == EMPTY
     assert rec.oracle_checked
+
+
+def test_move_indeterminate_two_generators_under_a_conjugator():
+    # the level side [x_a(t^9) x_c(2t^9)]^(x_b(1)) regenerates as two
+    # conjugated commutators, and [D1 D2, v] splits as [D1, v]^D2 [D2, v]
+    ring = Ring.integers().extend("t")
+    eng = RewriteEngine("A2", ring, node_budget=500000)
+    t = ring.var("t")
+    J = IdealSpec.gens(ring, t**3)
+    K = IdealSpec.gens(ring, 3)
+    left = Conj(Prod((Gen(A, t**9), Gen(C, 2 * t**9))), Gen(B, ring.int_(1)))
+    w = Comm(left, Gen(B, ring.int_(3)))
+    level, mixed, rec = eng.move_indeterminate(w, J, K)
+    assert level == EMPTY
+    assert rec.details["witness_terms"] == 2
+    assert all(isinstance(f, Conj) for f in mixed.factors)
+    assert dense_equal(eng, mixed, w)
+
+
+def test_move_indeterminate_inverted_and_conjugated_commutators():
+    ring = Ring.integers().extend("t")
+    eng = RewriteEngine("A2", ring, node_budget=500000)
+    t = ring.var("t")
+    J = IdealSpec.gens(ring, t**3)
+    K = IdealSpec.gens(ring, 3)
+    core = Comm(Gen(A, t**9), Gen(B, ring.int_(3)))
+    w = Prod((Inv(core), Conj(core, Gen(C, t)), Gen(C, 3 * t**9)))
+    level, mixed, rec = eng.move_indeterminate(w, J, K)
+    assert rec.details["comm_factors"] == 2
+    assert level.factors == (Gen(C, 3 * t**9),)
+    assert dense_equal(eng, Prod((level, mixed)), w)
 
 
 def test_move_indeterminate_level_only():
