@@ -33,10 +33,9 @@ their non-simple generators are propagated through the same minimal
 decomposition brackets that define the structure constants.
 """
 
-import math
-
 from .errors import InvalidType, OracleMismatch
 from . import gword
+from .exactring import _strip_int_s
 from .rootsys import _vneg
 
 
@@ -232,17 +231,8 @@ class _Packing:
             col = {key: x for key, x in col.items() if x}
         if not col:
             return col, 0
-        s = self.s_int
-        if den and not m and s is not None:
-            g = math.gcd(*col.values())
-            k = 0
-            while k < den and g % s == 0:
-                g //= s
-                k += 1
-            if k:
-                sk = s**k
-                col = {key: x // sk for key, x in col.items()}
-                den -= k
+        if den and not m and self.s_int is not None:
+            return _strip_int_s(col, den, self.s_int)
         return col, den
 
 

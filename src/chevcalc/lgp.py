@@ -156,7 +156,7 @@ def unimodular_combination(ring, values):
         raise NotUnimodular("an empty family generates nothing")
     spec = IdealSpec.gens(ring, *vals)
     try:
-        wit = spec.witness(ring.one())
+        combo = spec.witness(ring.one())
     except NotInIdeal:
         raise NotUnimodular(
             "{%s} does not generate the unit ideal of %s"
@@ -171,7 +171,7 @@ def unimodular_combination(ring, values):
             )
         return combo
     coeffs = [ring.zero() for _ in vals]
-    for coeff, tag in wit.combo:
+    for coeff, tag in combo:
         coeffs[tag[1]] = coeffs[tag[1]] + coeff
     total = ring.zero()
     for c, v in zip(coeffs, vals):
@@ -249,12 +249,11 @@ def for_dilation(eng, w, k_spec, var):
     t_spec = IdealSpec.gens(ring, t)
     cube = IdealSpec.gens(ring, t ** 3)
     ninth = IdealSpec.gens(ring, t ** 9)
-    if eng.verify:
-        report = check_shape(w, BarShape(k_spec, ninth), eng.congruence_oracle())
-        if not report.ok:
-            raise ConditionViolated(
-                "input is not a relative splitting at %s^9: %s" % (var, report.reason)
-            )
+    report = check_shape(w, BarShape(k_spec, ninth), eng.congruence_oracle())
+    if not report.ok:
+        raise ConditionViolated(
+            "input is not a relative splitting at %s^9: %s" % (var, report.reason)
+        )
     level_spec = k_spec.product(cube)
     budget = Budget([(k_spec, t_spec)], allow_attest=True)
     stats = {
@@ -327,7 +326,7 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
         var = ring.var_names[-1]
     s_elt = ring.loc_element()
     base_out = ring.delocalized()
-    eng_out = RewriteEngine(eng.rs, base_out, verify=eng.verify, node_budget=eng.node_budget)
+    eng_out = RewriteEngine(eng.rs, base_out, node_budget=eng.node_budget)
     i_base = i_spec.substitute(_lift_map(ring, base_out), base_out)
     if isinstance(w, Prod) and not w.factors:
         return 0, EMPTY, eng_out.finish(
@@ -339,19 +338,18 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
         )
     t = ring.var(var)
     oracle = eng.congruence_oracle()
-    if eng.verify:
-        report = check_shape(w, LevelShape(i_spec), oracle)
-        if not report.ok:
-            raise ConditionViolated("input is not a level word: %s" % report.reason)
-        if not oracle(w, IdealSpec.gens(ring, t)):
-            raise CongruenceFailed("the input word is not trivial at %s = 0" % var)
+    report = check_shape(w, LevelShape(i_spec), oracle)
+    if not report.ok:
+        raise ConditionViolated("input is not a level word: %s" % report.reason)
+    if not oracle(w, IdealSpec.gens(ring, t)):
+        raise CongruenceFailed("the input word is not trivial at %s = 0" % var)
 
     # double the variable through a fresh one and split along it
     vp = var + "p"
     while vp in ring.var_names:
         vp += "p"
     ring2 = ring.extend(vp)
-    eng2 = RewriteEngine(eng.rs, ring2, verify=eng.verify, node_budget=eng.node_budget)
+    eng2 = RewriteEngine(eng.rs, ring2, node_budget=eng.node_budget)
     tp = ring2.var(vp)
     doubled = _lift_map(ring, ring2)
     doubled[var] = ring2.var(var) * tp
@@ -429,13 +427,12 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
         h_final = substitute_word(h_word, shift, base_out)
     else:
         h_final = h_word
-    if eng.verify:
-        for rep, gm, hm in zip(eng.reps, mats_in, eng_out.evaluate(h_final)):
-            if hm != integral_dilation(gm, l):
-                raise OracleMismatch(
-                    "dilate output differs from the dilated input in the %s "
-                    "representation" % rep.kind
-                )
+    for rep, gm, hm in zip(eng.reps, mats_in, eng_out.evaluate(h_final)):
+        if hm != integral_dilation(gm, l):
+            raise OracleMismatch(
+                "dilate output differs from the dilated input in the %s "
+                "representation" % rep.kind
+            )
     details = {
         "s": str(s_elt),
         "var": var,
@@ -495,7 +492,11 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
     it must evaluate to exactly the datum's matrices (OracleMismatch
     otherwise, which is how inconsistent local data surfaces), and it
     certifies LevelShape(ideal) over the base.  Returns (word, receipt).
+    Every step is checked: `verify` stays for callers that pass True, and
+    False raises ValueError.
     """
+    if not verify:
+        raise ValueError("patch always verifies; verify=False is not supported")
     base = problem.base
     data = tuple(problem.data)
     if not data:
@@ -518,21 +519,20 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
     for d in data:
         s_k = base.coerce(d.s)
         loc = base.localize_at(s_k)
-        eng_k = RewriteEngine(problem.system, loc, verify=verify, node_budget=node_budget)
+        eng_k = RewriteEngine(problem.system, loc, node_budget=node_budget)
         for a in word_args(d.word):
             if a.ring != loc:
                 raise LocalizationMismatch(
                     "a local word does not live over %s localized at %s" % (base, s_k)
                 )
-        if verify:
-            i_loc = problem.ideal.substitute(_lift_map(base, loc), loc)
-            report = check_shape(d.word, LevelShape(i_loc), eng_k.congruence_oracle())
-            if not report.ok:
-                raise ConditionViolated(
-                    "a local word is not a level word: %s" % report.reason
-                )
-            if not eng_k.congruence_oracle()(d.word, IdealSpec.gens(loc, loc.var(var))):
-                raise CongruenceFailed("a local word is not trivial at %s = 0" % var)
+        i_loc = problem.ideal.substitute(_lift_map(base, loc), loc)
+        report = check_shape(d.word, LevelShape(i_loc), eng_k.congruence_oracle())
+        if not report.ok:
+            raise ConditionViolated(
+                "a local word is not a level word: %s" % report.reason
+            )
+        if not eng_k.congruence_oracle()(d.word, IdealSpec.gens(loc, loc.var(var))):
+            raise CongruenceFailed("a local word is not trivial at %s = 0" % var)
         cover.append(s_k)
         loc_rings.append(loc)
         loc_engines.append(eng_k)
@@ -551,7 +551,7 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
     dilation_details = []
     for k, d in enumerate(data):
         loc_big = big.localize_at(_to_ring(cover[k], big))
-        eng_w = RewriteEngine(problem.system, loc_big, verify=verify, node_budget=node_budget)
+        eng_w = RewriteEngine(problem.system, loc_big, node_budget=node_budget)
         sigma = loc_big.zero()
         for nm in aux[: k + 1]:
             sigma = sigma + loc_big.var(nm)
@@ -588,15 +588,14 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
             out_factors.append(img)
     out = collect(Prod(tuple(out_factors)))
 
-    eng_base = RewriteEngine(problem.system, base, verify=verify, node_budget=node_budget)
-    if verify:
-        for k, d in enumerate(data):
-            loc = loc_rings[k]
-            out_loc = substitute_word(out, _lift_map(base, loc), loc)
-            if not loc_engines[k].equal(out_loc, d.word):
-                raise OracleMismatch(
-                    "the glued word differs from local datum %d" % (k + 1)
-                )
+    eng_base = RewriteEngine(problem.system, base, node_budget=node_budget)
+    for k, d in enumerate(data):
+        loc = loc_rings[k]
+        out_loc = substitute_word(out, _lift_map(base, loc), loc)
+        if not loc_engines[k].equal(out_loc, d.word):
+            raise OracleMismatch(
+                "the glued word differs from local datum %d" % (k + 1)
+            )
     details = {
         "cover": [str(s) for s in cover],
         "exponents": exponents,

@@ -14,13 +14,13 @@ pays for one evaluation).  The memo cannot accept a wrong word: words are
 frozen dataclasses compared field by field, generator arguments compare
 by exact ring equality, and the engine's ring is fixed, so a word that
 finds a cached matrix evaluates to that matrix.  Every engine op, and every
-stage of the patching pipeline, builds its receipt through `finish`.  In
-verify mode `finish` issues the receipt only after two independent checks
-pass: the output evaluates to the same matrix as its target in every
-representation, and each certified part matches its shape.  Factors that
-the grammar alone cannot place are attested by a matrix congruence check;
-the receipt records how many such attestations were needed (zero on the
-fully structural paths).
+stage of the patching pipeline, builds its receipt through `finish`, which
+issues the receipt only after two independent checks pass: the output
+evaluates to the same matrix as its target in every representation, and
+each certified part matches its shape.  Factors that the grammar alone
+cannot place are attested by a matrix congruence check; the receipt
+records how many such attestations were needed (zero on the fully
+structural paths).
 """
 
 from dataclasses import dataclass, field
@@ -59,7 +59,6 @@ from .gword import (
     collect,
     flatten,
     free_reduce,
-    inv_word,
     is_word,
     node_count,
     unwrap,
@@ -197,7 +196,6 @@ class RewriteReceipt:
     input_word: object
     output_word: object
     certificate: object = None
-    oracle_checked: bool = False
     nodes_in: int = 0
     nodes_out: int = 0
     attested: int = 0
@@ -206,7 +204,8 @@ class RewriteReceipt:
     def to_dict(self):
         out = {
             "op": self.op,
-            "oracle_checked": self.oracle_checked,
+            # every receipt comes from `finish`, which checks before it issues
+            "oracle_checked": True,
             "nodes_in": self.nodes_in,
             "nodes_out": self.nodes_out,
             "attested": self.attested,
@@ -222,20 +221,15 @@ class RewriteReceipt:
 
 
 class RewriteEngine:
-    """Rewrites words over one root system and one ring.
+    """Rewrites words over one root system and one ring, running the
+    matrix oracle and the certificate check on every operation."""
 
-    verify=True (the default) runs the matrix oracle and the certificate
-    check on every operation; verify=False trusts the construction, which
-    is only sensible inside already-tested pipelines.
-    """
-
-    def __init__(self, rs, ring, verify=True, node_budget=200000):
+    def __init__(self, rs, ring, node_budget=200000):
         if isinstance(rs, str):
             rs = system_from_label(rs)
         self.rs = rs
         self.sc = compute_structure_constants(rs)
         self.ring = ring
-        self.verify = verify
         self.node_budget = node_budget
         self.reps = [get_representation(rs, "adjoint")]
         if rs.label in ("A", "C"):
@@ -279,9 +273,9 @@ class RewriteEngine:
     def finish(self, op, w_in, w_out, shapes, target=None, details=None):
         """The receipt of an op or stage that turned w_in into w_out.
 
-        Gates the node budget, then in verify mode checks that w_out equals
-        `target` (skipped when None, as for output over another ring) and
-        each (word, shape) pair of `shapes`.  The certificate is the shape,
+        Gates the node budget, then checks that w_out equals `target`
+        (skipped when None, as for output over another ring) and each
+        (word, shape) pair of `shapes`.  The certificate is the shape,
         or the tuple of shapes when there are several.
         """
         nodes_in = node_count(w_in) if is_word(w_in) else 0
@@ -290,23 +284,21 @@ class RewriteEngine:
             raise NodeBudgetExceeded(
                 "%s produced %d nodes (budget %d)" % (op, nodes_out, self.node_budget)
             )
+        if target is not None and not self.equal(w_out, target):
+            raise OracleMismatch("%s output differs from its target" % op)
+        oracle = self.congruence_oracle()
         attested = 0
-        if self.verify:
-            if target is not None and not self.equal(w_out, target):
-                raise OracleMismatch("%s output differs from its target" % op)
-            oracle = self.congruence_oracle()
-            for word, shape in shapes:
-                report = check_shape(word, shape, oracle)
-                if not report.ok:
-                    raise OracleMismatch("%s certificate failed: %s" % (op, report.reason))
-                attested += len(report.attested)
+        for word, shape in shapes:
+            report = check_shape(word, shape, oracle)
+            if not report.ok:
+                raise OracleMismatch("%s certificate failed: %s" % (op, report.reason))
+            attested += len(report.attested)
         certs = tuple(shape for _, shape in shapes)
         return RewriteReceipt(
             op,
             w_in,
             w_out,
             certs[0] if len(certs) == 1 else certs,
-            self.verify,
             nodes_in,
             nodes_out,
             attested,
@@ -343,12 +335,11 @@ class RewriteEngine:
         return out, self.finish("expand_commutator", w_in, out, [(out, ElemShape())], w_in)
 
     def _comm_gens(self, beta, gamma, p, q):
-        """[x_beta(p), x_gamma(q)] as generators, one per nonzero Chevalley
+        """[x_beta(p), x_gamma(q)] as generators, one per Chevalley
         coefficient in `comm_coeffs` order ((1,1) first).  beta != +-gamma."""
         return [
             Gen(_vsum(beta, gamma, i, j), self.ring.int_(c) * p**i * q**j)
             for (i, j), c in self.sc.comm_coeffs(beta, gamma)
-            if c
         ]
 
     # ----- Hall-Witt -----
@@ -453,12 +444,12 @@ class RewriteEngine:
             delta = _vsum(beta, gamma)
             if not rs.contains(delta) or not rs.is_short(delta):
                 continue
-            bg = [(ij, c) for ij, c in self.sc.comm_coeffs(beta, gamma) if c]
+            bg = self.sc.comm_coeffs(beta, gamma)
             if len(bg) != 2 or bg[0][0] != (1, 1) or bg[1][0] != (1, 2):
                 continue
             if abs(bg[1][1]) != 1:
                 continue
-            dg = [(ij, c) for ij, c in self.sc.comm_coeffs(delta, gamma) if c]
+            dg = self.sc.comm_coeffs(delta, gamma)
             if len(dg) != 1 or dg[0][0] != (1, 1) or abs(dg[0][1]) != 2:
                 continue
             return beta, gamma, delta, bg[0][1], bg[1][1], dg[0][1]
@@ -501,9 +492,8 @@ class RewriteEngine:
         if pair is not None:
             beta, gamma, eps = pair
             fund = ij.product(j_spec)
-            wit = fund.witness(value)
             factors = []
-            for coeff, tag in wit.combo:
+            for coeff, tag in fund.witness(value):
                 _, t_ij, t_j = tag
                 big_x = coeff * ij.element_for_tag(t_ij)
                 r = j_spec.element_for_tag(t_j)
@@ -516,9 +506,8 @@ class RewriteEngine:
                 % (alpha, self.rs, self.ring)
             )
         fund = ij.product(j_spec.sym_power(2))
-        wit = fund.witness(value)
         factors = []
-        for coeff, tag in wit.combo:
+        for coeff, tag in fund.witness(value):
             _, t_ij, tb = tag
             p0 = coeff * ij.element_for_tag(t_ij)
             if tb[0] == "sq":
@@ -608,7 +597,7 @@ class RewriteEngine:
                 or gamma == _vneg(beta)
             ):
                 continue
-            coeffs = [(ij, c) for ij, c in self.sc.comm_coeffs(beta, gamma) if c]
+            coeffs = self.sc.comm_coeffs(beta, gamma)
             if len(coeffs) != 1 or coeffs[0][0] != (1, 1):
                 continue
             c = coeffs[0][1]
@@ -629,7 +618,7 @@ class RewriteEngine:
             alpha2 = _vsum(alpha, gamma)
             if not rs.contains(alpha2) or not rs.is_long(alpha2):
                 continue
-            coeffs = [(ij, c) for ij, c in self.sc.comm_coeffs(beta, gamma) if c]
+            coeffs = self.sc.comm_coeffs(beta, gamma)
             if len(coeffs) != 2 or coeffs[0][0] != (1, 1) or coeffs[1][0] != (1, 2):
                 continue
             if abs(coeffs[0][1]) != 1:
@@ -663,9 +652,8 @@ class RewriteEngine:
             pair = self._clean_unit_pair(alpha)
             if pair is not None:
                 beta, gamma, eps = pair
-                wit = i_spec.product(j_spec).witness(value)
                 out = []
-                for coeff, tag in wit.combo:
+                for coeff, tag in i_spec.product(j_spec).witness(value):
                     _, ti, tj = tag
                     p = eps * coeff * i_spec.element_for_tag(ti)
                     q = j_spec.element_for_tag(tj)
@@ -686,9 +674,8 @@ class RewriteEngine:
                 .sum_with(two.product(i_spec).product(j_spec))
                 .sum_with(i_spec.product(j_spec.sym_power(2)))
             )
-            wit = fund.witness(value)
             out = []
-            for coeff, tag in wit.combo:
+            for coeff, tag in fund.witness(value):
                 side, sub = tag
                 if side == "l" and sub[0] == "r":
                     # 2*I*J: x_alpha(2*coeff*u*v) doubles u*v
@@ -720,9 +707,8 @@ class RewriteEngine:
         config = self._c_short_config(alpha)
         if config is not None:
             beta, gamma, alpha2, n11, n12 = config
-            wit = i_spec.product(j_spec).witness(value)
             out = []
-            for coeff, tag in wit.combo:
+            for coeff, tag in i_spec.product(j_spec).witness(value):
                 _, ti, tj = tag
                 u = i_spec.element_for_tag(ti)
                 v = j_spec.element_for_tag(tj)
@@ -794,9 +780,6 @@ class RewriteEngine:
             by = [p for p, _ in self._peel(f.by, peel, budget, depth, stats)]
             by_word = by[0] if len(by) == 1 else Prod(tuple(by))
             return [(_conj_factor(p, by_word), d) for p, d in base]
-        if isinstance(f, Inv):
-            inner = self._peel(f.word, peel, budget, depth, stats)
-            return [(inv_word(p), d) for p, d in reversed(inner)]
         if isinstance(f, Prod):
             return [x for g in f.factors for x in self._peel(g, peel, budget, depth, stats)]
         raise TypeError("%r is not peelable" % (f,))
@@ -912,7 +895,7 @@ class RewriteEngine:
                     "generator %s of %s involves %r" % (g, i_spec.describe(), var)
                 )
         j_spec = IdealSpec.gens(self.ring, self.ring.var(var))
-        if self.verify and not self.congruence_oracle()(w, j_spec):
+        if not self.congruence_oracle()(w, j_spec):
             raise CongruenceFailed(
                 "the word is not congruent to the identity mod (%s)" % var
             )
@@ -948,7 +931,7 @@ class RewriteEngine:
                 if prefix:
                     piece = _conj_factor(piece, Inv(p_word))
                 out_factors.append(piece)
-        if self.verify and prefix and not self.equal(Prod(tuple(prefix)), EMPTY):
+        if prefix and not self.equal(Prod(tuple(prefix)), EMPTY):
             raise CongruenceFailed(
                 "the variable-free remainder does not evaluate to the identity"
             )
@@ -992,40 +975,33 @@ class RewriteEngine:
         return out + self._comm_with_product(rest, v)
 
     def _comm_single(self, piece, v):
-        """[C^b, v] = [C, v^(b^-1)]^b for one generation commutator C^b."""
-        if isinstance(piece, Conj):
-            core, by = piece.base, piece.by
-            v_in = Conj(v, Inv(by))
-            return [_conj_factor(p, by) for p in self._comm_single_core(core, v_in)]
-        return self._comm_single_core(piece, v)
-
-    def _comm_single_core(self, core, v):
+        """[C^b, v] = [C, v^(b^-1)]^b for one generation commutator C^b,
+        and [C, v] for a bare C."""
+        core, by = (piece.base, piece.by) if isinstance(piece, Conj) else (piece, None)
         if not isinstance(core, Comm):
             raise TypeError("expected a commutator core, got %r" % (core,))
-        return self._hw_pieces(core.left, core.right, v)
+        v_in = v if by is None else Conj(v, Inv(by))
+        return [_conj_factor(p, by) for p in self._hw_pieces(core.left, core.right, v_in)]
 
-    def move_indeterminate(self, w, j_spec, k_spec, i_spec=None):
+    def move_indeterminate(self, w, j_spec, k_spec):
         """Split a two-level word into a plain level part and mixed commutators.
 
-        Input factors are either level factors at I*J*J^(2)*K, which route
-        unchanged into the level part at I*J*K, or commutators of a level
-        I*J*J^(2) word against a level-K word.  The left side of each
-        commutator is re-generated as commutators [level I*J, level J] and
+        Input factors are either level factors at J*J^(2)*K, which route
+        unchanged into the level part at J*K, or commutators of a level
+        J*J^(2) word against a level-K word.  The left side of each
+        commutator is re-generated as commutators [level J, level J] and
         Hall-Witt splitting moves the K-side inside, leaving factors whose
-        sides sit at levels I*J and K*J.
+        sides sit at levels J and K*J.
         """
-        if i_spec is None:
-            i_spec = IdealSpec.gens(self.ring, 1)
-        ij = i_spec.product(j_spec)
         kj = k_spec.product(j_spec)
-        ijk = ij.product(k_spec)
+        jk = j_spec.product(k_spec)
         level_acc = []
         mixed_acc = []
         stats = {"level_factors": 0, "comm_factors": 0, "witness_terms": 0}
         for f in (w.factors if isinstance(w, Prod) else (w,)):
             un, invert, conj_by = unwrap(f)
             if isinstance(un, Comm):
-                pieces = self._split_mixed_factor(un, j_spec, k_spec, i_spec, stats)
+                pieces = self._split_mixed_factor(un, j_spec, stats)
                 if invert:
                     pieces = _inv_factors(pieces)
                 if conj_by is not None:
@@ -1044,29 +1020,28 @@ class RewriteEngine:
             "move_indeterminate",
             w,
             out,
-            [(level_word, LevelShape(ijk)), (mixed_word, MixedCommShape(ij, kj))],
+            [(level_word, LevelShape(jk)), (mixed_word, MixedCommShape(j_spec, kj))],
             w,
             details=stats,
         )
         return level_word, mixed_word, receipt
 
-    def _split_mixed_factor(self, comm, j_spec, k_spec, i_spec, stats):
-        """One [level I*J*J^(2), level K] commutator into E_{IJ,KJ} pieces."""
+    def _split_mixed_factor(self, comm, j_spec, stats):
+        """One [level J*J^(2), level K] commutator into E_{J,KJ} pieces."""
         left, right = comm.left, comm.right
-        probe = i_spec.product(j_spec).product(j_spec.sym_power(2))
+        probe = j_spec.product(j_spec.sym_power(2))
         if not _match_rel_like(left, probe).ok:
             if not _match_rel_like(right, probe).ok:
                 raise ValueError(
                     "neither commutator side is a level word at %s" % probe.describe()
                 )
             # commutator written K-side first; flip and invert
-            pieces = self._split_mixed_factor(Comm(right, left), j_spec, k_spec, i_spec, stats)
+            pieces = self._split_mixed_factor(Comm(right, left), j_spec, stats)
             return _inv_factors(pieces)
-        ij = i_spec.product(j_spec)
         generated = []
         for gen, byword in self._rel_factor_list(left):
             sub_stats = {"plain_terms": 0, "double_terms": 0, "defect_terms": 0}
-            for piece in self._mixed_gen_factors(gen.root, gen.arg, ij, j_spec, sub_stats):
+            for piece in self._mixed_gen_factors(gen.root, gen.arg, j_spec, j_spec, sub_stats):
                 generated.append(_conj_factor(piece, byword) if byword else piece)
             stats["witness_terms"] += sum(sub_stats.values())
         return self._comm_with_product(generated, right)

@@ -58,46 +58,34 @@ def _build_a(rank):
     return roots, simple
 
 
-def _build_b(rank):
-    n = rank
-    roots = []
+def _pm_pairs(n, scale=1):
+    """The vectors +-scale*e_i +-scale*e_j, i < j, in R^n."""
     for i in range(n):
         for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    roots.append(_vadd(_basis(n, i, si), _basis(n, j, sj)))
+            for si in (scale, -scale):
+                for sj in (scale, -scale):
+                    yield _vadd(_basis(n, i, si), _basis(n, j, sj))
+
+
+def _build_b(rank, axis=1):
+    # C differs from B only in the length of the roots on the axes
+    n = rank
+    roots = list(_pm_pairs(n))
     for i in range(n):
-        roots.append(_basis(n, i))
-        roots.append(_basis(n, i, -1))
+        roots.append(_basis(n, i, axis))
+        roots.append(_basis(n, i, -axis))
     simple = [_vsub(_basis(n, i), _basis(n, i + 1)) for i in range(rank - 1)]
-    simple.append(_basis(n, rank - 1))
+    simple.append(_basis(n, rank - 1, axis))
     return roots, simple
 
 
 def _build_c(rank):
-    n = rank
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    roots.append(_vadd(_basis(n, i, si), _basis(n, j, sj)))
-    for i in range(n):
-        roots.append(_basis(n, i, 2))
-        roots.append(_basis(n, i, -2))
-    simple = [_vsub(_basis(n, i), _basis(n, i + 1)) for i in range(rank - 1)]
-    simple.append(_basis(n, rank - 1, 2))
-    return roots, simple
+    return _build_b(rank, axis=2)
 
 
 def _build_d(rank):
     n = rank
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    roots.append(_vadd(_basis(n, i, si), _basis(n, j, sj)))
+    roots = list(_pm_pairs(n))
     simple = [_vsub(_basis(n, i), _basis(n, i + 1)) for i in range(rank - 1)]
     simple.append(_vadd(_basis(n, rank - 2), _basis(n, rank - 1)))
     return roots, simple
@@ -120,14 +108,10 @@ def _build_g(rank):
 
 def _build_f(rank):
     # Scaled by 2 so the half-sum roots become integral.
-    roots = []
+    roots = list(_pm_pairs(4, 2))
     for i in range(4):
         roots.append(_basis(4, i, 2))
         roots.append(_basis(4, i, -2))
-        for j in range(i + 1, 4):
-            for si in (2, -2):
-                for sj in (2, -2):
-                    roots.append(_vadd(_basis(4, i, si), _basis(4, j, sj)))
     for mask in range(16):
         roots.append(tuple(1 if (mask >> k) & 1 else -1 for k in range(4)))
     simple = [
@@ -140,12 +124,7 @@ def _build_f(rank):
 
 
 def _e8_roots():
-    roots = []
-    for i in range(8):
-        for j in range(i + 1, 8):
-            for si in (2, -2):
-                for sj in (2, -2):
-                    roots.append(_vadd(_basis(8, i, si), _basis(8, j, sj)))
+    roots = list(_pm_pairs(8, 2))
     for mask in range(256):
         v = tuple(1 if (mask >> k) & 1 else -1 for k in range(8))
         if bin(mask).count("1") % 2 == 0:
@@ -430,6 +409,12 @@ def system_from_label(label):
         raise InvalidType("bad root system label %r" % (label,)) from None
 
 
+# (i, j) with 1 <= i, j <= 3 in (i+j, i) ascending order
+_PAIR_ORDER = sorted(
+    ((i, j) for i in range(1, 4) for j in range(1, 4)), key=lambda ij: (sum(ij), ij[0])
+)
+
+
 def _exact(num, den):
     q, rem = divmod(num, den)
     if rem:
@@ -462,15 +447,19 @@ class StructureConstants:
         self._memo = {}
 
     def pair_roots(self, a, b):
-        """Roots i*a + j*b with i, j >= 1, in (i+j, i) ascending order."""
-        rs = self.rs
+        """Roots i*a + j*b with i, j >= 1, in (i+j, i) ascending order.
+
+        There are none when a + b is not a root, and i, j <= 3 in every
+        reduced root system (G2 reaches 3a + 2b and 2a + 3b).
+        """
+        root_set = self.rs._root_set
+        if _vadd(a, b) not in root_set:
+            return []
         out = []
-        for i in range(1, 5):
-            for j in range(1, 5):
-                v = _vsum(a, b, i, j)
-                if v in rs._root_set:
-                    out.append(((i, j), v))
-        out.sort(key=lambda entry: (entry[0][0] + entry[0][1], entry[0][0]))
+        for ij in _PAIR_ORDER:
+            v = _vsum(a, b, *ij)
+            if v in root_set:
+                out.append((ij, v))
         return out
 
     def comm_coeffs(self, a, b):
@@ -534,6 +523,6 @@ def find_unit_sum_decomposition(sc, alpha, ring):
         if beta == gamma or beta == _vneg(gamma):
             continue
         c = sc.c11(beta, gamma)
-        if c and ring.n_invertible(c):
+        if ring.n_invertible(c):
             return beta, gamma, ring.inverse_of_int(c)
     return None

@@ -21,6 +21,15 @@ from chevcalc.exactring import (
 )
 
 
+def witnessed(spec, x):
+    """Does spec.witness(x) return pairs whose sum, through element_for_tag,
+    is x?"""
+    total = spec.ring.zero()
+    for coeff, tag in spec.witness(x):
+        total = total + coeff * spec.element_for_tag(tag)
+    return total == spec.ring.coerce(x)
+
+
 def random_element(ring, rng, max_deg=3, terms=4, coeff=9):
     nvars = len(ring.var_names)
     el = ring.zero()
@@ -250,7 +259,7 @@ def test_ideal_membership_frozen_cases():
     spec = IdealSpec.gens(zt, 2 * t, t**2)
     assert not spec.contains(t)
     assert spec.contains(2 * t + t**3)
-    assert spec.witness(2 * t + t**3).verify()
+    assert witnessed(spec, 2 * t + t**3)
 
     z = Ring.integers()
     assert IdealSpec.gens(z, 2, 3).contains(1)
@@ -264,7 +273,7 @@ def test_ideal_membership_frozen_cases():
     principal = IdealSpec.gens(zt, t**2 + 1)
     assert principal.contains((t**2 + 1) * (t - 3))
     assert not principal.contains(t**4)
-    assert principal.witness((t**2 + 1) * (t - 3)).verify()
+    assert witnessed(principal, (t**2 + 1) * (t - 3))
 
     with pytest.raises(UndecidableIdealClass):
         IdealSpec.gens(zt, t + 1, t - 1).contains(2)
@@ -277,14 +286,13 @@ def test_ideal_membership_saturation():
     t = loc.var("t")
     spec = IdealSpec.gens(loc, 2 * t)
     assert spec.contains(t)
-    w = spec.witness(t)
-    assert w.verify()
+    assert witnessed(spec, t)
 
     mod = Ring.integers_mod(12).extend("t").localize_at(2)
     tm = mod.var("t")
     spec_m = IdealSpec.gens(mod, 3 * tm)
     assert spec_m.contains(6 * tm)
-    assert spec_m.witness(6 * tm).verify()
+    assert witnessed(spec_m, 6 * tm)
     assert not spec_m.contains(tm)
     assert not spec_m.contains(4 * tm)
 
@@ -295,7 +303,7 @@ def test_ideal_membership_saturation():
     tt, uu = loct.var("t"), loct.var("u")
     spec_t = IdealSpec.gens(loct, 4 * tt**2 * uu)
     assert spec_t.contains(uu)
-    assert spec_t.witness(uu).verify()
+    assert witnessed(spec_t, uu)
     assert not spec_t.contains(3)
 
 
@@ -306,7 +314,7 @@ def test_ideal_membership_torsion():
     assert spec.contains(9)
     assert spec.contains(4 * 3)
     assert not spec.contains(2)
-    assert spec.witness(6).verify()
+    assert witnessed(spec, 6)
 
 
 def test_ideal_closure_under_random_combinations():
@@ -319,7 +327,7 @@ def test_ideal_closure_under_random_combinations():
         for g in spec.expand():
             combo = combo + random_element(ring, rng, max_deg=2) * g
         assert spec.contains(combo)
-        assert spec.witness(combo).verify()
+        assert witnessed(spec, combo)
 
 
 def test_sym_power_and_products():
@@ -338,14 +346,13 @@ def test_sym_power_and_products():
         b = random_element(ring, rng, max_deg=2)
         member = (a * x + b * y) ** 2
         assert sq.contains(member)
-        assert sq.witness(member).verify()
+        assert witnessed(sq, member)
 
     i = IdealSpec.gens(ring, 2)
     prod = i.product(j)
     assert prod.contains(6 * y)
     assert not prod.contains(x)
-    w = prod.witness(6 * y + 2 * x)
-    assert w.verify()
+    assert witnessed(prod, 6 * y + 2 * x)
     with pytest.raises(UnsupportedRing):
         j.sym_power(3)
 

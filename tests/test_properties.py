@@ -178,7 +178,6 @@ def test_conjugation_normalize_under_the_dilation_budget(label):
         g = Conj(Gen(a, rng.choice(coeffs) * t * u * u), Prod(by))
         budget = Budget([(I, J)], allow_attest=True)
         _, rec = eng.conjugation_normalize(g, level, budget)
-        assert rec.oracle_checked
         assert len(budget.spent) == rec.details["decompositions"]
         falls.append(rec.details["attest_falls"])
 

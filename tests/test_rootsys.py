@@ -299,7 +299,11 @@ def test_pairs_commute_exactly_when_their_sum_is_no_root(label, rank):
     for a in rs.roots:
         for b in rs.roots:
             if a != b and b != rs.neg(a):
-                commute = all(c == 0 for _, c in sc.comm_coeffs(a, b))
+                coeffs = sc.comm_coeffs(a, b)
+                # N(x, y) = +-(p+1) along an unbroken root string, so no
+                # coefficient vanishes
+                assert all(c != 0 for _, c in coeffs)
+                commute = all(c == 0 for _, c in coeffs)
                 assert commute == (rs.add(a, b) is None)
 
 
