@@ -427,8 +427,7 @@ class Ring:
     def _strip_s(self, num, den):
         """Divide the largest power s^k, k <= den, out of num / s^den.
 
-        Z[vars] is a domain, so this form is canonical.  An integer s is
-        divided out by `_strip_int_s`.
+        Z[vars] is a domain, so this form is canonical.
         """
         if self._loc_int is not None:
             return _strip_int_s(num, den, self._loc_int)

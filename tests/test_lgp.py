@@ -435,6 +435,9 @@ def test_patch_rejections():
         ), "X"))
     with pytest.raises(NodeBudgetExceeded):
         patch(prob, node_budget=2)
+    # every step is checked; the keyword stays only to accept verify=True
+    with pytest.raises(ValueError):
+        patch(prob, verify=False)
     with pytest.raises(CongruenceFailed):
         patch(PatchProblem("A2", base, I3, (LocalDatum(2, Prod((Gen(A, l2.int_(3)),))),), "X"))
     with pytest.raises(LocalizationMismatch):
