@@ -409,7 +409,6 @@ def system_from_label(label):
         raise InvalidType("bad root system label %r" % (label,)) from None
 
 
-# (i, j) with 1 <= i, j <= 3 in (i+j, i) ascending order
 _PAIR_ORDER = sorted(
     ((i, j) for i in range(1, 4) for j in range(1, 4)), key=lambda ij: (sum(ij), ij[0])
 )
