@@ -9,6 +9,7 @@ To regenerate the files after an intended output change, run
 """
 
 import contextlib
+import hashlib
 import io
 import sys
 from pathlib import Path
@@ -37,6 +38,9 @@ INSTANCE_EXIT = {
     "splitting_a2": 0,
 }
 SUITES = ("steinberg", "absolute", "gij", "relcomm", "eee")
+# `tables --system E8` prints 694 KB, too much for a golden file; its
+# sha256 pins it instead
+TABLES_E8_SHA256 = "9520a15ff3a4dabd44b87aced2c69bf77f7339262bcca2027b343fc585e2dc6e"
 
 
 def _cases():
@@ -46,7 +50,7 @@ def _cases():
         argv = ["lgp", "--problem", path] if name.startswith("lgp_") else [
             "demo", "--instance", path]
         out.append((name + ".json", argv, code))
-    for system in ("A2", "B3", "C2", "G2"):
+    for system in ("A2", "B3", "C2", "F4", "G2"):
         out.append(("tables_%s.txt" % system, ["tables", "--system", system], 0))
     for suite in SUITES:
         argv = ["verify", "--suite", suite, "--system", "A2", "--ring", "Z[t]",
@@ -74,6 +78,12 @@ def test_cli_output_matches_golden(golden, argv, code):
     got_code, text = _run(argv)
     assert got_code == code
     assert text == (GOLDEN / golden).read_text()
+
+
+def test_tables_e8_digest():
+    code, text = _run(["tables", "--system", "E8"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLES_E8_SHA256
 
 
 if __name__ == "__main__":
