@@ -632,12 +632,14 @@ class RewriteEngine:
         With s = N12*a the commutators [x_beta(s*r*p), x_gamma(q)] and
         [x_beta(s*p), x_gamma(r*q)] share their (1,1) component, so the
         inverse of the first times the second is x_alpha(a*(r^2-r)*p*q^2);
-        summing over the combination leaves exactly x_alpha(p*q^2).
+        summing over the combination leaves exactly x_alpha(p*q^2).  The
+        inverse is written [g, h]^-1 = [h, g], so every piece is a bare
+        commutator.
         """
         out = []
         for a, r in defect_combo:
             s = self.ring.int_(n12) * a
-            out.append(Inv(Comm(Gen(beta, s * r * p), Gen(gamma, q))))
+            out.append(Comm(Gen(gamma, q), Gen(beta, s * r * p)))
             out.append(Comm(Gen(beta, s * p), Gen(gamma, r * q)))
             stats["defect_terms"] += 1
         return out
@@ -1032,7 +1034,7 @@ class RewriteEngine:
         probe = j_spec.product(j_spec.sym_power(2))
         if not _match_rel_like(left, probe).ok:
             if not _match_rel_like(right, probe).ok:
-                raise ValueError(
+                raise ConditionViolated(
                     "neither commutator side is a level word at %s" % probe.describe()
                 )
             # commutator written K-side first; flip and invert

@@ -22,18 +22,20 @@ ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# the two refusals are the intended outcomes of those instance files
+# the three refusals are the intended outcomes of those instance files
 INSTANCE_EXIT = {
     "decomposition_a2": 0,
     "dilate_a2": 0,
     "empty_word": 0,
     "for_dilation_a2": 0,
+    "for_dilation_c2_defect": 0,
     "lgp_cover23": 0,
     "lgp_cover23_global": 0,
     "lgp_cover23_interleaved": 0,
     "lgp_cover24": 17,
     "lgp_unit": 0,
     "moving_t_a2": 0,
+    "moving_t_a2_no_level_side": 12,
     "sp_relinc_c2z": 13,
     "splitting_a2": 0,
 }
