@@ -13,7 +13,7 @@ from chevcalc.rootsys import (
     find_unit_sum_decomposition,
 )
 
-from wordgen import extracted_comm_coeffs
+from wordgen import FractionLieConstants, extracted_comm_coeffs
 
 MANDATORY = [
     ("A", 2),
@@ -28,6 +28,16 @@ MANDATORY = [
 ]
 
 EXTRA = [("F", 4), ("E", 6)]
+
+# every system `RootSystem` supports: 8 + 7 + 7 + 6 + 3 + 1 + 1 = 33
+SUPPORTED = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", n) for n in range(6, 9)]
+    + [("F", 4), ("G", 2)]
+)
 
 ROOT_COUNTS = {
     ("A", 2): 6,
@@ -184,6 +194,27 @@ def test_extraspecial_base_positive():
             assert rs.lie_constant(eps, eta) == rs.p_value(eps, eta) + 1
 
 
+@pytest.mark.parametrize("label,rank", SUPPORTED, ids=["%s%d" % s for s in SUPPORTED])
+def test_lie_constants_match_fraction_reference(label, rank):
+    rs = build_root_system(label, rank)
+    ref = FractionLieConstants(rs)
+    for a in rs.roots:
+        neg_a = tuple(-x for x in a)
+        for b in rs.roots:
+            assert rs.add(a, b) == ref.add(a, b)
+            if b == neg_a:
+                continue
+            n = ref.lie_constant(a, b)
+            assert n.denominator == 1
+            assert rs.lie_constant(a, b) == n
+    for gamma in rs.positive_roots:
+        if gamma in rs.simple:
+            with pytest.raises(OppositeRoots):
+                rs.extraspecial_pair(gamma)
+        else:
+            assert rs.extraspecial_pair(gamma) == ref.extraspecial_pair(gamma)
+
+
 def test_commutator_leading_coefficient_is_lie_constant():
     for label, rank in [("A", 2), ("B", 2), ("C", 2), ("G", 2)]:
         rs = build_root_system(label, rank)
@@ -235,15 +266,6 @@ def test_find_unit_sum_decomposition():
 
 
 # ----- integer coordinates on every supported system -----
-
-SUPPORTED = (
-    [("A", n) for n in range(1, 9)]
-    + [("B", n) for n in range(2, 9)]
-    + [("C", n) for n in range(2, 9)]
-    + [("D", n) for n in range(3, 9)]
-    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-)
-
 
 def _root_count(label, n):
     return {

@@ -1,6 +1,8 @@
 """Shared helpers for randomized tests, and the dense references that the
 fast paths of the package are tested against."""
 
+from fractions import Fraction
+
 from chevcalc.chevrep import RepMatrix
 from chevcalc.errors import OracleMismatch
 from chevcalc.exactring import Ring
@@ -170,3 +172,78 @@ def _proportion(m, x_delta, ij):
     if seen:
         raise OracleMismatch("residual outside the root space at %s" % (seen,))
     return c if c is not None else 0
+
+
+class FractionLieConstants:
+    """N(a, b) by the extraspecial-pair recursion in fractions, on root
+    tuples: the reference for `RootSystem.lie_constant`, `extraspecial_pair`
+    and `add`.
+
+    The sign conventions are Carter's (Simple Groups of Lie Type, Ch. 4):
+    N(eps, eta) = p + 1 on each extraspecial pair, and every other constant
+    follows from N(a, b) = -N(b, a) = -N(-a, -b), the cyclic identity
+    N(a, b)/(c, c) = N(b, c)/(a, a) for a + b + c = 0, and the Jacobi
+    identity on (eps, eta, -a, -b).
+    """
+
+    def __init__(self, rs):
+        self.roots = frozenset(rs.roots)
+        self.positive = rs.positive_roots
+        self.order = {r: i for i, r in enumerate(self.positive)}
+        self._memo = {}
+
+    @staticmethod
+    def _norm2(a):
+        return sum(x * x for x in a)
+
+    def add(self, a, b):
+        v = tuple(x + y for x, y in zip(a, b))
+        return v if v in self.roots else None
+
+    def extraspecial_pair(self, gamma):
+        for eps in self.positive:
+            eta = tuple(x - y for x, y in zip(gamma, eps))
+            if eta in self.order:
+                return eps, eta
+        raise ValueError("%r is simple" % (gamma,))
+
+    def lie_constant(self, a, b):
+        key = (a, b)
+        if key not in self._memo:
+            self._memo[key] = self._raw(a, b)
+        return self._memo[key]
+
+    def _raw(self, a, b):
+        n = self.lie_constant
+        z = self.add(a, b)
+        if z is None:
+            return Fraction(0)
+        pos_a, pos_b = a in self.order, b in self.order
+        if not pos_a and not pos_b:
+            return -n(neg(a), neg(b))
+        if not pos_a:
+            return -n(b, a)
+        if not pos_b:
+            if z in self.order:
+                return -Fraction(self._norm2(z), self._norm2(a)) * n(neg(b), z)
+            return Fraction(self._norm2(z), self._norm2(b)) * n(neg(z), a)
+        if self.order[a] > self.order[b]:
+            return -n(b, a)
+        eps, eta = self.extraspecial_pair(z)
+        if eps == a:
+            p, cur = 0, tuple(x - y for x, y in zip(eta, eps))
+            while cur in self.roots:
+                p, cur = p + 1, tuple(x - y for x, y in zip(cur, eps))
+            return Fraction(p + 1)
+        total = Fraction(0)
+        d1 = self.add(eta, neg(a))
+        if d1 is not None:
+            total += n(eta, neg(a)) * n(eps, neg(b)) / self._norm2(d1)
+        d2 = self.add(eps, neg(a))
+        if d2 is not None:
+            total += n(neg(a), eps) * n(eta, neg(b)) / self._norm2(d2)
+        return self._norm2(z) * total / n(eps, eta)
+
+
+def neg(r):
+    return tuple(-x for x in r)
