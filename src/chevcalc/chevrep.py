@@ -300,33 +300,24 @@ class Representation:
 
     @classmethod
     def adjoint(cls, rs):
-        dim = len(rs.roots) + rs.rank
-        idx = {r: i for i, r in enumerate(rs.roots)}
-
-        def h_idx(i):
-            return len(rs.roots) + i
-
+        """The adjoint model on the Chevalley basis: e_b for the roots b in
+        `rs.roots` order, then h_i for the simple coroots.  X_a sends e_b to
+        N(a, b) e_{a+b} along a's sum table, e_-a to h_a (the coroot's
+        coordinates), and h_i to -<a, a_i^> e_a."""
+        n = len(rs.roots)
         powers = {}
-        for a in rs.roots:
-            x = {}
-            neg_a = _vneg(a)
-            for b in rs.roots:
-                if b == neg_a:
-                    for i, c in enumerate(rs.coroot_coords(a)):
-                        if c:
-                            x[(h_idx(i), idx[b])] = c
-                else:
-                    s = rs.add(a, b)
-                    if s is not None:
-                        n = rs.lie_constant(a, b)
-                        if n:
-                            x[(idx[s], idx[b])] = n
-            for i, si in enumerate(rs.simple):
+        for i, a in enumerate(rs.roots):
+            x = {(k, j): rs.constant(i, j) for j, k in rs.sums[i].items()}
+            neg_a = rs.index[_vneg(a)]
+            for h, c in enumerate(rs.coroot_coords(a)):
+                if c:
+                    x[(n + h, neg_a)] = c
+            for h, si in enumerate(rs.simple):
                 c = -rs.cartan_int(si, a)
                 if c:
-                    x[(idx[a], h_idx(i))] = c
+                    x[(i, n + h)] = c
             powers[a] = _divided_powers(x)
-        return cls(rs, "adjoint", dim, powers)
+        return cls(rs, "adjoint", n + rs.rank, powers)
 
     @classmethod
     def defining(cls, rs):
@@ -349,8 +340,8 @@ class Representation:
         for i, a in enumerate(rs.simple):
             images[a] = pos[i]
             images[_vneg(a)] = neg[i]
-        by_height = sorted(rs.positive_roots, key=rs.height)
-        for gamma in by_height:
+        # positive_roots come in the height ordering
+        for gamma in rs.positive_roots:
             if gamma in images:
                 continue
             eps, eta = rs.extraspecial_pair(gamma)

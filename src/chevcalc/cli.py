@@ -131,8 +131,9 @@ def cmd_tables(args):
     for r in roots:
         lines.append("root %s" % (",".join(str(x) for x in r)))
     for beta in roots:
+        neg_beta = _vneg(beta)
         for gamma in roots:
-            if beta == gamma or gamma == _vneg(beta):
+            if beta == gamma or gamma == neg_beta:
                 continue
             coeffs = [
                 "(%d,%d)%+d" % (i, j, c)

@@ -8,18 +8,21 @@ positive root, and the closure must be the whole root set.  E6 and E7 are
 that closure of their simple roots inside E8.  A coroot's coordinates over
 the simple coroots are c_i * (a_i, a_i) / (a, a).
 
-Lie-level constants N(a, b) are built from the extraspecial pairs of the
-height ordering.  Group-level commutator coefficients follow from them by
-the Chevalley commutator formula (Carter, Simple Groups of Lie Type,
-Thm 5.2.2) and are cached per pair; see `StructureConstants`.  The tests
-check them against coefficients read off adjoint matrix products
-(`extracted_comm_coeffs` in tests/wordgen.py).  Everything here is integer
-arithmetic, with every division checked exact, except the Lie constants,
-whose recursion passes through fractions.
+Each system indexes its roots once: a root's position in `roots`, a
+linear integer code of its simple coordinates, and from the codes one sum
+table per root.  Lie-level constants N(a, b) are computed over index pairs
+from the extraspecial pairs of the height ordering.  Group-level
+commutator coefficients follow from them by the Chevalley commutator
+formula (Carter, Simple Groups of Lie Type, Thm 5.2.2) and are cached per
+pair; see `StructureConstants`.  The tests check the constants against a
+recursion in fractions (`FractionLieConstants`) and the coefficients
+against adjoint matrix products (`extracted_comm_coeffs`), both in
+tests/wordgen.py.  Everything here is integer arithmetic, with every
+division checked exact.
 """
 
 import math
-from fractions import Fraction
+from operator import mul
 
 from .errors import InvalidType, OppositeRoots, OracleMismatch
 
@@ -205,25 +208,52 @@ class RootSystem:
         self.rank = rank
         roots, simple = builder(rank)
         self.simple = tuple(simple)
-        self._root_set = set(roots)
         self.ambient_dim = len(simple[0])
         # Simple coordinates, heights, and a deterministic order.
         self._coords = _simple_coords(roots, self.simple)
-        if set(self._coords) != self._root_set:
+        if set(self._coords) != set(roots):
             raise OracleMismatch(
                 "%s%d: root strings from the simple roots reach %d roots, not the %d given"
-                % (label, rank, len(self._coords), len(self._root_set))
+                % (label, rank, len(self._coords), len(set(roots)))
             )
         self.roots = tuple(
             sorted(roots, key=lambda r: (sum(self._coords[r]), self._coords[r]))
         )
-        self.positive_roots = tuple(r for r in self.roots if self.height(r) > 0)
-        self._order = {r: i for i, r in enumerate(self.positive_roots)}
-        norms = sorted({self.norm2(r) for r in self.roots})
+        # roots[:half] are the negative roots, roots[half:] the positive
+        # ones in the height ordering
+        half = len(self.roots) // 2
+        self.positive_roots = self.roots[half:]
+        self._half = half
+        # index[r] is r's position in roots
+        self.index = {r: i for i, r in enumerate(self.roots)}
+        self._neg = [self.index[_vneg(r)] for r in self.roots]
+        self._norm = [self.norm2(r) for r in self.roots]
+        norms = sorted(set(self._norm))
         self._max_norm = norms[-1]
         self._min_norm = norms[0]
+        # code(r) = sum c_i * base^i over r's simple coordinates.  Every
+        # combination looked up below (i*a + j*b with i + j <= 6, and
+        # b - p*a with p <= 4) has coordinates of size below base / 2, so
+        # it is a root exactly when its code is a key of _by_code.
+        top = max(abs(c) for r in self.roots for c in self._coords[r])
+        base = 12 * top + 1
+        self._code = [
+            sum(c * base**i for i, c in enumerate(self._coords[r])) for r in self.roots
+        ]
+        self._by_code = {c: i for i, c in enumerate(self._code)}
+        # sums[i] = {j: k} with roots[i] + roots[j] = roots[k]
+        by_code = self._by_code
+        self.sums = [
+            {j: k for j, cb in enumerate(self._code) if (k := by_code.get(ca + cb)) is not None}
+            for ca in self._code
+        ]
+        # the least eps in the height ordering with gamma - eps positive
         self._extraspecial = {}
-        self._lie_memo = {}
+        for e in range(half, len(self.roots)):
+            for h, k in self.sums[e].items():
+                if h >= half:
+                    self._extraspecial.setdefault(k, (e, h))
+        self._constants = {}
 
     def __str__(self):
         return "%s%d" % (self.label, self.rank)
@@ -233,7 +263,7 @@ class RootSystem:
     # ----- elementary geometry -----
 
     def contains(self, v):
-        return tuple(v) in self._root_set
+        return tuple(v) in self.index
 
     def height(self, r):
         return sum(self._coords[r])
@@ -245,12 +275,12 @@ class RootSystem:
         return _vneg(r)
 
     def add(self, a, b):
-        """The root a + b, or None."""
-        v = _vadd(a, b)
-        return v if v in self._root_set else None
+        """The root a + b of two roots, or None."""
+        k = self.sums[self.index[a]].get(self.index[b])
+        return None if k is None else self.roots[k]
 
     def inner(self, a, b):
-        return sum(x * y for x, y in zip(a, b))
+        return sum(map(mul, a, b))
 
     def norm2(self, a):
         return self.inner(a, a)
@@ -282,7 +312,7 @@ class RootSystem:
             raise OppositeRoots("chain through a proportional root")
         p = 0
         cur = _vsub(b, a)
-        while cur in self._root_set:
+        while cur in self.index:
             p += 1
             cur = _vsub(cur, a)
         return p
@@ -293,13 +323,10 @@ class RootSystem:
             raise OppositeRoots("chain through a proportional root")
         q = 0
         cur = _vadd(b, a)
-        while cur in self._root_set:
+        while cur in self.index:
             q += 1
             cur = _vadd(cur, a)
         return q
-
-    def is_positive(self, r):
-        return self.height(r) > 0
 
     def coroot_coords(self, a):
         """Coordinates of the coroot 2a/(a, a) over the simple coroots
@@ -317,76 +344,68 @@ class RootSystem:
 
     def extraspecial_pair(self, gamma):
         """The minimal decomposition of a positive non-simple root."""
-        if gamma in self._extraspecial:
-            return self._extraspecial[gamma]
-        best = None
-        for eps in self.positive_roots:
-            rest = _vsub(gamma, eps)
-            if rest in self._root_set and self.is_positive(rest):
-                if best is None or self._order[eps] < self._order[best]:
-                    best = eps
-        if best is None:
+        pair = self._extraspecial.get(self.index[gamma])
+        if pair is None:
             raise OppositeRoots("no decomposition: %r is simple" % (gamma,))
-        pair = (best, _vsub(gamma, best))
-        self._extraspecial[gamma] = pair
-        return pair
+        return self.roots[pair[0]], self.roots[pair[1]]
 
     def lie_constant(self, a, b):
         """The Chevalley basis constant N(a, b), with [e_a, e_b] = N(a,b) e_{a+b}.
 
         Returns 0 when a + b is not a root; raises OppositeRoots on b = -a.
         """
-        if b == _vneg(a):
+        i, j = self.index[a], self.index[b]
+        if j == self._neg[i]:
             raise OppositeRoots("N(a, -a) is not defined")
-        v = self._lie_frac(a, b)
-        if v.denominator != 1:
-            raise OracleMismatch("nonintegral structure constant")
-        return int(v)
+        return self.constant(i, j)
 
-    def _lie_frac(self, a, b):
-        key = (a, b)
-        if key in self._lie_memo:
-            return self._lie_memo[key]
-        val = self._lie_frac_raw(a, b)
-        self._lie_memo[key] = val
-        return val
+    def constant(self, i, j):
+        """N(roots[i], roots[j]) for j not the index of -roots[i]."""
+        key = (i, j)
+        n = self._constants.get(key)
+        if n is None:
+            n = self._constants[key] = self._constant(i, j)
+        return n
 
-    def _lie_frac_raw(self, a, b):
-        if _vadd(a, b) not in self._root_set:
-            return Fraction(0)
-        pos_a = self.is_positive(a)
-        pos_b = self.is_positive(b)
-        if not pos_a and not pos_b:
-            return -self._lie_frac(_vneg(a), _vneg(b))
-        if not pos_a:
-            return -self._lie_frac(b, a)
-        if pos_a and not pos_b:
-            z = _vadd(a, b)
-            if self.is_positive(z):
-                return -Fraction(self.norm2(z), self.norm2(a)) * self._lie_frac(
-                    _vneg(b), z
-                )
-            return Fraction(self.norm2(z), self.norm2(b)) * self._lie_frac(_vneg(z), a)
-        if self._order[a] > self._order[b]:
-            return -self._lie_frac(b, a)
-        gamma = _vadd(a, b)
-        eps, eta = self.extraspecial_pair(gamma)
+    def _constant(self, a, b):
+        # the extraspecial-pair recursion over indices; a and b name roots
+        k = self.sums[a].get(b)
+        if k is None:
+            return 0
+        half, neg, norm, n = self._half, self._neg, self._norm, self.constant
+        if a < half and b < half:
+            return -n(neg[a], neg[b])
+        if a < half:
+            return -n(b, a)
+        if b < half:
+            # the cyclic identity N(a, b)/(c, c) = N(b, c)/(a, a), a + b + c = 0
+            if k >= half:
+                return _exact(-norm[k] * n(neg[b], k), norm[a], "structure constant")
+            return _exact(norm[k] * n(neg[k], a), norm[b], "structure constant")
+        if a > b:
+            return -n(b, a)
+        eps, eta = self._extraspecial[k]
         if eps == a:
-            return Fraction(self.p_value(eps, eta) + 1)
-        # Jacobi identity on the quadruple (eps, eta, -a, -b).
-        total = Fraction(0)
-        d1 = _vsub(eta, a)
-        if d1 in self._root_set:
-            total += self._lie_frac(eta, _vneg(a)) * self._lie_frac(
-                eps, _vneg(b)
-            ) / self.norm2(d1)
-        d2 = _vsub(eps, a)
-        if d2 in self._root_set:
-            total += self._lie_frac(_vneg(a), eps) * self._lie_frac(
-                eta, _vneg(b)
-            ) / self.norm2(d2)
-        n_eps_eta = self._lie_frac(eps, eta)
-        return Fraction(self.norm2(gamma)) * total / n_eps_eta
+            # N(eps, eta) = p + 1, p the largest with eta - p*eps a root
+            p, step = 0, self._code[eps]
+            cur = self._code[eta] - step
+            while cur in self._by_code:
+                p, cur = p + 1, cur - step
+            return p + 1
+        # The Jacobi identity on (eps, eta, -a, -b):
+        #   N(a, b) = (k, k) / N(eps, eta) * (t1 / n1 + t2 / n2),
+        # multiplied through by the norms n1 and n2.
+        na, nb = neg[a], neg[b]
+        t1, n1, t2, n2 = 0, 1, 0, 1
+        d1 = self.sums[eta].get(na)
+        if d1 is not None:
+            t1, n1 = n(eta, na) * n(eps, nb), norm[d1]
+        d2 = self.sums[eps].get(na)
+        if d2 is not None:
+            t2, n2 = n(na, eps) * n(eta, nb), norm[d2]
+        return _exact(
+            norm[k] * (t1 * n2 + t2 * n1), n1 * n2 * n(eps, eta), "structure constant"
+        )
 
 
 _SYSTEM_CACHE = {}
@@ -414,10 +433,10 @@ _PAIR_ORDER = sorted(
 )
 
 
-def _exact(num, den):
+def _exact(num, den, what="commutator coefficient"):
     q, rem = divmod(num, den)
     if rem:
-        raise OracleMismatch("nonintegral commutator coefficient %d/%d" % (num, den))
+        raise OracleMismatch("nonintegral %s %d/%d" % (what, num, den))
     return q
 
 
@@ -451,23 +470,31 @@ class StructureConstants:
         There are none when a + b is not a root, and i, j <= 3 in every
         reduced root system (G2 reaches 3a + 2b and 2a + 3b).
         """
-        root_set = self.rs._root_set
-        if _vadd(a, b) not in root_set:
+        rs = self.rs
+        return [(ij, rs.roots[k]) for ij, k in self._pairs(rs.index[a], rs.index[b])]
+
+    def _pairs(self, a, b):
+        """pair_roots over indices."""
+        rs = self.rs
+        if b not in rs.sums[a]:
             return []
+        ca, cb = rs._code[a], rs._code[b]
         out = []
-        for ij in _PAIR_ORDER:
-            v = _vsum(a, b, *ij)
-            if v in root_set:
-                out.append((ij, v))
+        for i, j in _PAIR_ORDER:
+            k = rs._by_code.get(i * ca + j * cb)
+            if k is not None:
+                out.append(((i, j), k))
         return out
 
     def comm_coeffs(self, a, b):
-        if b == _vneg(a) or a == b:
-            raise OppositeRoots("commutator coefficients need a != +-b")
         key = (a, b)
         if key in self._memo:
             return self._memo[key]
-        out = tuple((ij, self._coefficient(a, b, ij)) for ij, _ in self.pair_roots(a, b))
+        rs = self.rs
+        ia, ib = rs.index[a], rs.index[b]
+        if ib == rs._neg[ia] or ia == ib:
+            raise OppositeRoots("commutator coefficients need a != +-b")
+        out = tuple((ij, self._coefficient(ia, ib, ij)) for ij, _ in self._pairs(ia, ib))
         self._memo[key] = out
         return out
 
@@ -477,17 +504,21 @@ class StructureConstants:
             return (-1) ** (i + 1) * self._m(a, b, i)
         if i == 1:
             return (-1) ** j * self._m(b, a, j)
+        ab = self.rs.sums[a][b]
         if ij == (3, 2):
-            return _exact(-2 * self._m(_vadd(a, b), a, 2), 3)
+            return _exact(-2 * self._m(ab, a, 2), 3)
         if ij == (2, 3):
-            return _exact(-self._m(_vadd(a, b), b, 2), 3)
+            return _exact(-self._m(ab, b, 2), 3)
         raise OracleMismatch("no commutator coefficient for %d*a + %d*b" % ij)
 
     def _m(self, x, y, i):
-        """M(x, y, i) = N(x, y) N(x, x+y) ... N(x, (i-1)x+y) / i!."""
+        """M(x, y, i) = N(x, y) N(x, x+y) ... N(x, (i-1)x+y) / i!, over
+        indices; the x-string through y is unbroken up to i*x + y."""
+        rs = self.rs
         prod = 1
-        for k in range(i):
-            prod *= self.rs.lie_constant(x, _vsum(x, y, k, 1))
+        for _ in range(i):
+            prod *= rs.constant(x, y)
+            y = rs.sums[x].get(y)
         return _exact(prod, math.factorial(i))
 
     def c11(self, a, b):
@@ -517,7 +548,7 @@ def find_unit_sum_decomposition(sc, alpha, ring):
     rs = sc.rs
     for beta in rs.roots:
         gamma = _vsub(alpha, beta)
-        if gamma not in rs._root_set:
+        if gamma not in rs.index:
             continue
         if beta == gamma or beta == _vneg(gamma):
             continue
