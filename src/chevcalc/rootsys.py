@@ -232,9 +232,9 @@ class RootSystem:
         self._max_norm = norms[-1]
         self._min_norm = norms[0]
         # code(r) = sum c_i * base^i over r's simple coordinates.  Every
-        # combination looked up below (i*a + j*b with i + j <= 6, and
-        # b - p*a with p <= 4) has coordinates of size below base / 2, so
-        # it is a root exactly when its code is a key of _by_code.
+        # combination looked up by code (i*a + j*b with i + j <= 6) has
+        # coordinates of size below base / 2, so it is a root exactly when
+        # its code is a key of _by_code.
         top = max(abs(c) for r in self.roots for c in self._coords[r])
         base = 12 * top + 1
         self._code = [
@@ -247,7 +247,8 @@ class RootSystem:
             {j: k for j, cb in enumerate(self._code) if (k := by_code.get(ca + cb)) is not None}
             for ca in self._code
         ]
-        # the least eps in the height ordering with gamma - eps positive
+        # _extraspecial[gamma] = (eps, gamma - eps) for the least eps in
+        # the height ordering with gamma - eps positive
         self._extraspecial = {}
         for e in range(half, len(self.roots)):
             for h, k in self.sums[e].items():
@@ -378,7 +379,8 @@ class RootSystem:
         if a < half:
             return -n(b, a)
         if b < half:
-            # the cyclic identity N(a, b)/(c, c) = N(b, c)/(a, a), a + b + c = 0
+            # from the cyclic identity N(a, b)/(c, c) = N(b, c)/(a, a) for
+            # a + b + c = 0
             if k >= half:
                 return _exact(-norm[k] * n(neg[b], k), norm[a], "structure constant")
             return _exact(norm[k] * n(neg[k], a), norm[b], "structure constant")
@@ -386,12 +388,7 @@ class RootSystem:
             return -n(b, a)
         eps, eta = self._extraspecial[k]
         if eps == a:
-            # N(eps, eta) = p + 1, p the largest with eta - p*eps a root
-            p, step = 0, self._code[eps]
-            cur = self._code[eta] - step
-            while cur in self._by_code:
-                p, cur = p + 1, cur - step
-            return p + 1
+            return self.p_value(self.roots[eps], self.roots[eta]) + 1
         # The Jacobi identity on (eps, eta, -a, -b):
         #   N(a, b) = (k, k) / N(eps, eta) * (t1 / n1 + t2 / n2),
         # multiplied through by the norms n1 and n2.

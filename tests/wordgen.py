@@ -179,7 +179,7 @@ class FractionLieConstants:
     tuples: the reference for `RootSystem.lie_constant`, `extraspecial_pair`
     and `add`.
 
-    The sign conventions are Carter's (Simple Groups of Lie Type, Ch. 4):
+    The sign conventions are Carter's (Simple Groups of Lie Type):
     N(eps, eta) = p + 1 on each extraspecial pair, and every other constant
     follows from N(a, b) = -N(b, a) = -N(-a, -b), the cyclic identity
     N(a, b)/(c, c) = N(b, c)/(a, a) for a + b + c = 0, and the Jacobi
