@@ -220,13 +220,13 @@ class FractionLieConstants:
             return Fraction(0)
         pos_a, pos_b = a in self.order, b in self.order
         if not pos_a and not pos_b:
-            return -n(neg(a), neg(b))
+            return -n(_neg(a), _neg(b))
         if not pos_a:
             return -n(b, a)
         if not pos_b:
             if z in self.order:
-                return -Fraction(self._norm2(z), self._norm2(a)) * n(neg(b), z)
-            return Fraction(self._norm2(z), self._norm2(b)) * n(neg(z), a)
+                return -Fraction(self._norm2(z), self._norm2(a)) * n(_neg(b), z)
+            return Fraction(self._norm2(z), self._norm2(b)) * n(_neg(z), a)
         if self.order[a] > self.order[b]:
             return -n(b, a)
         eps, eta = self.extraspecial_pair(z)
@@ -236,14 +236,14 @@ class FractionLieConstants:
                 p, cur = p + 1, tuple(x - y for x, y in zip(cur, eps))
             return Fraction(p + 1)
         total = Fraction(0)
-        d1 = self.add(eta, neg(a))
+        d1 = self.add(eta, _neg(a))
         if d1 is not None:
-            total += n(eta, neg(a)) * n(eps, neg(b)) / self._norm2(d1)
-        d2 = self.add(eps, neg(a))
+            total += n(eta, _neg(a)) * n(eps, _neg(b)) / self._norm2(d1)
+        d2 = self.add(eps, _neg(a))
         if d2 is not None:
-            total += n(neg(a), eps) * n(eta, neg(b)) / self._norm2(d2)
+            total += n(_neg(a), eps) * n(eta, _neg(b)) / self._norm2(d2)
         return self._norm2(z) * total / n(eps, eta)
 
 
-def neg(r):
+def _neg(r):
     return tuple(-x for x in r)
