@@ -622,19 +622,9 @@ class Ring:
     # ----- serialization -----
 
     def parse(self, text):
-        """Parse a polynomial expression, optionally followed by /s^k."""
-        text = text.strip()
-        den = 0
-        m = re.search(r"/\s*s(\^(\d+))?\s*\Z", text)
-        if m:
-            den = int(m.group(2)) if m.group(2) else 1
-            text = text[: m.start()].strip()
-            if self.loc_num is None:
-                raise ParseError("denominator in a ring without localization")
-        el = _PolyParser(self, text).parse()
-        if den:
-            el = self._make(dict(el.num), el.den + den)
-        return el
+        """Parse a polynomial expression whose terms may be divided by s or
+        s^k, the localized element: `3*X - 3*X/s` is 3X - 3X/s."""
+        return _PolyParser(self, text).parse()
 
     def to_config(self):
         cfg = {"base_mod": self.base_mod, "vars": list(self.var_names)}
@@ -644,9 +634,10 @@ class Ring:
 
 
 class _PolyParser:
-    """Recursive descent parser for +, -, *, ^, parentheses, ints, vars."""
+    """Recursive descent parser for +, -, *, ^, parentheses, ints, vars,
+    and / by s or s^k, which binds like *."""
 
-    _TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9_]*|[()+\-*^])")
+    _TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9_]*|[()+\-*/^])")
 
     def __init__(self, ring, text):
         self.ring = ring
@@ -690,19 +681,32 @@ class _PolyParser:
 
     def term(self):
         el = self.power()
-        while self.peek() == "*":
-            self.take()
-            el = el * self.power()
+        while self.peek() in ("*", "/"):
+            if self.take() == "*":
+                el = el * self.power()
+            else:
+                el = el * self.ring.s_power(self.divisor())
         return el
+
+    def divisor(self):
+        """The k of a divisor s or s^k."""
+        if self.ring.loc_num is None:
+            raise ParseError("denominator in a ring without localization")
+        if self.take() != "s":
+            raise ParseError("a divisor must be s or s^k")
+        return self.exponent() if self.peek() == "^" else 1
+
+    def exponent(self):
+        self.take()
+        tok = self.take()
+        if tok is None or not tok.isdigit():
+            raise ParseError("exponent must be a literal integer")
+        return int(tok)
 
     def power(self):
         el = self.atom()
         if self.peek() == "^":
-            self.take()
-            tok = self.take()
-            if tok is None or not tok.isdigit():
-                raise ParseError("exponent must be a literal integer")
-            el = el ** int(tok)
+            el = el ** self.exponent()
         return el
 
     def atom(self):
@@ -718,7 +722,7 @@ class _PolyParser:
             return -self.atom()
         if tok.isdigit():
             return self.ring.int_(int(tok))
-        if tok in ("+", "*", "^", ")"):
+        if tok in ("+", "*", "/", "^", ")"):
             raise ParseError("unexpected %r" % tok)
         return self.ring.var(tok)
 

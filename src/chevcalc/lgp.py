@@ -129,7 +129,8 @@ def torsion_exponent(g, h, s, var=None):
     at_zero[var] = ring.zero()
     if _mat_substitute(g, at_zero, ring) != _mat_substitute(h, at_zero, ring):
         raise LocalizationMismatch("the matrices disagree at %s = 0" % var)
-    for m in range(bound + 1):
+    # m = 0 is the g == h test above
+    for m in range(1, bound + 1):
         dil = _lift_map(ring, ring)
         dil[var] = s_elt ** m * ring.var(var)
         if _mat_substitute(g, dil, ring) == _mat_substitute(h, dil, ring):
@@ -308,6 +309,13 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
     pins the final exponent exactly, including over base rings where s
     divides zero.  With minimize_l the clearing exponent is the least one
     that stays integral instead of the recorded denominator maximum.
+
+    A word that is not a level word raises ConditionViolated here.  A word
+    that is not trivial at var = 0 raises CongruenceFailed from the
+    splitting of the doubled word, whose variable-free part is w at
+    var = 0.  When the torsion scan gives 0 in every representation, its
+    first comparison is the acceptance test; otherwise the shifted word
+    is compared once more.
     """
     ring = eng.ring
     if ring.loc_num is None:
@@ -336,13 +344,9 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
             [(EMPTY, LevelShape(i_base))],
             details={"l": 0, "n": 0, "clear_m": 0, "torsion_k": 0, "den_exponents": []},
         )
-    t = ring.var(var)
-    oracle = eng.congruence_oracle()
-    report = check_shape(w, LevelShape(i_spec), oracle)
+    report = check_shape(w, LevelShape(i_spec), eng.congruence_oracle())
     if not report.ok:
         raise ConditionViolated("input is not a level word: %s" % report.reason)
-    if not oracle(w, IdealSpec.gens(ring, t)):
-        raise CongruenceFailed("the input word is not trivial at %s = 0" % var)
 
     # double the variable through a fresh one and split along it
     vp = var + "p"
@@ -420,19 +424,19 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
     k = 0
     for gm, hm in zip(mats_in, eng_out.evaluate(h_word)):
         k = max(k, torsion_exponent(integral_dilation(gm, n), hm, s_out, var))
+    # at k = 0 the scan's first comparison was the acceptance test
     l = n + k
+    h_final = h_word
     if k:
         shift = _lift_map(base_out, base_out)
         shift[var] = s_out ** k * base_out.var(var)
         h_final = substitute_word(h_word, shift, base_out)
-    else:
-        h_final = h_word
-    for rep, gm, hm in zip(eng.reps, mats_in, eng_out.evaluate(h_final)):
-        if hm != integral_dilation(gm, l):
-            raise OracleMismatch(
-                "dilate output differs from the dilated input in the %s "
-                "representation" % rep.kind
-            )
+        for rep, gm, hm in zip(eng.reps, mats_in, eng_out.evaluate(h_final)):
+            if hm != integral_dilation(gm, l):
+                raise OracleMismatch(
+                    "dilate output differs from the dilated input in the %s "
+                    "representation" % rep.kind
+                )
     details = {
         "s": str(s_elt),
         "var": var,
@@ -492,6 +496,10 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
     it must evaluate to exactly the datum's matrices (OracleMismatch
     otherwise, which is how inconsistent local data surfaces), and it
     certifies LevelShape(ideal) over the base.  Returns (word, receipt).
+
+    The per-datum level and var = 0 checks below are the only ones that
+    catch a datum k >= 2 that is not trivial at var = 0: its overlap word
+    is trivial at u_k = 0 by construction, so `dilate` cannot.
     Every step is checked: `verify` stays for callers that pass True, and
     False raises ValueError.
     """

@@ -107,6 +107,28 @@ def test_localization_stripping_over_z():
     assert ring.parse("(t + 1)/s^2") * 4 == t + 1
 
 
+@pytest.mark.parametrize("text, twice", [
+    ("3*X - 3*X/s", "3*X"),
+    ("1 - 1/s", "1"),
+    ("2 - 1/s", "3"),
+    ("X/s - X", "-X"),
+    ("-3*X/s + 3*X", "3*X"),
+    ("X^2/s^2*4 + 1", "2*X^2 + 2"),
+])
+def test_parse_divides_terms_by_s(text, twice):
+    # over Z[X][1/2], / s divides the term it ends, not the whole text
+    ring = Ring.integers().extend("X").localize_at(2)
+    assert ring.parse(text) * 2 == ring.parse(twice)
+
+
+@pytest.mark.parametrize("text", ["X/2", "X/X", "X/(s)", "X/s^", "X/"])
+def test_parse_divisor_is_s_or_a_power_of_s(text):
+    with pytest.raises(ParseError):
+        Ring.integers().extend("X").localize_at(2).parse(text)
+    with pytest.raises(ParseError):
+        Ring.integers().extend("X").parse("X/s")
+
+
 def test_zero_ring_when_s_nilpotent():
     ring = Ring.integers_mod(4).localize_at(2)
     # 2 is nilpotent mod 4, so inverting it collapses everything.

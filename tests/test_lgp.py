@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from chevcalc import rewrite
 from chevcalc.errors import (
     CongruenceFailed,
     ConditionViolated,
@@ -318,6 +319,8 @@ def test_dilate_input_checks():
         dilate(eng, Prod((Gen(A, loc.parse("2*t")),)), I)
     with pytest.raises(CongruenceFailed):
         dilate(eng, Prod((Gen(A, loc.int_(3)),)), I)
+    with pytest.raises(CongruenceFailed):
+        dilate(eng, Prod((Gen(A, loc.parse("3 + 3*t")),)), I)
     flat = Ring.integers().localize_at(2)
     with pytest.raises(NotSplittingIdeal):
         dilate(RewriteEngine("A2", flat), Prod((Gen(A, flat.int_(3)),)), IdealSpec.gens(flat, 3))
@@ -374,6 +377,22 @@ def test_patch_glues_interleaved_crafted_cover():
     # the coefficients really partition 1 across the powered cover
     assert -7804 * 2**9 + 203 * 3**9 == 1
     _check_glued(base, prob, g_word, out, rec)
+
+
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_patch_checks_congruence_once_per_datum(monkeypatch, interleaved):
+    # patch tests each datum at X = 0 once per representation (adjoint and
+    # defining); dilate and relative_split add no congruence check of their own
+    calls = []
+    original = rewrite.congruence_check
+
+    def counting(m, spec):
+        calls.append(spec)
+        return original(m, spec)
+
+    monkeypatch.setattr(rewrite, "congruence_check", counting)
+    patch(crafted_problem(interleaved)[1])
+    assert len(calls) == 4
 
 
 def test_patch_reproduces_random_integral_words():
@@ -440,6 +459,15 @@ def test_patch_rejections():
         patch(prob, verify=False)
     with pytest.raises(CongruenceFailed):
         patch(PatchProblem("A2", base, I3, (LocalDatum(2, Prod((Gen(A, l2.int_(3)),))),), "X"))
+    # a second datum's overlap word is trivial at u2 = 0 whatever the datum,
+    # so only patch's own check refuses it
+    with pytest.raises(CongruenceFailed):
+        patch(PatchProblem("A2", base, I3, (
+            LocalDatum(2, Prod((Gen(A, l2.parse("3*X")),))),
+            LocalDatum(3, Prod((Gen(A, base.localize_at(3).parse("3*X + 3")),))),
+        ), "X"))
+    with pytest.raises(ConditionViolated):
+        patch(PatchProblem("A2", base, I3, (LocalDatum(2, Prod((Gen(A, l2.parse("X")),))),), "X"))
     with pytest.raises(LocalizationMismatch):
         patch(PatchProblem("A2", base, I3, (LocalDatum(2, Prod((Gen(A, base.parse("3*X")),))),), "X"))
     with pytest.raises(NotSplittingIdeal):

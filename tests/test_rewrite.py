@@ -594,6 +594,9 @@ def test_relative_split_errors():
         eng.relative_split(w, IdealSpec.gens(ring, t), "t")
     with pytest.raises(CongruenceFailed):
         eng.relative_split(Gen(A, ring.int_(3)), IdealSpec.gens(ring, 3), "t")
+    # the conjugator carries t, the conjugated generator does not
+    with pytest.raises(CongruenceFailed):
+        eng.relative_split(Conj(Gen(A, ring.int_(3)), Gen(B, t)), IdealSpec.gens(ring, 3), "t")
 
 
 # ----- move_indeterminate -----
@@ -761,8 +764,8 @@ def test_relative_split_evaluates_its_input_once(evaluations):
     t = ring.var("t")
     w = Prod((Conj(Gen(A, ring.int_(3)), Gen(B, t)), Gen(A, ring.int_(-3))))
     eng.relative_split(w, IdealSpec.gens(ring, 3), "t")
-    # the congruence check and the equality check in finish share one
-    # evaluation per representation (adjoint and defining)
+    # finish's equality check evaluates it once per representation
+    # (adjoint and defining)
     assert len(eng.reps) == 2
     assert sum(1 for x in evaluations if x == w) == 2
 
