@@ -697,6 +697,7 @@ class _PolyParser:
         return self.exponent() if self.peek() == "^" else 1
 
     def exponent(self):
+        """The k of ^k, with the ^ next."""
         self.take()
         tok = self.take()
         if tok is None or not tok.isdigit():

@@ -309,13 +309,8 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
     pins the final exponent exactly, including over base rings where s
     divides zero.  With minimize_l the clearing exponent is the least one
     that stays integral instead of the recorded denominator maximum.
-
-    A word that is not a level word raises ConditionViolated here.  A word
-    that is not trivial at var = 0 raises CongruenceFailed from the
-    splitting of the doubled word, whose variable-free part is w at
-    var = 0.  When the torsion scan gives 0 in every representation, its
-    first comparison is the acceptance test; otherwise the shifted word
-    is compared once more.
+    A word not trivial at var = 0 raises CongruenceFailed in the split of
+    the doubled word, whose variable-free part is w at var = 0.
     """
     ring = eng.ring
     if ring.loc_num is None:
@@ -496,12 +491,10 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
     it must evaluate to exactly the datum's matrices (OracleMismatch
     otherwise, which is how inconsistent local data surfaces), and it
     certifies LevelShape(ideal) over the base.  Returns (word, receipt).
-
-    The per-datum level and var = 0 checks below are the only ones that
-    catch a datum k >= 2 that is not trivial at var = 0: its overlap word
-    is trivial at u_k = 0 by construction, so `dilate` cannot.
     Every step is checked: `verify` stays for callers that pass True, and
-    False raises ValueError.
+    False raises ValueError.  The per-datum var = 0 check alone catches a
+    datum k >= 2 not trivial at var = 0: its overlap word is trivial at
+    u_k = 0 by construction, so `dilate` cannot.
     """
     if not verify:
         raise ValueError("patch always verifies; verify=False is not supported")

@@ -888,11 +888,8 @@ class RewriteEngine:
         splits as b = c * d with c over the retract.  The variable-free
         parts x(u)^c collect on the right and must evaluate to the
         identity; what remains is mixed commutators [d, g^-1] plus factors
-        at level I*(var).
-
-        The product of the variable-free parts is w at var = 0, so their
-        identity check is the congruence test: a word that is not trivial
-        at var = 0 raises CongruenceFailed there, after the walk.
+        at level I*(var).  The variable-free parts multiply to w at var = 0,
+        so a word not trivial there raises CongruenceFailed at that check.
         """
         self._check_splitting_var(var)
         for g in i_spec.expand():

@@ -121,12 +121,58 @@ def test_parse_divides_terms_by_s(text, twice):
     assert ring.parse(text) * 2 == ring.parse(twice)
 
 
-@pytest.mark.parametrize("text", ["X/2", "X/X", "X/(s)", "X/s^", "X/"])
-def test_parse_divisor_is_s_or_a_power_of_s(text):
+@pytest.mark.parametrize("mod, var_names, s_text", [
+    (0, ("t", "X"), "2"),
+    (0, ("t", "X"), "t + 1"),
+    (0, ("t",), "2"),
+    (9, ("t",), "2"),
+])
+def test_parse_of_divided_terms_matches_sympy(mod, var_names, s_text):
+    # a shuffled sum of terms, each with its own /s^k, parses to the element
+    # that ring arithmetic builds; sympy reads the same text with s
+    # substituted, and its difference from the parse vanishes mod m (2 is
+    # a unit mod 9, so the numerator must)
+    base = Ring(mod, var_names)
+    ring = base.localize_at(base.parse(s_text))
+    syms = dict(zip(var_names, sympy.symbols(var_names)))
+    s_sym = sympy.sympify(s_text, locals=syms)
+    rng = random.Random(len(var_names) * 100 + mod + len(s_text))
+    for _ in range(30):
+        terms, want = [], ring.zero()
+        for _ in range(rng.randrange(1, 5)):
+            c, k = rng.randrange(-9, 10), rng.randrange(3)
+            exps = [rng.randrange(3) for _ in var_names]
+            text = "*".join(["%d" % abs(c)] + ["%s^%d" % (v, e) for v, e in zip(var_names, exps) if e])
+            if k:
+                text += "/s^%d" % k if k > 1 else "/s"
+            terms.append(("-" if c < 0 else "+", text))
+            term = ring.int_(c) * ring.s_power(k)
+            for v, e in zip(var_names, exps):
+                term = term * ring.var(v) ** e
+            want = want + term
+        rng.shuffle(terms)
+        text = " ".join("%s %s" % pair for pair in terms).lstrip("+ ")
+        got = ring.parse(text)
+        assert got == want
+        ref = sympy.sympify(text.replace("^", "**"), locals=dict(syms, s=s_sym))
+        ours = sum(
+            (c * sympy.Mul(*(syms[v] ** e for v, e in zip(var_names, exp)))
+             for exp, c in got.num.items()),
+            sympy.Integer(0),
+        ) / s_sym ** got.den
+        numer = sympy.fraction(sympy.together(ref - ours))[0]
+        coeffs = sympy.Poly(numer, *syms.values()).coeffs() if numer != 0 else []
+        assert all(int(c) % mod == 0 if mod else c == 0 for c in coeffs)
+
+
+@pytest.mark.parametrize("localized, text", [
+    (True, "X/2"), (True, "X/X"), (True, "X/(s)"), (True, "X/s^"), (True, "X/"),
+    (False, "X/s"),
+])
+def test_parse_divisor_is_s_or_a_power_of_s(localized, text):
+    ring = Ring.integers().extend("X")
     with pytest.raises(ParseError):
-        Ring.integers().extend("X").localize_at(2).parse(text)
-    with pytest.raises(ParseError):
-        Ring.integers().extend("X").parse("X/s")
+        (ring.localize_at(2) if localized else ring).parse(text)
 
 
 def test_zero_ring_when_s_nilpotent():
