@@ -333,6 +333,8 @@ class Ring:
             self.var_names,
             None if self.loc_num is None else tuple(sorted(self.loc_num.items())),
         )
+        # localize_at's results, keyed by the sorted terms of s
+        self._localizations = {}
 
     @staticmethod
     def _check_var_name(name):
@@ -354,6 +356,11 @@ class Ring:
 
     def __hash__(self):
         return hash(self._key)
+
+    def __reduce__(self):
+        # the parameters alone: a pickled element does not carry the
+        # localizations cached on its ring
+        return Ring, (self.base_mod, self.var_names, self.loc_num)
 
     def __str__(self):
         base = "Z" if self.base_mod == 0 else "Z/%d" % self.base_mod
@@ -383,7 +390,8 @@ class Ring:
         """Return the localization of this ring at s (an int or an element).
 
         Equality in the result needs a torsion bound, so a localization
-        without one (Z/m at a non-integer element) is refused here.
+        without one (Z/m at a non-integer element) is refused here.  Each
+        s gives one Ring, built on the first call and kept on this ring.
         """
         if self.loc_num is not None:
             raise UnsupportedRing("already localized; build from the base ring")
@@ -393,8 +401,12 @@ class Ring:
             raise UnsupportedRing("localization element must be denominator free")
         if not s.num:
             raise UnsupportedRing("cannot localize at zero")
-        loc = Ring(self.base_mod, self.var_names, dict(s.num))
-        loc.torsion_bound()
+        key = tuple(sorted(s.num.items()))
+        loc = self._localizations.get(key)
+        if loc is None:
+            loc = Ring(self.base_mod, self.var_names, s.num)
+            loc.torsion_bound()
+            self._localizations[key] = loc
         return loc
 
     def delocalized(self):

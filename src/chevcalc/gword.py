@@ -26,29 +26,31 @@ from .exactring import IdealSpec, RingElement
 from .rootsys import _vneg
 
 
-@dataclass(frozen=True)
+# The node kinds carry slots: a run holds many small nodes, and a node
+# without an instance dict takes less memory.
+@dataclass(frozen=True, slots=True)
 class Gen:
     root: tuple
     arg: RingElement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inv:
     word: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prod:
     factors: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conj:
     base: object
     by: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comm:
     left: object
     right: object

@@ -15,11 +15,14 @@ functions here carry that out exactly and glue the pullbacks:
   glues dilated pullbacks over a unimodular cover into one global word.
 
 Words are collected (`gword.collect`) where a stage hands them on: the
-output of `for_dilation`, the cleared word of `dilate` and the glued word
-of `patch`.  Collection drops x_a(0) and conjugates of it and merges
-adjacent factors on one root, so a datum written as x_a(3X/2)^2 reaches
-`dilate` as the integral x_a(3X) and needs no dilation.  Every collected
-word still passes through `finish`.
+overlap words `patch` hands to `dilate`, the output of `for_dilation`, the
+cleared word of `dilate` and the glued word of `patch`.  Collection drops
+x_a(0) and conjugates of it and merges adjacent factors on one root.  An
+overlap word is collected as one product, so the pair of factors that
+meet at its seam merges into one generator.  A datum itself reaches
+`dilate` as given: one written as x_a(3X/2)^2 turns integral in the
+collected output of `for_dilation`, so its dilation exponent l is 0.
+Every collected word still passes through `finish`.
 
 Every step is checked against the matrix representations through the
 RewriteEngine over its output ring, and every receipt comes from that
@@ -53,6 +56,7 @@ from .gword import (
     LevelShape,
     Prod,
     RelConjShape,
+    _factors,
     check_shape,
     collect,
     inv_word,
@@ -266,7 +270,7 @@ def for_dilation(eng, w, k_spec, var):
         "decompositions": 0,
     }
     out = []
-    for f in (w.factors if isinstance(w, Prod) else (w,)):
+    for f in _factors(w):
         if isinstance(unwrap(f)[0], Comm):
             try:
                 level_w, mixed_w, _ = eng.move_indeterminate(Prod((f,)), cube, k_spec)
@@ -483,9 +487,10 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
     level ideal there, and is trivial at var = 0.  The k-th overlap word
     compares the datum at var * (u_1 + ... + u_k) against the same datum
     at var * (u_1 + ... + u_{k-1}) over fresh variables u_i, one per
-    cover element; dilate pulls each overlap back to the unlocalized
-    extension, a unit combination of the powered cover elements pins the
-    u_i to constants summing to 1, and the pinned words concatenate.
+    cover element, and is collected before its dilation; dilate pulls
+    each overlap back to the unlocalized extension, a unit combination of
+    the powered cover elements pins the u_i to constants summing to 1,
+    and the pinned words concatenate.
 
     The glued word is checked against every datum: over each localization
     it must evaluate to exactly the datum's matrices (OracleMismatch
@@ -564,7 +569,10 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
         else:
             to_prev = _lift_map(base, loc_big)
             to_prev[var] = loc_big.var(var) * (sigma - loc_big.var(aux[k]))
-            w_k = Prod((inv_word(substitute_word(d.word, to_prev, loc_big)), a_word))
+            prev_inv = inv_word(substitute_word(d.word, to_prev, loc_big))
+            # one product, so that the seam pair x_a(-p(sigma - u_k)) *
+            # x_a(p(sigma)) merges into one generator before dilation
+            w_k = collect(Prod(_factors(prev_inv) + _factors(a_word)))
         i_loc_big = problem.ideal.substitute(_lift_map(base, loc_big), loc_big)
         l_k, h_k, rec_k = dilate(eng_w, w_k, i_loc_big, var=aux[k], minimize_l=minimize_l)
         exponents.append(l_k)
@@ -582,11 +590,7 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
         phi = _lift_map(base, base)
         for j in range(len(data)):
             phi[aux[j]] = combo[j] if j == k else pinned_vals[j]
-        img = substitute_word(h_k, phi, base)
-        if isinstance(img, Prod):
-            out_factors.extend(img.factors)
-        else:
-            out_factors.append(img)
+        out_factors.extend(_factors(substitute_word(h_k, phi, base)))
     out = collect(Prod(tuple(out_factors)))
 
     eng_base = RewriteEngine(problem.system, base, node_budget=node_budget)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from chevcalc import rewrite
+from chevcalc import lgp, rewrite
 from chevcalc.errors import (
     CongruenceFailed,
     ConditionViolated,
@@ -25,6 +25,7 @@ from chevcalc.gword import (
     Prod,
     RelConjShape,
     check_shape,
+    flatten,
     substitute_word,
     word_args,
 )
@@ -377,6 +378,37 @@ def test_patch_glues_interleaved_crafted_cover():
     # the coefficients really partition 1 across the powered cover
     assert -7804 * 2**9 + 203 * 3**9 == 1
     _check_glued(base, prob, g_word, out, rec)
+
+
+def test_patch_collects_the_overlap_word_at_the_seam(monkeypatch):
+    # the A2 chain a, a, b, -a with c = 1, 5, 7, 11, lifted to R_2 and R_3.
+    # The u2 overlap word ends the inverted datum at x_a(-3X*u1) and starts
+    # the datum at x_a(3X*(u1 + u2)); they merge into x_a(3X*u2).
+    base = Ring(0, ("X",))
+    x = base.var("X")
+    roots = (A, A, B, tuple(-v for v in A))
+    g_word = Prod(tuple(Gen(r, base.int_(3 * c) * x) for r, c in zip(roots, (1, 5, 7, 11))))
+    data = tuple(LocalDatum(s, lift(g_word, base.localize_at(s))) for s in (2, 3))
+    prob = PatchProblem("A2", base, IdealSpec.gens(base, 3), data, "X")
+    seen = {}
+
+    def spy(eng, w, i_spec, var=None, minimize_l=False):
+        seen[var] = w
+        return dilate(eng, w, i_spec, var=var, minimize_l=minimize_l)
+
+    monkeypatch.setattr(lgp, "dilate", spy)
+    out, rec = patch(prob)
+    overlap = seen["u2"].factors
+    assert not any(
+        isinstance(f, Gen) and isinstance(g, Gen) and f.root == g.root
+        for f, g in zip(overlap, overlap[1:])
+    )
+    eng = RewriteEngine("A2", base)
+    for rep in eng.reps:
+        assert rep.words_equal(out, g_word, base)
+    assert check_shape(out, LevelShape(prob.ideal), eng.congruence_oracle()).ok
+    # with the seam pair left as two generators the glued word had 13
+    assert len(flatten(out)) < 13
 
 
 @pytest.mark.parametrize("interleaved", [False, True])
