@@ -399,10 +399,8 @@ def test_patch_collects_the_overlap_word_at_the_seam(monkeypatch):
     monkeypatch.setattr(lgp, "dilate", spy)
     out, rec = patch(prob)
     overlap = seen["u2"].factors
-    assert not any(
-        isinstance(f, Gen) and isinstance(g, Gen) and f.root == g.root
-        for f, g in zip(overlap, overlap[1:])
-    )
+    assert all(isinstance(f, Gen) for f in overlap)
+    assert all(f.root != g.root for f, g in zip(overlap, overlap[1:]))
     eng = RewriteEngine("A2", base)
     for rep in eng.reps:
         assert rep.words_equal(out, g_word, base)
