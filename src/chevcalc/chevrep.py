@@ -22,10 +22,11 @@ integer s the column's common power of s is divided out by a gcd.  At the
 end each column is unpacked into `RepMatrix` entries through
 `Ring._normal`.  Over a Z base, or over Z/m without a localization, that
 is the element's one normal form, so the stored (num, den) are those ring
-arithmetic gives; over Z/m localized no form is unique, and an entry may
-keep its column's larger denominator power.  The dense reference the
-tests compare against, a product of full generator matrices, lives in
-tests/wordgen.py (`dense_evaluate`).
+arithmetic gives and `RepMatrix.__eq__` compares them as stored
+(`Ring.canonical`); over Z/m localized no form is unique, an entry may
+keep its column's larger denominator power, and equality subtracts.  The
+dense reference the tests compare against, a product of full generator
+matrices, lives in tests/wordgen.py (`dense_evaluate`).
 
 The adjoint model exists for every supported system.  The defining models
 (types A and C) share sign conventions with the adjoint model because
@@ -120,7 +121,19 @@ class RepMatrix:
     def __eq__(self, other):
         if not isinstance(other, RepMatrix) or other.ring != self.ring:
             return NotImplemented
-        positions = set(self.entries) | set(other.entries)
+        a, b = self.entries, other.entries
+        if self.ring.canonical:
+            # stored forms are unique; an entry with an empty num is a zero
+            # stored explicitly, equal to a missing one
+            for p, v in a.items():
+                w = b.get(p)
+                if w is None:
+                    if v.num:
+                        return False
+                elif v.den != w.den or v.num != w.num:
+                    return False
+            return all(p in a or not w.num for p, w in b.items())
+        positions = set(a) | set(b)
         return all((self.entry(*p) - other.entry(*p)).is_zero() for p in positions)
 
     def __hash__(self):

@@ -16,7 +16,10 @@ already reduced and free of zeros, and only fixes the denominator.  Over
 a Z base the form is canonical: the largest power s^k, k <= den, that
 divides num is divided out.  For an integer s that is one division by
 s^k, k read off the gcd of the coefficients; otherwise s is divided out
-one power at a time while the division is exact.
+one power at a time while the division is exact.  Where the form is
+canonical (`Ring.canonical`: a Z base, or Z/m unlocalized), equality and
+hashing read the stored form; over Z/m localized, equality subtracts and
+applies the torsion test above.
 
 Most products have a one-term factor (an argument c*t^e, a power of an
 integer s, a witness coefficient), so `_poly_mul` multiplies by a one-term
@@ -328,6 +331,11 @@ class Ring:
             raise UnsupportedRing("cannot localize at zero")
         # s as an int when it is an integer constant, else None
         self._loc_int = None if loc_num is None else self._as_int_constant(self.loc_num)
+        # every element has one stored (num, den): over a Z base `_normal`
+        # strips the largest power of s, and unlocalized Z/m keeps den = 0.
+        # Over Z/m localized, 2/s and 1 are equal (s = 2, m = 9) and stored
+        # apart, so equality there subtracts and hashing ignores the form.
+        self.canonical = self.base_mod == 0 or self.loc_num is None
         self._key = (
             self.base_mod,
             self.var_names,
@@ -871,13 +879,14 @@ class RingElement:
             other.ring is not self.ring and other.ring != self.ring
         ):
             return NotImplemented
+        if self.ring.canonical:
+            return self.den == other.den and self.num == other.num
         return (self - other).is_zero()
 
     def __hash__(self):
-        # the stored form is canonical over Z and over unlocalized Z/m; over
-        # a localized Z/m equal elements can be stored apart (2/s and 1 over
-        # Z/9 localized at s = 2), so those hash by the ring alone
-        if self.ring.base_mod == 0 or self.ring.loc_num is None:
+        # by the stored form where it is unique (`Ring.canonical`); else
+        # equal elements can be stored apart, so they hash by the ring alone
+        if self.ring.canonical:
             return hash((self.ring, tuple(sorted(self.num.items())), self.den))
         return hash(self.ring)
 

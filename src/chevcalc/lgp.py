@@ -15,14 +15,14 @@ functions here carry that out exactly and glue the pullbacks:
   glues dilated pullbacks over a unimodular cover into one global word.
 
 Words are collected (`gword.collect`) where a stage hands them on: the
-overlap words `patch` hands to `dilate`, the output of `for_dilation`, the
-cleared word of `dilate` and the glued word of `patch`.  Collection drops
-x_a(0) and conjugates of it and merges adjacent factors on one root.  An
-overlap word is collected as one product, so the pair of factors that
-meet at its seam merges into one generator.  A datum itself reaches
-`dilate` as given: one written as x_a(3X/2)^2 turns integral in the
-collected output of `for_dilation`, so its dilation exponent l is 0.
-Every collected word still passes through `finish`.
+words `patch` hands to `dilate` (the first datum and each overlap word),
+the output of `for_dilation`, the cleared word of `dilate` and the glued
+word of `patch`.  Collection drops x_a(0) and conjugates of it and merges
+adjacent factors on one root.  An overlap word is collected as one
+product, so the pair of factors that meet at its seam merges into one
+generator; the first datum is collected alone, so a datum written as
+x_a(3X/2)^2 reaches its dilation as one integral generator (l = 0).  Every
+collected word still passes through `finish`.
 
 Every step is checked against the matrix representations through the
 RewriteEngine over its output ring, and every receipt comes from that
@@ -565,7 +565,7 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
         to_k[var] = loc_big.var(var) * sigma
         a_word = substitute_word(d.word, to_k, loc_big)
         if k == 0:
-            w_k = a_word
+            w_k = collect(a_word)
         else:
             to_prev = _lift_map(base, loc_big)
             to_prev[var] = loc_big.var(var) * (sigma - loc_big.var(aux[k]))

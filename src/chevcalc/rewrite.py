@@ -6,21 +6,27 @@ prescribed shape, and returns a RewriteReceipt alongside it.
 RewriteEngine owns the matrix representations of one (system, ring) pair
 and is the only place where words meet the oracle: `evaluate` gives a
 word's matrices, `equal` compares two words and `congruence_oracle` tests
-a word against the identity modulo an ideal.  The three share one memo,
-owned by the engine and dropped with it, that maps (representation, word)
-to the word's matrix, so each distinct word is evaluated once per engine
-(a stage that checks a congruence and then an equality on the same word
-pays for one evaluation).  The memo cannot accept a wrong word: words are
-frozen dataclasses compared field by field, generator arguments compare
-by exact ring equality, and the engine's ring is fixed, so a word that
-finds a cached matrix evaluates to that matrix.  Every engine op, and every
-stage of the patching pipeline, builds its receipt through `finish`, which
-issues the receipt only after two independent checks pass: the output
-evaluates to the same matrix as its target in every representation, and
-each certified part matches its shape.  Factors that the grammar alone
-cannot place are attested by a matrix congruence check; the receipt
-records how many such attestations were needed (zero on the fully
-structural paths).
+a word against the identity modulo an ideal.  `evaluate` and
+`congruence_oracle` share one memo, owned by the engine and dropped with
+it, that maps (representation, word) to the word's matrix, so each
+distinct word they see is evaluated once per engine.  The memo cannot
+accept a wrong word: words are frozen dataclasses compared field by
+field, generator arguments compare by exact ring equality, and the
+engine's ring is fixed, so a word that finds a cached matrix evaluates
+to that matrix.  `equal` evaluates only where two words differ: it
+flattens both to their generators, returns at once when the sequences
+are identical (a re-associated tree, a conjugate written out) and
+otherwise compares the matrices of what lies between their common prefix
+and suffix.  That stays exact: the shared ends evaluate to invertible
+matrices, so they cancel from both sides.
+
+Every engine op, and every stage of the patching pipeline, builds its
+receipt through `finish`, which issues the receipt only after two
+independent checks pass: the output evaluates to the same matrix as its
+target in every representation, and each certified part matches its
+shape.  Factors that the grammar alone cannot place are attested by a
+matrix congruence check; the receipt records how many such attestations
+were needed (zero on the fully structural paths).
 """
 
 from dataclasses import dataclass, field
@@ -253,10 +259,45 @@ class RewriteEngine:
         """
         return [self._matrix(rep, w) for rep in self.reps]
 
+    def _generators(self, w):
+        """w's generators as (root, argument) pairs over the engine's ring,
+        without the x_a(0) that evaluation skips."""
+        coerce = self.ring.coerce
+        out = []
+        for g in flatten(w):
+            r = coerce(g.arg)
+            if r.num:
+                out.append((g.root, r))
+        return out
+
     def equal(self, a, b):
-        """Do a and b evaluate alike?  Stops at the first representation
-        that tells them apart."""
-        return all(self._matrix(rep, a) == self._matrix(rep, b) for rep in self.reps)
+        """Do a and b evaluate alike?
+
+        Both words are flattened to their generators.  Identical sequences
+        are equal with nothing evaluated.  Otherwise the words read P·u·S
+        and P·v·S for their longest common prefix P and suffix S, and only
+        the middles u and v are evaluated: M(P·u·S) = M(P)·M(u)·M(S) with
+        M(P) and M(S) invertible, so the words are equal exactly when
+        M(u) = M(v).  The middles are rarely evaluated twice, so they
+        bypass the memo.  Stops at the first representation that tells
+        them apart.
+        """
+        ga, gb = self._generators(a), self._generators(b)
+        if ga == gb:
+            return True
+        n = min(len(ga), len(gb))
+        i = 0
+        while i < n and ga[i] == gb[i]:
+            i += 1
+        j = 0
+        while j < n - i and ga[-1 - j] == gb[-1 - j]:
+            j += 1
+        mid_a = Prod(tuple(Gen(root, r) for root, r in ga[i : len(ga) - j]))
+        mid_b = Prod(tuple(Gen(root, r) for root, r in gb[i : len(gb) - j]))
+        return all(
+            rep.evaluate_word(mid_a, self.ring) == rep.evaluate_word(mid_b, self.ring)
+            for rep in self.reps
+        )
 
     def congruence_oracle(self):
         """A check(word, spec) callable: is the word congruent to the

@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from chevcalc.chevrep import RepMatrix
 from chevcalc.errors import (
     NotInIdeal,
     ParseError,
@@ -551,6 +552,116 @@ def test_contains_matches_witness_then_reconstruction(ring_name):
         assert seen == {True, UndecidableIdealClass}
     else:
         assert seen == {True, False, UndecidableIdealClass}
+
+
+# ----- equality by stored forms -----
+
+
+_ZTX = Ring(0, ("t", "X"))
+STORED_FORM_RINGS = {
+    "Z[t,X]": _ZTX,
+    "Z[1/2][t]": _ZT.localize_at(2),
+    "Z[t][1/(t+3)]": _ZT.localize_at(_ZT.parse("t + 3")),
+    "Z/9[t]": Ring(9, ("t",)),
+}
+
+
+def _sympy_value(x, syms, s_sym):
+    """x as a sympy expression, num / s^den."""
+    num = sum(
+        (c * sympy.Mul(*(v**e for v, e in zip(syms, exp))) for exp, c in x.num.items()),
+        sympy.Integer(0),
+    )
+    return num / s_sym**x.den
+
+
+def _sympy_equal(a, b):
+    """Is a - b zero?  Read from the numerator of the difference of the two
+    sympy values, with coefficients taken mod m over Z/m."""
+    ring = a.ring
+    syms = sympy.symbols(ring.var_names)
+    s_sym = sympy.Integer(1)
+    if ring.loc_num is not None:
+        s_sym = _sympy_value(ring.loc_element(), syms, sympy.Integer(1))
+    diff = _sympy_value(a, syms, s_sym) - _sympy_value(b, syms, s_sym)
+    numer = sympy.expand(sympy.fraction(sympy.together(diff))[0])
+    if numer == 0:
+        return True
+    m = ring.base_mod
+    return bool(m) and all(int(c) % m == 0 for c in sympy.Poly(numer, *syms).coeffs())
+
+
+@pytest.mark.parametrize("ring_name", sorted(STORED_FORM_RINGS))
+def test_stored_form_equality_matches_subtraction_and_sympy(ring_name):
+    # every ring here stores each element in one form (Ring.canonical), so
+    # == compares (num, den); subtraction and sympy are the references.
+    # The second element is often the first rebuilt by another route
+    ring = STORED_FORM_RINGS[ring_name]
+    assert ring.canonical
+    den = st.integers(0, 2) if ring.loc_num is not None else st.just(0)
+    term = st.builds(
+        lambda c, exps, k: ring.int_(c) * ring.s_power(k) * math.prod(
+            (ring.var(v) ** e for v, e in zip(ring.var_names, exps)), start=ring.one()
+        ),
+        st.integers(-9, 9),
+        st.tuples(*(st.integers(0, 2) for _ in ring.var_names)),
+        den,
+    )
+    poly = st.lists(term, max_size=3).map(lambda ts: sum(ts, ring.zero()))
+    s = ring.loc_element() if ring.loc_num is not None else ring.int_(2)
+    seen = set()
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        a, c = data.draw(poly), data.draw(poly)
+        route = data.draw(st.sampled_from(("other", "shifted", "sum", "scaled")))
+        if route == "other":
+            b = c
+        elif route == "shifted":
+            b = a + ring.int_(9)
+        elif route == "sum":
+            b = (a + c) - c
+        elif ring.loc_num is not None:
+            b = a * s * ring.s_power(1)
+        else:
+            b = (a * s).divide_exact(s)
+        want = _sympy_equal(a, b)
+        assert (a == b) == want == (a - b).is_zero() == (b == a)
+        if want:
+            assert hash(a) == hash(b)
+        seen.add(want)
+
+    check()
+    assert seen == {True, False}
+
+
+def test_equality_falls_back_to_subtraction_over_localized_z_mod_m():
+    # over Z/9 localized at 2, 2/s and 1 are equal but stored apart
+    ring = Ring(9, ("t",)).localize_at(2)
+    assert not ring.canonical
+    half_of_two = ring.int_(2) * ring.s_power(1)
+    assert (half_of_two.num, half_of_two.den) != (ring.one().num, ring.one().den)
+    assert half_of_two == ring.one() and ring.one() == half_of_two
+    assert half_of_two == 1 and hash(half_of_two) == hash(ring.one())
+    assert half_of_two != ring.int_(2)
+
+
+@pytest.mark.parametrize("ring_name", sorted(STORED_FORM_RINGS) + ["Z/9[t][1/2]"])
+def test_rep_matrix_explicit_zero_equals_a_missing_entry(ring_name):
+    ring = STORED_FORM_RINGS.get(ring_name) or Ring(9, ("t",)).localize_at(2)
+    one, t = ring.one(), ring.var("t")
+    bare = RepMatrix(ring, 2, {(0, 0): one, (1, 1): one, (1, 0): t})
+    padded = RepMatrix(ring, 2, {(0, 0): one, (0, 1): ring.zero(), (1, 1): one, (1, 0): t})
+    assert bare == padded and padded == bare
+    assert padded == RepMatrix(ring, 2, {(0, 1): ring.zero(), (0, 0): one, (1, 1): one, (1, 0): t})
+    for other in (
+        RepMatrix(ring, 2, {(0, 0): one, (1, 1): one}),
+        RepMatrix(ring, 2, {(0, 0): one, (0, 1): t, (1, 1): one, (1, 0): t}),
+        RepMatrix(ring, 2, {(0, 0): one, (1, 1): one, (1, 0): t + 1}),
+    ):
+        assert bare != other and other != bare
+        assert padded != other and other != padded
 
 
 # ----- the polynomial kernels against sympy -----

@@ -409,6 +409,30 @@ def test_patch_collects_the_overlap_word_at_the_seam(monkeypatch):
     assert len(flatten(out)) < 13
 
 
+def test_patch_collects_the_first_datum(monkeypatch):
+    # the R_2 datum writes x_a(9X) as x_a(3X) * x_a(6X); the first dilation
+    # receives them merged into x_a(9X*u1)
+    base = Ring(0, ("X",))
+    l2, l3 = base.localize_at(2), base.localize_at(3)
+    d1 = Prod((Gen(A, l2.parse("3*X")), Gen(A, l2.parse("6*X")), Gen(C, l2.parse("3*X"))))
+    d2 = Prod((Gen(A, l3.parse("9*X")), Gen(C, l3.parse("3*X"))))
+    prob = PatchProblem("A2", base, IdealSpec.gens(base, 3),
+                        (LocalDatum(2, d1), LocalDatum(3, d2)), "X")
+    g_word = Prod((Gen(A, base.parse("9*X")), Gen(C, base.parse("3*X"))))
+    seen = {}
+
+    def spy(eng, w, i_spec, var=None, minimize_l=False):
+        seen[var] = w
+        return dilate(eng, w, i_spec, var=var, minimize_l=minimize_l)
+
+    monkeypatch.setattr(lgp, "dilate", spy)
+    out, rec = patch(prob)
+    first = seen["u1"]
+    loc = first.factors[0].arg.ring
+    assert first == Prod((Gen(A, loc.parse("9*X*u1")), Gen(C, loc.parse("3*X*u1"))))
+    _check_glued(base, prob, g_word, out, rec)
+
+
 @pytest.mark.parametrize("interleaved", [False, True])
 def test_patch_checks_congruence_once_per_datum(monkeypatch, interleaved):
     # patch tests each datum at X = 0 once per representation (adjoint and

@@ -5,7 +5,9 @@ idempotent, never grows a word and keeps LevelShape and RelConjShape
 certificates with no more attestations; and of
 `RewriteEngine.conjugation_normalize` under the budget that
 `lgp.for_dilation` builds: every blocked peel is either charged to the
-budget or falls back to an attestation.
+budget or falls back to an attestation; and of `RewriteEngine.equal`,
+which evaluates only what lies between two words' shared prefix and
+suffix, against full evaluation.
 
 Words are nested Inv/Conj/Comm/Prod trees over c*t^e arguments (divided
 by a power of s over a localized ring).  Examples are derandomized and
@@ -32,7 +34,7 @@ from chevcalc.gword import (
     node_count,
 )
 from chevcalc.rewrite import Budget, RewriteEngine
-from chevcalc.rootsys import _vneg, build_root_system
+from chevcalc.rootsys import _vneg, _vsum, build_root_system
 
 from wordgen import dense_evaluate, is_identity, random_level_word, random_word
 
@@ -50,16 +52,19 @@ def _setup(label, ring_name):
     return rs, get_representation(rs, "adjoint"), RINGS[ring_name]
 
 
-def _words(rs, ring, max_leaves=6):
+def _args(ring, coeffs=st.integers(-6, 6)):
     t = ring.var("t")
     den = st.integers(0, 2) if ring.loc_num is not None else st.just(0)
-    arg = st.builds(
+    return st.builds(
         lambda c, e, k: ring.int_(c) * t**e * ring.s_power(k),
-        st.integers(-6, 6),
+        coeffs,
         st.integers(0, 2),
         den,
     )
-    gen = st.builds(Gen, st.sampled_from(rs.roots), arg)
+
+
+def _words(rs, ring, max_leaves=6):
+    gen = st.builds(Gen, st.sampled_from(rs.roots), _args(ring))
     return st.recursive(
         gen,
         lambda inner: st.one_of(
@@ -183,3 +188,84 @@ def test_conjugation_normalize_under_the_dilation_budget(label):
 
     check()
     assert any(n > 0 for n in falls)
+
+
+# Z/9 localized at 2 stores equal elements apart, so equality there
+# subtracts; the other two compare stored forms
+EQUAL_RINGS = {
+    "Z[t]": RINGS["Z[t]"],
+    "Z[1/2][t]": RINGS["Z[1/2][t]"],
+    "Z/9[t] at 2": Ring.integers_mod(9).extend("t").localize_at(2),
+}
+# (kind, whether the two words are equal)
+PAIR_KINDS = (
+    ("swap", True),
+    ("conj", True),
+    ("inv", True),
+    ("zero", True),
+    ("arg", False),
+    ("edge", False),
+    ("repeat", False),
+)
+
+
+def _pair(rs, ring, data):
+    """Two words that share a drawn prefix p and suffix s around a drawn
+    middle, and whether they are equal.
+
+    swap: x_a(q) x_b(r) against x_b(r) x_a(q), with a + b not a root;
+    conj: Conj(x, y) against y^-1 x y, re-associated across p and s;
+    inv: (x y)^-1 against y^-1 x^-1;
+    zero: x_c(0) inserted into the middle;
+    arg: one middle argument changed;
+    edge: p ends and s starts on the root whose argument changes between
+    them, so the change sits at the edge of both shared runs;
+    repeat: x_c(d) against x_c(d) x_c(d), so that the shared runs could
+    overlap on the longer word and one middle is empty.
+    """
+    words = _words(rs, ring, max_leaves=4)
+    p, s, x, y = (data.draw(words) for _ in range(4))
+    kind, same = data.draw(st.sampled_from(PAIR_KINDS))
+    c = data.draw(st.sampled_from(rs.roots))
+    q = data.draw(_args(ring))
+    # a nonzero change of an argument, in every ring above
+    d = data.draw(_args(ring, st.sampled_from((-4, -2, -1, 1, 2, 4))))
+    if kind == "swap":
+        a, b = data.draw(st.sampled_from([
+            (a, b) for a in rs.roots for b in rs.roots
+            if a != b and a != _vneg(b) and _vsum(a, b) not in rs.index
+        ]))
+        r = data.draw(_args(ring))
+        u, v = Prod((Gen(a, q), Gen(b, r))), Prod((Gen(b, r), Gen(a, q)))
+    elif kind == "conj":
+        return Prod((p, Conj(x, y), s)), Prod((Prod((p, Inv(y))), x, Prod((y, s)))), same
+    elif kind == "inv":
+        u, v = Inv(Prod((x, y))), Prod((Inv(y), Inv(x)))
+    elif kind == "zero":
+        u, v = Prod((x, y)), Prod((x, Gen(c, ring.zero()), y))
+    elif kind == "arg":
+        u, v = Prod((x, Gen(c, q), y)), Prod((x, Gen(c, q + d), y))
+    elif kind == "edge":
+        p, s = Prod((p, Gen(c, data.draw(_args(ring))))), Prod((Gen(c, q), s))
+        u, v = Gen(c, q), Gen(c, q + d)
+    else:
+        u, v = Gen(c, d), Prod((Gen(c, d), Gen(c, d)))
+    return Prod((p, u, s)), Prod((p, v, s)), same
+
+
+@pytest.mark.parametrize("ring_name", sorted(EQUAL_RINGS))
+@pytest.mark.parametrize("label", ("A2", "C2"))
+@settings(PROPERTY, max_examples=35)
+@given(data=st.data())
+def test_equal_matches_full_evaluation(label, ring_name, data):
+    # RewriteEngine.equal evaluates only the middles between the shared
+    # generator runs; full evaluation in every representation is the
+    # reference (A2 and C2 each have an adjoint and a defining model)
+    rs = build_root_system(label[0], int(label[1:]))
+    ring = EQUAL_RINGS[ring_name]
+    eng = RewriteEngine(rs, ring)
+    left, right, same = _pair(rs, ring, data)
+    full = all(rep.words_equal(left, right, ring) for rep in eng.reps)
+    assert full == same
+    assert eng.equal(left, right) == full
+    assert eng.equal(right, left) == full

@@ -741,7 +741,7 @@ def test_node_budget_enforced():
         eng.hall_witt_split(f, h, k)
 
 
-# ----- the engine's evaluation memo -----
+# ----- the engine's oracle: evaluation memo and equality -----
 
 
 @pytest.fixture
@@ -758,35 +758,56 @@ def evaluations(monkeypatch):
     return seen
 
 
-def test_relative_split_evaluates_its_input_once(evaluations):
+def test_relative_split_never_evaluates_its_input(evaluations):
     ring = Ring.integers().extend("t")
     eng = RewriteEngine("A2", ring)
     t = ring.var("t")
     w = Prod((Conj(Gen(A, ring.int_(3)), Gen(B, t)), Gen(A, ring.int_(-3))))
-    eng.relative_split(w, IdealSpec.gens(ring, 3), "t")
-    # finish's equality check evaluates it once per representation
-    # (adjoint and defining)
+    out, _ = eng.relative_split(w, IdealSpec.gens(ring, 3), "t")
+    # the output is the input re-associated: finish's equality check sees
+    # the same generators and evaluates nothing.  What is evaluated is the
+    # variable-free remainder against the empty word, once per
+    # representation (adjoint and defining)
+    assert out != w and flatten(out) == flatten(w)
+    rem = Prod((Gen(A, ring.int_(3)), Gen(A, ring.int_(-3))))
     assert len(eng.reps) == 2
-    assert sum(1 for x in evaluations if x == w) == 2
+    assert evaluations == [rem, EMPTY, rem, EMPTY]
 
 
-def test_memo_keeps_words_that_differ_in_one_generator_apart(evaluations):
+def test_equal_evaluates_only_where_words_differ(evaluations):
     ring = Ring.integers().extend("t")
     eng = RewriteEngine("A2", ring)
     t = ring.var("t")
-    w = Prod((Gen(A, 3 * t), Gen(B, t + 1), Gen(C, ring.int_(2))))
-    assert eng.equal(w, w)
-    assert len(evaluations) == 2
-    for w2 in (
-        Prod((Gen(A, 3 * t), Gen(B, t + 2), Gen(C, ring.int_(2)))),
-        Prod((Gen(A, 3 * t), Gen(C, t + 1), Gen(C, ring.int_(2)))),
+    a3t, c2 = Gen(A, 3 * t), Gen(C, ring.int_(2))
+    w = Prod((a3t, Gen(B, t + 1), c2))
+    # identical generator sequences evaluate nothing: the word itself, one
+    # built afresh, one re-associated, and one with an x_a(0) inserted
+    for same in (
+        w,
+        Prod((Gen(A, 3 * t), Gen(B, t + 1), Gen(C, ring.int_(2)))),
+        Prod((Prod((a3t, Gen(B, t + 1))), Inv(Inv(c2)))),
+        Prod((a3t, Gen(B, t + 1), Gen(C, ring.zero()), c2)),
     ):
+        assert eng.equal(w, same) and eng.equal(same, w)
+    assert evaluations == []
+    # one middle generator differs: only the two middles are evaluated, and
+    # the adjoint representation already tells them apart
+    for mid in (Gen(B, t + 2), Gen(C, t + 1)):
+        w2 = Prod((a3t, mid, c2))
         assert not eng.equal(w, w2)
         assert not eng.equal(w2, w)
-    # an equal word built afresh is a hit, not a new evaluation
-    n = len(evaluations)
-    assert eng.equal(Prod((Gen(A, 3 * t), Gen(B, t + 1), Gen(C, ring.int_(2)))), w)
-    assert len(evaluations) == n
+        middles = [Prod((Gen(B, t + 1),)), Prod((mid,))]
+        assert evaluations == middles + middles[::-1]
+        evaluations.clear()
+    # a and c commute: the swapped middles are equal in both representations
+    swapped = Prod((a3t, Gen(B, t + 1), Gen(C, t), Gen(A, ring.int_(5)), c2))
+    twin = Prod((a3t, Gen(B, t + 1), Gen(A, ring.int_(5)), Gen(C, t), c2))
+    assert eng.equal(swapped, twin)
+    m1 = Prod((Gen(C, t), Gen(A, ring.int_(5))))
+    m2 = Prod((Gen(A, ring.int_(5)), Gen(C, t)))
+    assert evaluations == [m1, m2, m1, m2]
+    # none of these went into the memo
+    assert not eng._matrices
 
 
 def test_a_new_engine_starts_with_an_empty_memo(evaluations):
