@@ -98,14 +98,25 @@ def ideal_from_texts(ring, texts):
     return IdealSpec.gens(ring, *[ring.parse(t) for t in texts])
 
 
+class _Fields(dict):
+    """A JSON object from an input file; a missing field is a ParseError."""
+
+    def __missing__(self, key):
+        raise errors.ParseError("instance is missing field %r" % (key,))
+
+
 def load_json(path):
+    """The JSON object in the file at `path`, its objects as `_Fields`."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh, object_hook=_Fields)
     except OSError as e:
         raise errors.ParseError("cannot read %s: %s" % (path, e)) from None
     except json.JSONDecodeError as e:
         raise errors.ParseError("%s is not valid JSON: %s" % (path, e)) from None
+    if not isinstance(data, dict):
+        raise errors.ParseError("%s holds a JSON %s, not an object" % (path, type(data).__name__))
+    return data
 
 
 def write_output(path, text):
@@ -328,10 +339,10 @@ def _demo_for_dilation(eng, ring, inst):
     return out, rec, {}
 
 
-def _demo_dilate(eng, ring, inst, minimize_l=False):
+def _demo_dilate(eng, ring, inst):
     w = word_from_text(inst["word"], ring, eng.rs)
     i_spec = ideal_from_texts(ring, inst["ideal"])
-    l, out, rec = dilate(eng, w, i_spec, var=inst.get("var"), minimize_l=minimize_l)
+    l, out, rec = dilate(eng, w, i_spec, var=inst.get("var"))
     return out, rec, {"l": l}
 
 
@@ -367,12 +378,7 @@ def cmd_demo(args):
     eng = RewriteEngine(rs, ring, node_budget=args.budget)
     payload = {"lemma": lemma, "system": inst["system"], "ring": ring.to_config()}
     try:
-        if lemma == "dilate":
-            out, rec, extra = _demo_dilate(eng, ring, inst, minimize_l=args.minimize_l)
-        else:
-            out, rec, extra = DEMOS[lemma](eng, ring, inst)
-    except KeyError as e:
-        raise errors.ParseError("instance is missing field %s" % e) from None
+        out, rec, extra = DEMOS[lemma](eng, ring, inst)
     except errors.ChevCalcError as e:
         return _emit_error(args.out, payload, e)
     payload["word"] = word_to_text(out)
@@ -411,12 +417,13 @@ def _load_patch_problem(inst):
 
 
 def cmd_lgp(args):
-    inst = load_json(args.problem)
-    payload = {"system": inst.get("system"), "ideal": inst.get("ideal")}
+    payload = {"system": None, "ideal": None}
     try:
+        inst = load_json(args.problem)
+        payload.update(system=inst.get("system"), ideal=inst.get("ideal"))
         rs, base, ideal, problem = _load_patch_problem(inst)
         payload["ring"] = base.to_config()
-        out, rec = patch(problem, node_budget=args.budget, minimize_l=args.minimize_l)
+        out, rec = patch(problem, node_budget=args.budget)
         text = word_to_text(out)
         # the emitted word must survive a parse round trip; patch checks
         # every step, so its receipt already certifies the level shape of
@@ -464,7 +471,6 @@ def build_parser():
     d.add_argument("--out")
     d.add_argument("--budget", type=int, default=200000)
     d.add_argument("--trace", action="store_true")
-    d.add_argument("--minimize-l", action="store_true")
     d.set_defaults(func=cmd_demo)
 
     g = sub.add_parser("lgp", help="solve a patching problem file")
@@ -473,7 +479,6 @@ def build_parser():
     g.add_argument("--word-out")
     g.add_argument("--budget", type=int, default=200000)
     g.add_argument("--trace", action="store_true")
-    g.add_argument("--minimize-l", action="store_true")
     g.set_defaults(func=cmd_lgp)
     return p
 

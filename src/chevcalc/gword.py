@@ -9,9 +9,8 @@ left^-1 * right^-1 * left * right.
 argument and the nodes left around nothing, and merges adjacent factors
 on one root, but never flattens Conj, Comm or Inv, so a collected word
 keeps every shape certificate its input had, with no more attestations.
-The pipeline runs it wherever a stage hands a word on; `free_reduce` is
-`collect` of the flattened word.  `unwrap` is the one walk through the
-Inv and Conj wrappers around a factor's core.
+The pipeline runs it wherever a stage hands a word on.  `unwrap` is the
+one walk through the Inv and Conj wrappers around a factor's core.
 
 Shape certificates describe the subgroup a word visibly belongs to.
 `check_shape` pattern matches a word against a certificate and reports
@@ -143,11 +142,6 @@ def node_count(w):
         a, b = (w.base, w.by) if isinstance(w, Conj) else (w.left, w.right)
         return 1 + node_count(a) + node_count(b)
     raise TypeError("not a word: %r" % (w,))
-
-
-def free_reduce(w):
-    """Merge adjacent generators on the same root and drop zero arguments."""
-    return collect(Prod(flatten(w)))
 
 
 def collect(w):
@@ -445,15 +439,6 @@ class BarShape:
 
 
 @dataclass(frozen=True)
-class VaserFormShape:
-    """The three-generator form x_{-a}(-r) x_a(s) x_{-a}(r), or its
-    conjugate presentation Conj(Gen(a, s), Gen(-a, r)).  The root a may
-    be pinned."""
-
-    root: object = None
-
-
-@dataclass(frozen=True)
 class ShapeReport:
     ok: bool
     reason: str = ""
@@ -623,23 +608,4 @@ def _check(w, cert):
                 r = r2 if r2.ok else ShapeReport(True, "", ((f, product_level),))
             reports.append(r)
         return _merge(*reports)
-    if isinstance(cert, VaserFormShape):
-        return _match_vaser(w, cert.root)
     raise TypeError("unknown certificate %r" % (cert,))
-
-
-def _match_vaser(w, root):
-    if isinstance(w, Conj):
-        if isinstance(w.base, Gen) and isinstance(w.by, Gen):
-            if w.by.root == _vneg(w.base.root):
-                if root is None or w.base.root == tuple(root):
-                    return _OK
-        return _fail("conjugate is not opposite-root")
-    if isinstance(w, Prod) and len(w.factors) == 3:
-        a, b, c = w.factors
-        if isinstance(a, Gen) and isinstance(b, Gen) and isinstance(c, Gen):
-            if a.root == c.root and a.root == _vneg(b.root):
-                if (a.arg + c.arg).is_zero():
-                    if root is None or b.root == tuple(root):
-                        return _OK
-    return _fail("word is not in opposite-conjugate form")

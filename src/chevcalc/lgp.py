@@ -296,7 +296,7 @@ def for_dilation(eng, w, k_spec, var):
 # ----- dilation -----
 
 
-def dilate(eng, w, i_spec, var=None, minimize_l=False):
+def dilate(eng, w, i_spec, var=None):
     """Pull a local level word back to the unlocalized ring.
 
     `w` is a level-i_spec word over the engine's ring localized at s,
@@ -307,14 +307,13 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
 
     The variable is doubled through a fresh one (var -> var * var'), the
     splitting of the doubled word along var' is raised to the ninth power
-    and rewritten by for_dilation, and var' -> s^m * var' with m covering
-    every argument denominator clears the localization, so l = 9*m and up.
-    var' = 1 collapses the result, and a torsion scan per representation
-    pins the final exponent exactly, including over base rings where s
-    divides zero.  With minimize_l the clearing exponent is the least one
-    that stays integral instead of the recorded denominator maximum.
-    A word not trivial at var = 0 raises CongruenceFailed in the split of
-    the doubled word, whose variable-free part is w at var = 0.
+    and rewritten by for_dilation, and var' -> s^m * var', with m the
+    largest denominator exponent among its arguments, clears the
+    localization, so l = 9*m and up.  var' = 1 collapses the result, and a
+    torsion scan per representation pins the final exponent exactly,
+    including over base rings where s divides zero.  A word not trivial at
+    var = 0 raises CongruenceFailed in the split of the doubled word, whose
+    variable-free part is w at var = 0.
     """
     ring = eng.ring
     if ring.loc_num is None:
@@ -364,32 +363,21 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
     bar9 = substitute_word(bar, nine, ring2)
     h9, rec_ford = for_dilation(eng2, bar9, i2, vp)
 
-    # clear denominators with var' -> s^m var'
+    # clear denominators with var' -> s^m var', m the largest denominator
     dens = sorted({a.den for a in word_args(h9) if a.den})
-    den_max = dens[-1] if dens else 0
+    m = dens[-1] if dens else 0
     base2 = ring2.delocalized()
-    s_b2 = _to_ring(s_elt, base2)
-
-    def clear_at(m_try):
-        mp = _lift_map(ring2, base2)
-        mp[vp] = s_b2 ** m_try * base2.var(vp)
-        return substitute_word(h9, mp, base2)
-
-    cleared = None
-    last_err = None
-    for m in range(0, den_max + 1) if minimize_l else (den_max,):
-        try:
-            cleared = clear_at(m)
-            break
-        except SubstitutionMismatch as e:
-            last_err = e
-    if cleared is None:
+    clear = _lift_map(ring2, base2)
+    clear[vp] = _to_ring(s_elt, base2) ** m * base2.var(vp)
+    try:
+        cleared = substitute_word(h9, clear, base2)
+    except SubstitutionMismatch as e:
         # an attested factor kept a bare localized argument that no power
         # of s can absorb; report the boundary instead of guessing
         raise SubstitutionMismatch(
             "clearing %s -> %s^m * %s leaves a denominator standing: %s"
-            % (vp, s_elt, vp, last_err)
-        )
+            % (vp, s_elt, vp, e)
+        ) from None
     n = 9 * m
 
     # collapse the auxiliary variable
@@ -445,7 +433,6 @@ def dilate(eng, w, i_spec, var=None, minimize_l=False):
         "n": n,
         "torsion_k": k,
         "l": l,
-        "minimized": bool(minimize_l),
         "ninth_power_attested": rec_ford.attested,
     }
     return l, h_final, eng_out.finish(
@@ -480,7 +467,7 @@ class PatchProblem:
     var: object = None
 
 
-def patch(problem, verify=True, node_budget=200000, minimize_l=False):
+def patch(problem, verify=True, node_budget=200000):
     """Glue local words over a unimodular cover into one global word.
 
     Each datum's word lives over base localized at its s, certifies the
@@ -574,7 +561,7 @@ def patch(problem, verify=True, node_budget=200000, minimize_l=False):
             # x_a(p(sigma)) merges into one generator before dilation
             w_k = collect(Prod(_factors(prev_inv) + _factors(a_word)))
         i_loc_big = problem.ideal.substitute(_lift_map(base, loc_big), loc_big)
-        l_k, h_k, rec_k = dilate(eng_w, w_k, i_loc_big, var=aux[k], minimize_l=minimize_l)
+        l_k, h_k, rec_k = dilate(eng_w, w_k, i_loc_big, var=aux[k])
         exponents.append(l_k)
         pulled.append(h_k)
         dilation_details.append(rec_k.details)

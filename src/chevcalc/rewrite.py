@@ -58,13 +58,11 @@ from .gword import (
     MixedCommShape,
     Prod,
     RelConjShape,
-    VaserFormShape,
     YShape,
     _match_rel_like,
     check_shape,
     collect,
     flatten,
-    free_reduce,
     is_word,
     node_count,
     unwrap,
@@ -383,24 +381,6 @@ class RewriteEngine:
             for (i, j), c in self.sc.comm_coeffs(beta, gamma)
         ]
 
-    # ----- Hall-Witt -----
-
-    def hall_witt_split(self, f, h, k):
-        """[[f,h],k] as two conjugated double commutators.
-
-        The instance of the Hall-Witt identity used here is
-        [[f,h],k] = ([[k,f^-1],h^-1]^-1)^(f h) * ([[h^-1,k^-1],f]^-1)^(k h),
-        unit-tested as a group identity on random words.
-        """
-        w_in = Comm(Comm(f, h), k)
-        if not free_reduce(w_in).factors:
-            out = EMPTY
-        else:
-            t1 = Conj(Inv(Comm(Comm(k, Inv(f)), Inv(h))), Prod((f, h)))
-            t2 = Conj(Inv(Comm(Comm(Inv(h), Inv(k)), f)), Prod((k, h)))
-            out = Prod((t1, t2))
-        return out, self.finish("hall_witt_split", w_in, out, [(out, ElemShape())], w_in)
-
     # ----- retraction splitting -----
 
     def _check_splitting_var(self, var):
@@ -587,41 +567,6 @@ class RewriteEngine:
             [(out, cert)],
             w_in,
             details={"route": route},
-        )
-        return out, receipt
-
-    # ----- opposite-root conjugation -----
-
-    def push_vaserstein_conjugate(self, v, i_spec, j_spec):
-        """An opposite-root conjugate of x_alpha(s), rewritten level-J.
-
-        v is x_{-alpha}(-r) x_alpha(s) x_{-alpha}(r); s is decomposed away
-        from +-alpha and each factor is conjugated through, which keeps
-        bases in I*J and conjugators in J.
-        """
-        report = check_shape(v, VaserFormShape())
-        if not report.ok:
-            raise ValueError("not an opposite-root conjugate: %s" % report.reason)
-        if isinstance(v, Conj):
-            alpha, s, r = v.base.root, v.base.arg, v.by.arg
-        else:
-            a, b, c = v.factors
-            alpha, s, r = b.root, b.arg, c.arg
-        y_word, y_receipt = self.decompose_avoiding_root(alpha, s, i_spec, j_spec)
-        if r.is_zero():
-            out = y_word
-        else:
-            # the Y-factors avoid +-alpha, so no peel is blocked
-            pieces = self._peel(y_word, Gen(_vneg(alpha), r), None, 0, None)
-            out = Prod(tuple(f for f, _ in pieces))
-        cert = RelConjShape(j_spec, i_spec.product(j_spec))
-        receipt = self.finish(
-            "push_vaserstein_conjugate",
-            v,
-            out,
-            [(out, cert)],
-            v,
-            details={"route": y_receipt.details["route"]},
         )
         return out, receipt
 
@@ -971,7 +916,9 @@ class RewriteEngine:
                 if prefix:
                     piece = _conj_factor(piece, Inv(p_word))
                 out_factors.append(piece)
-        if prefix and not self.equal(Prod(tuple(prefix)), EMPTY):
+        # collected first, so a remainder that cancels is compared as the
+        # empty word and nothing is evaluated
+        if not self.equal(collect(Prod(tuple(prefix))), EMPTY):
             raise CongruenceFailed(
                 "the word is not congruent to the identity mod (%s)" % var
             )
@@ -991,8 +938,10 @@ class RewriteEngine:
     def _hw_pieces(self, comm_f, comm_h, v):
         """[[f,h],v] split into two conjugated double commutators.
 
-        Same instance as hall_witt_split, with each inverted core rewritten
-        [a,b]^-1 = [b,a] so the commutator reads generation side first.
+        The instance of the Hall-Witt identity used here, with
+        x^y = y^-1 x y, is
+        [[f,h],v] = [h^-1,[v,f^-1]]^(f h) * [f,[h^-1,v^-1]]^(v h);
+        each core reads generation side first.
         """
         core1 = Comm(Inv(comm_h), Comm(v, Inv(comm_f)))
         core2 = Comm(comm_f, Comm(Inv(comm_h), Inv(v)))

@@ -1,0 +1,118 @@
+"""The CLI flags, and input files that are not well-formed instances.
+
+The golden runs in test_cli_golden.py pass no flag; these cases run
+`cli.main` on the shipped instance files with each remaining flag, and
+on copies of them with a field taken out.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from chevcalc import cli
+from chevcalc.gword import word_from_text
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argv(name, path=None):
+    path = str(path or INSTANCES / (name + ".json"))
+    return ["lgp", "--problem", path] if name.startswith("lgp_") else ["demo", "--instance", path]
+
+
+def _instance(name):
+    return json.loads((INSTANCES / (name + ".json")).read_text())
+
+
+def _parse(inst, text):
+    """A word of the instance, read over its ring (the base for lgp)."""
+    ring, rs = cli.ring_from_text(inst["ring"]), cli.system_object(inst["system"])
+    return word_from_text(text, ring, rs)
+
+
+# ----- flags -----
+
+
+@pytest.mark.parametrize("name", ["dilate_a2", "lgp_cover23"])
+def test_budget_flag_caps_the_nodes_of_every_step(name):
+    code, out, _ = _run(_argv(name) + ["--budget", "2"])
+    assert code == 15
+    payload = json.loads(out)
+    assert payload["error"] == "NodeBudgetExceeded"
+    assert payload["exit_code"] == 15
+    assert "(budget 2)" in payload["message"]
+
+
+def test_word_out_writes_the_payload_word(tmp_path):
+    path = tmp_path / "word.txt"
+    code, out, _ = _run(_argv("lgp_cover23") + ["--word-out", str(path)])
+    assert code == 0
+    inst = _instance("lgp_cover23")
+    assert _parse(inst, path.read_text()) == _parse(inst, json.loads(out)["word"])
+
+
+@pytest.mark.parametrize("name,words", [
+    ("dilate_a2", ("input", "output")),
+    # a patch receipt has no input word: the data are its input
+    ("lgp_cover23", ("output",)),
+])
+def test_trace_keeps_the_receipt_words(name, words):
+    code, plain, _ = _run(_argv(name))
+    assert code == 0
+    code, traced, _ = _run(_argv(name) + ["--trace"])
+    assert code == 0
+    plain, traced = json.loads(plain), json.loads(traced)
+    kept = {k: traced["receipt"].pop(k) for k in words}
+    assert kept["output"] == traced["word"]
+    if "input" in kept:
+        inst = _instance(name)
+        assert _parse(inst, kept["input"]) == _parse(inst, inst["word"])
+    # the words are all that --trace adds
+    assert traced == plain
+
+
+# ----- input files that are not instances -----
+
+
+def _drop(name, field):
+    inst = _instance(name)
+    del inst[field]
+    return inst
+
+
+@pytest.mark.parametrize("name,inst,named", [
+    ("dilate_a2", _drop("dilate_a2", "system"), "'system'"),
+    ("dilate_a2", _drop("dilate_a2", "word"), "'word'"),
+    ("lgp_cover23", _drop("lgp_cover23", "ring"), "'ring'"),
+    ("lgp_cover23_global", _drop("lgp_cover23_global", "global"), "'global'"),
+    ("dilate_a2", [_instance("dilate_a2")], "JSON list"),
+    ("lgp_cover23", [_instance("lgp_cover23")], "JSON list"),
+], ids=["demo-system", "demo-word", "lgp-ring", "lgp-global", "demo-list", "lgp-list"])
+def test_a_bad_instance_file_is_a_parse_error(tmp_path, name, inst, named):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst))
+    code, out, err = _run(_argv(name, path))
+    assert code == 18
+    assert named in out + err
+    if name.startswith("lgp_"):
+        payload = json.loads(out)
+        assert (payload["error"], payload["exit_code"]) == ("ParseError", 18)
+
+
+def test_a_key_error_inside_a_lemma_is_not_a_missing_field(monkeypatch):
+    def lemma(eng, ring, inst):
+        raise KeyError("a tag the library did not find")
+
+    monkeypatch.setitem(cli.DEMOS, "decomposition", lemma)
+    with pytest.raises(KeyError):
+        _run(_argv("decomposition_a2"))

@@ -268,10 +268,7 @@ def test_dilate_exponent_floor_covers_denominators():
     w = Prod((Gen(A, loc.parse("3*t/s")), Gen(C, loc.parse("3*t"))))
     l, _, rec = dilate(eng, w, I)
     assert rec.details["n"] >= 9 * max(rec.details["den_exponents"])
-    l_min, _, rec_min = dilate(eng, w, I, minimize_l=True)
-    assert rec_min.details["minimized"]
-    assert l_min <= l
-    assert l_min == 9
+    assert l == 9
 
 
 def test_dilate_peels_level_conjugators():
@@ -392,9 +389,9 @@ def test_patch_collects_the_overlap_word_at_the_seam(monkeypatch):
     prob = PatchProblem("A2", base, IdealSpec.gens(base, 3), data, "X")
     seen = {}
 
-    def spy(eng, w, i_spec, var=None, minimize_l=False):
+    def spy(eng, w, i_spec, var=None):
         seen[var] = w
-        return dilate(eng, w, i_spec, var=var, minimize_l=minimize_l)
+        return dilate(eng, w, i_spec, var=var)
 
     monkeypatch.setattr(lgp, "dilate", spy)
     out, rec = patch(prob)
@@ -421,9 +418,9 @@ def test_patch_collects_the_first_datum(monkeypatch):
     g_word = Prod((Gen(A, base.parse("9*X")), Gen(C, base.parse("3*X"))))
     seen = {}
 
-    def spy(eng, w, i_spec, var=None, minimize_l=False):
+    def spy(eng, w, i_spec, var=None):
         seen[var] = w
-        return dilate(eng, w, i_spec, var=var, minimize_l=minimize_l)
+        return dilate(eng, w, i_spec, var=var)
 
     monkeypatch.setattr(lgp, "dilate", spy)
     out, rec = patch(prob)
