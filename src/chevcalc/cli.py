@@ -98,11 +98,70 @@ def ideal_from_texts(ring, texts):
     return IdealSpec.gens(ring, *[ring.parse(t) for t in texts])
 
 
+# the JSON name of each type that json.load produces, objects aside
+_JSON_TYPES = {
+    str: "string",
+    int: "number",
+    float: "number",
+    bool: "boolean",
+    list: "list",
+    type(None): "null",
+}
+_REQUIRED = object()
+
+
+def _json_type(value):
+    return "object" if isinstance(value, dict) else _JSON_TYPES[type(value)]
+
+
 class _Fields(dict):
-    """A JSON object from an input file; a missing field is a ParseError."""
+    """A JSON object from an input file, read through typed accessors.
+
+    A missing field, or one of the wrong JSON type, is a ParseError that
+    names the field.
+    """
 
     def __missing__(self, key):
         raise errors.ParseError("instance is missing field %r" % (key,))
+
+    def _typed(self, key, types, expected):
+        value = self[key]
+        if not isinstance(value, types):
+            raise errors.ParseError(
+                "field %r must be %s, not a JSON %s" % (key, expected, _json_type(value))
+            )
+        return value
+
+    def _list(self, key, types, expected):
+        values = self._typed(key, list, expected)
+        for v in values:
+            if not isinstance(v, types):
+                raise errors.ParseError(
+                    "field %r must be %s; it holds a JSON %s" % (key, expected, _json_type(v))
+                )
+        return values
+
+    def text(self, key, default=_REQUIRED):
+        """The string at `key`; `default`, when given, for an absent or null field."""
+        if default is not _REQUIRED and self.get(key) is None:
+            return default
+        return self._typed(key, str, "a string")
+
+    def texts(self, key):
+        """The list of strings at `key`."""
+        return self._list(key, str, "a list of strings")
+
+    def elements(self, key):
+        """The ring elements listed at `key`, each a string or an integer, as text."""
+        return [str(v) for v in self._list(key, (str, int), "a list of strings or integers")]
+
+    def element(self, key):
+        """The ring element at `key`, a string or an integer, as text."""
+        return str(self._typed(key, (str, int), "a string or an integer"))
+
+    def objects(self, key):
+        """The list of JSON objects at `key`."""
+        return self._list(key, dict, "a list of objects")
 
 
 def load_json(path):
@@ -115,7 +174,7 @@ def load_json(path):
     except json.JSONDecodeError as e:
         raise errors.ParseError("%s is not valid JSON: %s" % (path, e)) from None
     if not isinstance(data, dict):
-        raise errors.ParseError("%s holds a JSON %s, not an object" % (path, type(data).__name__))
+        raise errors.ParseError("%s holds a JSON %s, not an object" % (path, _json_type(data)))
     return data
 
 
@@ -302,47 +361,49 @@ def cmd_verify(args):
 
 
 def _demo_decomposition(eng, ring, inst):
-    root = root_from_text(eng.rs, inst["root"])
-    i_spec = ideal_from_texts(ring, inst["ideal"])
-    j_spec = ideal_from_texts(ring, inst["ideal2"])
-    out, rec = eng.decompose_avoiding_root(root, ring.parse(inst["value"]), i_spec, j_spec)
+    root = root_from_text(eng.rs, inst.text("root"))
+    i_spec = ideal_from_texts(ring, inst.texts("ideal"))
+    j_spec = ideal_from_texts(ring, inst.texts("ideal2"))
+    value = ring.parse(inst.text("value"))
+    out, rec = eng.decompose_avoiding_root(root, value, i_spec, j_spec)
     return out, rec, {}
 
 
 def _demo_sp_relinc(eng, ring, inst):
-    root = root_from_text(eng.rs, inst["root"])
-    i_spec = ideal_from_texts(ring, inst["ideal"])
-    j_spec = ideal_from_texts(ring, inst["ideal2"])
-    out, rec = eng.relative_generation_witness(root, ring.parse(inst["value"]), i_spec, j_spec)
+    root = root_from_text(eng.rs, inst.text("root"))
+    i_spec = ideal_from_texts(ring, inst.texts("ideal"))
+    j_spec = ideal_from_texts(ring, inst.texts("ideal2"))
+    value = ring.parse(inst.text("value"))
+    out, rec = eng.relative_generation_witness(root, value, i_spec, j_spec)
     return out, rec, {}
 
 
 def _demo_splitting(eng, ring, inst):
-    w = word_from_text(inst["word"], ring, eng.rs)
-    i_spec = ideal_from_texts(ring, inst["ideal"])
-    out, rec = eng.relative_split(w, i_spec, inst["var"])
+    w = word_from_text(inst.text("word"), ring, eng.rs)
+    i_spec = ideal_from_texts(ring, inst.texts("ideal"))
+    out, rec = eng.relative_split(w, i_spec, inst.text("var"))
     return out, rec, {}
 
 
 def _demo_moving_t(eng, ring, inst):
-    w = word_from_text(inst["word"], ring, eng.rs)
-    j_spec = ideal_from_texts(ring, inst["ideal"])
-    k_spec = ideal_from_texts(ring, inst["ideal2"])
+    w = word_from_text(inst.text("word"), ring, eng.rs)
+    j_spec = ideal_from_texts(ring, inst.texts("ideal"))
+    k_spec = ideal_from_texts(ring, inst.texts("ideal2"))
     level, mixed, rec = eng.move_indeterminate(w, j_spec, k_spec)
     return Prod((level, mixed)), rec, {"level": word_to_text(level), "mixed": word_to_text(mixed)}
 
 
 def _demo_for_dilation(eng, ring, inst):
-    w = word_from_text(inst["word"], ring, eng.rs)
-    k_spec = ideal_from_texts(ring, inst["ideal"])
-    out, rec = for_dilation(eng, w, k_spec, inst["var"])
+    w = word_from_text(inst.text("word"), ring, eng.rs)
+    k_spec = ideal_from_texts(ring, inst.texts("ideal"))
+    out, rec = for_dilation(eng, w, k_spec, inst.text("var"))
     return out, rec, {}
 
 
 def _demo_dilate(eng, ring, inst):
-    w = word_from_text(inst["word"], ring, eng.rs)
-    i_spec = ideal_from_texts(ring, inst["ideal"])
-    l, out, rec = dilate(eng, w, i_spec, var=inst.get("var"))
+    w = word_from_text(inst.text("word"), ring, eng.rs)
+    i_spec = ideal_from_texts(ring, inst.texts("ideal"))
+    l, out, rec = dilate(eng, w, i_spec, var=inst.text("var", None))
     return out, rec, {"l": l}
 
 
@@ -367,17 +428,19 @@ def _emit_error(path, payload, exc):
 
 
 def cmd_demo(args):
-    inst = load_json(args.instance)
-    lemma = inst.get("lemma")
-    if lemma not in DEMOS:
-        raise errors.InvalidType(
-            "unknown lemma %r (have: %s)" % (lemma, ", ".join(sorted(DEMOS)))
-        )
-    rs = system_object(inst["system"])
-    ring = ring_from_text(inst["ring"])
-    eng = RewriteEngine(rs, ring, node_budget=args.budget)
-    payload = {"lemma": lemma, "system": inst["system"], "ring": ring.to_config()}
+    payload = {"lemma": None, "system": None, "ring": None}
     try:
+        inst = load_json(args.instance)
+        payload.update(lemma=inst.get("lemma"), system=inst.get("system"))
+        lemma = inst.text("lemma", None)
+        if lemma not in DEMOS:
+            raise errors.InvalidType(
+                "unknown lemma %r (have: %s)" % (lemma, ", ".join(sorted(DEMOS)))
+            )
+        rs = system_object(inst.text("system"))
+        ring = ring_from_text(inst.text("ring"))
+        payload["ring"] = ring.to_config()
+        eng = RewriteEngine(rs, ring, node_budget=args.budget)
         out, rec, extra = DEMOS[lemma](eng, ring, inst)
     except errors.ChevCalcError as e:
         return _emit_error(args.out, payload, e)
@@ -395,41 +458,41 @@ def cmd_demo(args):
 
 
 def _load_patch_problem(inst):
-    rs = system_object(inst["system"])
-    base = ring_from_text(inst["ring"])
-    ideal = ideal_from_texts(base, inst["ideal"])
-    var = inst.get("var")
+    rs = system_object(inst.text("system"))
+    base = ring_from_text(inst.text("ring"))
+    ideal = ideal_from_texts(base, inst.texts("ideal"))
+    var = inst.text("var", None)
     data = []
     if "data" in inst:
-        for d in inst["data"]:
-            s = base.parse(str(d["s"]))
+        for d in inst.objects("data"):
+            s = base.parse(d.element("s"))
             loc = base.localize_at(s)
-            data.append(LocalDatum(s, word_from_text(d["word"], loc, rs)))
+            data.append(LocalDatum(s, word_from_text(d.text("word"), loc, rs)))
     else:
         # a global word plus cover entries: localize to build the data
-        g = word_from_text(inst["global"], base, rs)
-        for s_text in inst["cover"]:
-            s = base.parse(str(s_text))
+        g = word_from_text(inst.text("global"), base, rs)
+        for s_text in inst.elements("cover"):
+            s = base.parse(s_text)
             loc = base.localize_at(s)
             lifted = {n: loc.var(n) for n in base.var_names}
             data.append(LocalDatum(s, substitute_word(g, lifted, loc)))
-    return rs, base, ideal, PatchProblem(rs, base, ideal, tuple(data), var)
+    return PatchProblem(rs, base, ideal, tuple(data), var)
 
 
 def cmd_lgp(args):
-    payload = {"system": None, "ideal": None}
+    payload = {"system": None, "ideal": None, "ring": None}
     try:
         inst = load_json(args.problem)
         payload.update(system=inst.get("system"), ideal=inst.get("ideal"))
-        rs, base, ideal, problem = _load_patch_problem(inst)
-        payload["ring"] = base.to_config()
+        problem = _load_patch_problem(inst)
+        payload["ring"] = problem.base.to_config()
         out, rec = patch(problem, node_budget=args.budget)
         text = word_to_text(out)
         # the emitted word must survive a parse round trip; patch checks
         # every step, so its receipt already certifies the level shape of
         # this word over this base
-        again = word_from_text(text, base, rs)
-        if again != out or rec.certificate != LevelShape(ideal):
+        again = word_from_text(text, problem.base, problem.system)
+        if again != out or rec.certificate != LevelShape(problem.ideal):
             raise errors.OracleMismatch("emitted word does not re-verify")
     except errors.ChevCalcError as e:
         return _emit_error(args.out, payload, e)

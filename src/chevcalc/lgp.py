@@ -64,7 +64,7 @@ from .gword import (
     unwrap,
     word_args,
 )
-from .rewrite import Budget, RewriteEngine
+from .rewrite import RewriteEngine
 
 # Largest number of coefficient tuples the unit-combination fallback may
 # try.  The pool holds 7 + 4*nvars coefficients, so a k-element cover
@@ -210,7 +210,7 @@ def _bounded_combination_search(ring, vals):
 # ----- normalizing a ninth-power splitting -----
 
 
-def _normalize_level_factor(eng, f, level_spec, budget, out, stats):
+def _normalize_level_factor(eng, f, level_spec, fund, out, stats):
     g, inverted, by = unwrap(f)
     if not isinstance(g, Gen):
         out.append(f)
@@ -220,7 +220,7 @@ def _normalize_level_factor(eng, f, level_spec, budget, out, stats):
         g = Gen(g.root, -g.arg)
     try:
         piece, rec = eng.conjugation_normalize(
-            g if by is None else Conj(g, by), level_spec, budget
+            g if by is None else Conj(g, by), level_spec, fund
         )
     except (ConditionViolated, NoUnitCombination):
         # no decomposition route over this ring; the factor stays whole
@@ -230,8 +230,9 @@ def _normalize_level_factor(eng, f, level_spec, budget, out, stats):
         return
     out.extend(piece.factors)
     stats["level_factors"] += 1
-    stats["attest_falls"] += rec.details.get("attest_falls", 0)
-    stats["decompositions"] += rec.details.get("decompositions", 0)
+    stats["attest_falls"] += rec.details["attest_falls"]
+    stats["decompositions"] += rec.details["decompositions"]
+    stats["budget"].extend(rec.details["budget"])
 
 
 def for_dilation(eng, w, k_spec, var):
@@ -240,11 +241,12 @@ def for_dilation(eng, w, k_spec, var):
     The input certifies BarShape(k_spec, (var^9)) over the engine's ring.
     Commutator factors are split off by move_indeterminate with middle
     ideal (var^3); level factors are then normalized one at a time by
-    conjugation_normalize funded as k*(var^3) = (k*(var)) * (var)^(2),
-    which turns every surviving conjugator into a level-(var) word.
-    Factors without a decomposition route over the ring are kept whole;
-    they are honest congruences at level k*(var) and come back as
-    oracle-checked attestations in the receipt.
+    conjugation_normalize with the fund (k, (var)), which turns every
+    surviving conjugator into a level-(var) word.  Factors without a
+    decomposition route over the ring are kept whole; they are honest
+    congruences at level k*(var) and come back as oracle-checked
+    attestations in the receipt.  The `budget` detail joins the
+    normalized factors' entries in factor order.
 
     Returns (word, receipt); the word is oracle-equal to the input and
     certifies RelConjShape((var), k_spec * (var)).
@@ -260,7 +262,7 @@ def for_dilation(eng, w, k_spec, var):
             "input is not a relative splitting at %s^9: %s" % (var, report.reason)
         )
     level_spec = k_spec.product(cube)
-    budget = Budget([(k_spec, t_spec)], allow_attest=True)
+    fund = (k_spec, t_spec)
     stats = {
         "level_factors": 0,
         "mixed_factors": 0,
@@ -268,26 +270,25 @@ def for_dilation(eng, w, k_spec, var):
         "condition_falls": 0,
         "attest_falls": 0,
         "decompositions": 0,
+        "budget": [],
     }
     out = []
     for f in _factors(w):
         if isinstance(unwrap(f)[0], Comm):
+            # a lone commutator has no level part to move out
             try:
-                level_w, mixed_w, _ = eng.move_indeterminate(Prod((f,)), cube, k_spec)
+                _, mixed_w, _ = eng.move_indeterminate(Prod((f,)), cube, k_spec)
             except (ConditionViolated, NoUnitCombination):
                 out.append(f)
                 stats["kept_factors"] += 1
                 continue
-            for piece in level_w.factors:
-                _normalize_level_factor(eng, piece, level_spec, budget, out, stats)
             out.extend(mixed_w.factors)
             stats["mixed_factors"] += len(mixed_w.factors)
         else:
-            _normalize_level_factor(eng, f, level_spec, budget, out, stats)
+            _normalize_level_factor(eng, f, level_spec, fund, out, stats)
     out_word = collect(Prod(tuple(out)))
     cert = RelConjShape(t_spec, k_spec.product(t_spec))
-    details = dict(stats)
-    details["budget"] = budget.trace()
+    details = dict(stats, budget=tuple(stats["budget"]))
     return out_word, eng.finish(
         "for_dilation", w, out_word, [(out_word, cert)], w, details=details
     )

@@ -6,19 +6,14 @@ prescribed shape, and returns a RewriteReceipt alongside it.
 RewriteEngine owns the matrix representations of one (system, ring) pair
 and is the only place where words meet the oracle: `evaluate` gives a
 word's matrices, `equal` compares two words and `congruence_oracle` tests
-a word against the identity modulo an ideal.  `evaluate` and
-`congruence_oracle` share one memo, owned by the engine and dropped with
-it, that maps (representation, word) to the word's matrix, so each
-distinct word they see is evaluated once per engine.  The memo cannot
-accept a wrong word: words are frozen dataclasses compared field by
-field, generator arguments compare by exact ring equality, and the
-engine's ring is fixed, so a word that finds a cached matrix evaluates
-to that matrix.  `equal` evaluates only where two words differ: it
-flattens both to their generators, returns at once when the sequences
-are identical (a re-associated tree, a conjugate written out) and
-otherwise compares the matrices of what lies between their common prefix
-and suffix.  That stays exact: the shared ends evaluate to invertible
-matrices, so they cancel from both sides.
+a word against the identity modulo an ideal.  Each op is a function of
+its arguments alone: the engine keeps no state between calls, so every
+word is evaluated where it is checked.  `equal` evaluates only where two
+words differ: it flattens both to their generators, returns at once when
+the sequences are identical (a re-associated tree, a conjugate written
+out) and otherwise compares the matrices of what lies between their
+common prefix and suffix.  That stays exact: the shared ends evaluate to
+invertible matrices, so they cancel from both sides.
 
 Every engine op, and every stage of the patching pipeline, builds its
 receipt through `finish`, which issues the receipt only after two
@@ -150,36 +145,6 @@ def unit_from_idempotent_defect(ring):
     return combo
 
 
-class Budget:
-    """Funding plan for decompositions triggered inside a rewrite.
-
-    levels[d] = (arg_ideal, conj_ideal) funds a decomposition forced at
-    conjugation depth d: the blocked argument must be witnessed inside
-    arg_ideal * conj_ideal * conj_ideal (or the squares variant) and the
-    replacement factors land in Y(root, conj_ideal, arg_ideal * conj_ideal).
-    `spent` keeps one entry per charge so the exponent bookkeeping that made
-    a pipeline work (or fail) is visible in receipts.
-    """
-
-    def __init__(self, levels, allow_attest=False):
-        self.levels = tuple(levels)
-        self.allow_attest = allow_attest
-        self.spent = []
-
-    def fund(self, depth):
-        if depth < len(self.levels):
-            return self.levels[depth]
-        return None
-
-    def charge(self, depth, root, value, note):
-        self.spent.append(
-            {"depth": depth, "root": root, "value": str(value), "note": note}
-        )
-
-    def trace(self):
-        return tuple(dict(e) for e in self.spent)
-
-
 def _json_native(v):
     """v as JSON data: ints, bools and None as they are, lists and tuples as
     lists, dicts as dicts with string keys, anything else as its str()."""
@@ -238,24 +203,12 @@ class RewriteEngine:
         self.reps = [get_representation(rs, "adjoint")]
         if rs.label in ("A", "C"):
             self.reps.append(get_representation(rs, "defining"))
-        # (representation, word) -> matrix, for this engine's lifetime
-        self._matrices = {}
 
     # ----- the oracle -----
 
-    def _matrix(self, rep, w):
-        key = (rep, w)
-        m = self._matrices.get(key)
-        if m is None:
-            m = self._matrices[key] = rep.evaluate_word(w, self.ring)
-        return m
-
     def evaluate(self, w):
-        """The matrices of w, one per representation, in `reps` order.
-
-        They are the memo's own objects: read them, never modify them.
-        """
-        return [self._matrix(rep, w) for rep in self.reps]
+        """The matrices of w, one per representation, in `reps` order."""
+        return [rep.evaluate_word(w, self.ring) for rep in self.reps]
 
     def _generators(self, w):
         """w's generators as (root, argument) pairs over the engine's ring,
@@ -276,9 +229,8 @@ class RewriteEngine:
         and P·v·S for their longest common prefix P and suffix S, and only
         the middles u and v are evaluated: M(P·u·S) = M(P)·M(u)·M(S) with
         M(P) and M(S) invertible, so the words are equal exactly when
-        M(u) = M(v).  The middles are rarely evaluated twice, so they
-        bypass the memo.  Stops at the first representation that tells
-        them apart.
+        M(u) = M(v).  Stops at the first representation that tells them
+        apart.
         """
         ga, gb = self._generators(a), self._generators(b)
         if ga == gb:
@@ -303,7 +255,7 @@ class RewriteEngine:
 
         def check(word, spec):
             for rep in self.reps:
-                if not congruence_check(self._matrix(rep, word), spec):
+                if not congruence_check(rep.evaluate_word(word, self.ring), spec):
                     return False
             return True
 
@@ -741,22 +693,21 @@ class RewriteEngine:
 
     # ----- conjugation normalization -----
 
-    def _peel(self, f, peel, budget, depth, stats):
+    def _peel(self, f, peel, fund, depth, stats):
         """f conjugated by the generator `peel`, as (piece, depth) pairs.
 
         A generator off -peel.root expands by the Chevalley commutator
         formula, with arguments that are multiples of its own, and its
-        pieces keep its depth.  A blocked generator (on -peel.root) is
-        decomposed away from +-its root with the budget level at its depth,
-        and its pieces sit one level deeper.  A conjugate peels its base
-        before its conjugator, so budget charges keep that order; a
-        conjugator that peels to one piece stays unwrapped.  Decomposition
-        pieces avoid +-the blocked root, so peeling them never re-enters
-        `_blocked_pieces`.
+        pieces keep its depth.  A blocked generator (on -peel.root) goes to
+        `_blocked_pieces` with `fund`, and its pieces sit one level deeper.
+        A conjugate peels its base before its conjugator, so budget entries
+        keep that order; a conjugator that peels to one piece stays
+        unwrapped.  Decomposition pieces avoid +-the blocked root, so
+        peeling them never re-enters `_blocked_pieces`.
         """
         if isinstance(f, Gen):
             if f.root == _vneg(peel.root):
-                blocked = self._blocked_pieces(f, peel, budget, depth, stats)
+                blocked = self._blocked_pieces(f, peel, fund, depth, stats)
                 return [(p, depth + 1) for p in blocked]
             # x_a(w) ** x_b(r) = x_a(w) [x_a(w), x_b(r)]; equal roots commute
             if f.root == peel.root:
@@ -764,54 +715,53 @@ class RewriteEngine:
             tail = self._comm_gens(f.root, peel.root, f.arg, peel.arg)
             return [(p, depth) for p in [f] + tail]
         if isinstance(f, Conj):
-            base = self._peel(f.base, peel, budget, depth, stats)
-            by = [p for p, _ in self._peel(f.by, peel, budget, depth, stats)]
+            base = self._peel(f.base, peel, fund, depth, stats)
+            by = [p for p, _ in self._peel(f.by, peel, fund, depth, stats)]
             by_word = by[0] if len(by) == 1 else Prod(tuple(by))
             return [(_conj_factor(p, by_word), d) for p, d in base]
         if isinstance(f, Prod):
-            return [x for g in f.factors for x in self._peel(g, peel, budget, depth, stats)]
+            return [x for g in f.factors for x in self._peel(g, peel, fund, depth, stats)]
         raise TypeError("%r is not peelable" % (f,))
 
-    def _blocked_pieces(self, gen, peel, budget, depth, stats):
-        """x_delta(w) ** x_{-delta}(r) through a funded decomposition, or
-        the conjugate itself as an attestation when the budget allows one."""
-        level = budget.fund(depth) if budget is not None else None
-        if level is None:
-            if budget is not None and budget.allow_attest:
-                stats["attest_falls"] += 1
-                return [Conj(gen, peel)]
+    def _blocked_pieces(self, gen, peel, fund, depth, stats):
+        """x_delta(w) ** x_{-delta}(r), decomposed with fund = (I, J) at depth 0.
+
+        A deeper peel, or one whose witness cannot pay, stays the conjugate
+        itself, an attestation; with no fund the peel raises BudgetExhausted.
+        """
+        if fund is None:
             raise BudgetExhausted(
                 "conjugation by the opposite root of %s at depth %d has no "
                 "funding level" % (gen.root, depth)
             )
-        i2, j2 = level
-        try:
-            factors, route = self._decompose_factors(gen.root, gen.arg, i2, j2)
-        except (NotInIdeal, UndecidableIdealClass) as e:
-            if budget.allow_attest:
-                stats["attest_falls"] += 1
-                return [Conj(gen, peel)]
-            raise BudgetExhausted(
-                "the depth-%d level witness cannot fund x_%s(%s): %s"
-                % (depth, gen.root, gen.arg, e)
-            )
-        budget.charge(depth, gen.root, gen.arg, route)
-        stats["decompositions"] += 1
-        return [p for f in factors for p, _ in self._peel(f, peel, None, depth, None)]
+        if depth == 0:
+            try:
+                factors, route = self._decompose_factors(gen.root, gen.arg, *fund)
+            except (NotInIdeal, UndecidableIdealClass):
+                pass
+            else:
+                stats["decompositions"] += 1
+                stats["budget"].append(
+                    {"depth": depth, "root": gen.root, "value": str(gen.arg), "note": route}
+                )
+                return [p for f in factors for p, _ in self._peel(f, peel, None, depth, None)]
+        stats["attest_falls"] += 1
+        return [Conj(gen, peel)]
 
-    def conjugation_normalize(self, g, level_spec, budget=None):
+    def conjugation_normalize(self, g, level_spec, fund=None):
         """Peel the conjugator of Conj(Gen(alpha, a), c) one generator at a time.
 
         Peels on roots other than -alpha are plain Chevalley expansions and
         keep every argument a multiple of an existing one; a peel on -alpha
-        consumes one budget level to decompose the blocked argument away
-        from +-alpha first.  The peel state is one list of (factor, depth)
-        pairs, each peel mapped over it by `_peel`, so two rules hold: the
-        pieces of a blocked generator sit one level deeper than it, whether
-        it stands alone or is the base of a conjugate, and decomposition
-        pieces never re-enter `_blocked_pieces` (they avoid +-the blocked
-        root).  With no budget events the output stays level `level_spec`;
-        otherwise it is certified with level-J conjugators.
+        is blocked and goes to `_blocked_pieces` with `fund`, None or (I, J).
+        The peel state is one list of (factor, depth) pairs, each peel mapped
+        over it by `_peel`, so two rules hold: the pieces of a blocked
+        generator sit one level deeper than it, whether it stands alone or
+        is the base of a conjugate, and decomposition pieces never re-enter
+        `_blocked_pieces` (they avoid +-the blocked root).  With no blocked
+        peel the output stays level `level_spec`; otherwise it is certified
+        RelConjShape(J, I*J).  The `budget` detail holds one {depth, root,
+        value, note} entry per decomposition, in peel order.
         The output is collected (`gword.collect`) before its receipt, so
         the zero arguments and the adjacent same-root pieces the peels
         leave behind never reach the oracle.
@@ -822,26 +772,19 @@ class RewriteEngine:
             base, peels = g.base, flatten(g.by)
         else:
             raise TypeError("conjugation_normalize needs Conj(Gen(...), word)")
-        stats = {"decompositions": 0, "attest_falls": 0}
+        stats = {"decompositions": 0, "attest_falls": 0, "budget": []}
         state = [(base, 0)]
         for peel in peels:
-            state = [x for f, d in state for x in self._peel(f, peel, budget, d, stats)]
+            state = [x for f, d in state for x in self._peel(f, peel, fund, d, stats)]
         out = collect(Prod(tuple(f for f, _ in state)))
-        spent = stats["decompositions"] + stats["attest_falls"]
-        if spent and budget is not None and budget.levels:
-            i0, j0 = budget.levels[0]
-            cert = RelConjShape(j0, i0.product(j0))
-        elif spent:
-            cert = RelConjShape(None, level_spec)
+        if stats["decompositions"] or stats["attest_falls"]:
+            i_spec, j_spec = fund
+            cert = RelConjShape(j_spec, i_spec.product(j_spec))
         else:
             cert = LevelShape(level_spec)
         receipt = self.finish(
-            "conjugation_normalize",
-            g,
-            out,
-            [(out, cert)],
-            g,
-            details=dict(stats, budget=budget.trace() if budget else ()),
+            "conjugation_normalize", g, out, [(out, cert)], g,
+            details=dict(stats, budget=tuple(stats["budget"])),
         )
         return out, receipt
 

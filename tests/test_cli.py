@@ -104,9 +104,73 @@ def test_a_bad_instance_file_is_a_parse_error(tmp_path, name, inst, named):
     code, out, err = _run(_argv(name, path))
     assert code == 18
     assert named in out + err
-    if name.startswith("lgp_"):
-        payload = json.loads(out)
-        assert (payload["error"], payload["exit_code"]) == ("ParseError", 18)
+    payload = json.loads(out)
+    assert (payload["error"], payload["exit_code"]) == ("ParseError", 18)
+
+
+def _with(name, **fields):
+    return dict(_instance(name), **fields)
+
+
+def _datum(**fields):
+    inst = _instance("lgp_cover23")
+    inst["data"] = [dict(inst["data"][0], **fields)] + inst["data"][1:]
+    return inst
+
+
+@pytest.mark.parametrize("name,inst,field,expected", [
+    ("lgp_cover23", _with("lgp_cover23", data=["x"]), "data", "a list of objects"),
+    ("lgp_cover23", _with("lgp_cover23", ideal=3), "ideal", "a list of strings"),
+    ("lgp_cover23", _datum(word=5), "word", "a string"),
+    ("lgp_cover23", _datum(s=[2]), "s", "a string or an integer"),
+    ("lgp_cover23", _with("lgp_cover23", ring=5), "ring", "a string"),
+    ("lgp_cover23", _with("lgp_cover23", var=5), "var", "a string"),
+    ("lgp_cover23", _with("lgp_cover23", system=5), "system", "a string"),
+    ("lgp_cover23_global", _with("lgp_cover23_global", cover="23"), "cover",
+     "a list of strings or integers"),
+    ("dilate_a2", _with("dilate_a2", ring=5), "ring", "a string"),
+    ("dilate_a2", _with("dilate_a2", var=5), "var", "a string"),
+    ("dilate_a2", _with("dilate_a2", system=5), "system", "a string"),
+    ("dilate_a2", _with("dilate_a2", lemma=["dilate"]), "lemma", "a string"),
+    ("decomposition_a2", _with("decomposition_a2", root=5), "root", "a string"),
+    ("decomposition_a2", _with("decomposition_a2", ideal2=[3]), "ideal2", "a list of strings"),
+], ids=["lgp-data", "lgp-ideal", "lgp-word", "lgp-s", "lgp-ring", "lgp-var", "lgp-system",
+        "lgp-cover", "demo-ring", "demo-var", "demo-system", "demo-lemma", "demo-root",
+        "demo-ideal2"])
+def test_a_field_of_the_wrong_json_type_is_a_parse_error(tmp_path, name, inst, field, expected):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst))
+    code, out, _ = _run(_argv(name, path))
+    assert code == 18
+    payload = json.loads(out)
+    assert (payload["error"], payload["exit_code"]) == ("ParseError", 18)
+    assert payload["message"].startswith("field %r must be %s" % (field, expected))
+
+
+def test_an_integer_cover_element_is_read_as_text(tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_with("lgp_cover23_global", cover=[2, 3])))
+    code, out, _ = _run(_argv("lgp_cover23_global", path))
+    assert code == 0
+    _, plain, _ = _run(_argv("lgp_cover23_global"))
+    assert out == plain
+
+
+@pytest.mark.parametrize("inst,code,known", [
+    (_with("dilate_a2", lemma="no-such-lemma"), 3, {"lemma": "no-such-lemma", "system": "A2"}),
+    (_with("dilate_a2", ring="Q[t]"), 18, {"lemma": "dilate", "system": "A2"}),
+    (_drop("dilate_a2", "system"), 18, {"lemma": "dilate"}),
+], ids=["unknown-lemma", "bad-ring", "no-system"])
+def test_demo_writes_its_payload_for_every_failure(tmp_path, inst, code, known):
+    # as lgp does: the fields read before the failure, the others null
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst))
+    got, out, _ = _run(_argv("dilate_a2", path))
+    assert got == code
+    payload = json.loads(out)
+    assert payload["exit_code"] == code
+    assert payload["ring"] is None
+    assert {k: payload[k] for k in ("lemma", "system")} == dict({"system": None}, **known)
 
 
 def test_a_key_error_inside_a_lemma_is_not_a_missing_field(monkeypatch):

@@ -21,6 +21,7 @@ from chevcalc.gword import (
     Comm,
     Conj,
     Gen,
+    Inv,
     LevelShape,
     Prod,
     RelConjShape,
@@ -220,6 +221,59 @@ def test_for_dilation_keeps_unroutable_factors_whole():
     # the commutator has no move route over Z; it rides as one attestation
     assert rec.details["kept_factors"] == 1
     assert rec.details["level_factors"] == 2
+    assert rec.attested == 1
+    for rep in eng.reps:
+        assert rep.words_equal(out, w, ring)
+
+
+def test_for_dilation_normalizes_an_inverted_level_factor():
+    # the inverse of x_a(3t^9) conjugated by x_{-a}(2) is normalized as
+    # x_a(-3t^9) conjugated by it: the blocked peel decomposes -3t^9
+    ring = Ring(0, ("t",))
+    eng = RewriteEngine("A2", ring)
+    K = IdealSpec.gens(ring, 3)
+    t = ring.var("t")
+    w = Prod((Inv(Conj(Gen(A, ring.int_(3) * t**9), Gen((-1, 1, 0), ring.int_(2)))),))
+    out, rec = for_dilation(eng, w, K, "t")
+    assert rec.details["level_factors"] == 1
+    assert rec.details["decompositions"] == 1
+    assert [e["value"] for e in rec.details["budget"]] == ["-3*t^9"]
+    assert rec.attested == 0
+    for rep in eng.reps:
+        assert rep.words_equal(out, w, ring)
+
+
+def test_for_dilation_keeps_a_level_factor_with_no_generator_core():
+    # a conjugated product of two generators has no generator to peel; it
+    # is kept whole and attested
+    ring = Ring(0, ("t",))
+    eng = RewriteEngine("A2", ring)
+    K = IdealSpec.gens(ring, 3)
+    t = ring.var("t")
+    pair = Prod((Gen(A, ring.int_(3) * t**9), Gen(C, ring.int_(6) * t**9)))
+    w = Prod((Conj(pair, Gen(B, ring.int_(5))), Gen(A, ring.int_(3) * t**9)))
+    out, rec = for_dilation(eng, w, K, "t")
+    assert rec.details["kept_factors"] == 1
+    assert rec.details["level_factors"] == 1
+    assert rec.attested == 1
+    for rep in eng.reps:
+        assert rep.words_equal(out, w, ring)
+
+
+def test_for_dilation_keeps_a_factor_whose_blocked_peel_has_no_route():
+    # C2 over Z has a residue field of two elements, so the blocked peel
+    # of x_a(3t^9) by x_{-a}(1) raises ConditionViolated and the factor
+    # stays whole
+    ring = Ring(0, ("t",))
+    eng = RewriteEngine("C2", ring)
+    K = IdealSpec.gens(ring, 3)
+    t = ring.var("t")
+    short = (1, -1)
+    w = Prod((Conj(Gen(short, ring.int_(3) * t**9), Gen((-1, 1), ring.int_(1))),))
+    out, rec = for_dilation(eng, w, K, "t")
+    assert rec.details["condition_falls"] == 1
+    assert rec.details["level_factors"] == 0
+    assert rec.details["budget"] == ()
     assert rec.attested == 1
     for rep in eng.reps:
         assert rep.words_equal(out, w, ring)

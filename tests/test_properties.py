@@ -33,7 +33,7 @@ from chevcalc.gword import (
     collect,
     node_count,
 )
-from chevcalc.rewrite import Budget, RewriteEngine
+from chevcalc.rewrite import RewriteEngine
 from chevcalc.rootsys import _vneg, _vsum, build_root_system
 
 from wordgen import dense_evaluate, is_identity, random_level_word, random_word
@@ -155,9 +155,9 @@ def test_collect_keeps_the_element_and_the_shape(label, ring_name, seed):
 @pytest.mark.parametrize("label", ("A2", "A3"))
 def test_conjugation_normalize_under_the_dilation_budget(label):
     # x_a(c*t*u^2) conjugated by 1-3 generators, about 40 % of them on -a,
-    # normalized under Budget([((t), (u))], allow_attest=True): a blocked
-    # peel at depth 0 is funded by the level, a blocked peel one level
-    # deeper falls back to an attestation
+    # normalized with the fund ((t), (u)): a blocked peel at depth 0 is
+    # decomposed, a blocked peel one level deeper falls back to an
+    # attestation
     ring = Ring.integers().extend("t", "u")
     t, u = ring.var("t"), ring.var("u")
     I, J = IdealSpec.gens(ring, t), IdealSpec.gens(ring, u)
@@ -181,9 +181,9 @@ def test_conjugation_normalize_under_the_dilation_budget(label):
             for _ in range(rng.randint(1, 3))
         )
         g = Conj(Gen(a, rng.choice(coeffs) * t * u * u), Prod(by))
-        budget = Budget([(I, J)], allow_attest=True)
-        _, rec = eng.conjugation_normalize(g, level, budget)
-        assert len(budget.spent) == rec.details["decompositions"]
+        _, rec = eng.conjugation_normalize(g, level, (I, J))
+        spent = rec.details["budget"]
+        assert [e["depth"] for e in spent] == [0] * rec.details["decompositions"]
         falls.append(rec.details["attest_falls"])
 
     check()
