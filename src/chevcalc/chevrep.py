@@ -1,9 +1,14 @@
-"""Faithful matrix models of the elementary generators.
+"""Matrix models of the elementary generators.
 
 These representations are the correctness oracle of the package: a word
 rewrite is accepted only when both sides evaluate to the same matrix.  The
 rest of the package reaches them through RewriteEngine's `evaluate`,
 `equal` and `congruence_oracle`.
+A model is faithful when equality in it implies equality in the group.
+The defining models of types A and C are faithful, and so is the adjoint
+model of G2, F4 and E8, whose groups have trivial centre.  On B, D, E6
+and E7 the adjoint model kills the centre of the simply connected group,
+so there it sees equality, and congruence, only up to a central element.
 Generators are one-parameter subgroups x_a(r) = sum_k r^k * T_k with
 T_k = X_a^k / k! an integer template and X_a nilpotent, so every
 evaluation is a finite exact sum and inverses are computed structurally

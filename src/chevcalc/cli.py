@@ -457,9 +457,12 @@ def cmd_demo(args):
 # ----- local-global patching -----
 
 
-def _load_patch_problem(inst):
+def _load_patch_problem(inst, payload):
+    """The PatchProblem of an instance; payload["ring"] is set as soon as
+    the ring parses, so an error in a later field still reports it."""
     rs = system_object(inst.text("system"))
     base = ring_from_text(inst.text("ring"))
+    payload["ring"] = base.to_config()
     ideal = ideal_from_texts(base, inst.texts("ideal"))
     var = inst.text("var", None)
     data = []
@@ -484,8 +487,7 @@ def cmd_lgp(args):
     try:
         inst = load_json(args.problem)
         payload.update(system=inst.get("system"), ideal=inst.get("ideal"))
-        problem = _load_patch_problem(inst)
-        payload["ring"] = problem.base.to_config()
+        problem = _load_patch_problem(inst, payload)
         out, rec = patch(problem, node_budget=args.budget)
         text = word_to_text(out)
         # the emitted word must survive a parse round trip; patch checks

@@ -15,14 +15,26 @@ functions here carry that out exactly and glue the pullbacks:
   glues dilated pullbacks over a unimodular cover into one global word.
 
 Words are collected (`gword.collect`) where a stage hands them on: the
-words `patch` hands to `dilate` (the first datum and each overlap word),
-the output of `for_dilation`, the cleared word of `dilate` and the glued
-word of `patch`.  Collection drops x_a(0) and conjugates of it and merges
-adjacent factors on one root.  An overlap word is collected as one
-product, so the pair of factors that meet at its seam merges into one
-generator; the first datum is collected alone, so a datum written as
-x_a(3X/2)^2 reaches its dilation as one integral generator (l = 0).  Every
-collected word still passes through `finish`.
+words `patch` hands to `dilate` (the first datum and each overlap word)
+and the output of `for_dilation`.  Collection drops x_a(0) and conjugates
+of it and merges adjacent factors on one root.  An overlap word is
+collected as one product, so the pair of factors that meet at its seam
+merges into one generator; the first datum is collected alone, so a datum
+written as x_a(3X/2)^2 reaches its dilation as one integral generator
+(l = 0).
+
+The two level words the pipeline returns, the pulled-back word of
+`dilate` and the glued word of `patch`, are shortened instead
+(`RewriteEngine.shorten`): after `collect`, a generator merges into an
+earlier one on its root across generators that commute with it (no
+Chevalley coefficient for the pair of roots), and a commutator of two
+generators, whether a Comm node or written out as
+x_b(p) * Conj(x_b(-p), x_c(u)) = [x_b(-p), x_c(u)], becomes its Chevalley
+expansion when that has fewer than 4 generators.  Both rules keep a
+LevelShape certificate, but they write out the Conj and Comm nodes that
+RelConjShape, BarShape and MixedCommShape match, so `for_dilation` keeps
+plain `collect`.  Every collected or shortened word still passes through
+`finish`.
 
 Every step is checked against the matrix representations through the
 RewriteEngine over its output ring, and every receipt comes from that
@@ -64,7 +76,7 @@ from .gword import (
     unwrap,
     word_args,
 )
-from .rewrite import RewriteEngine
+from .rewrite import RewriteEngine, check_var
 
 # Largest number of coefficient tuples the unit-combination fallback may
 # try.  The pool holds 7 + 4*nvars coefficients, so a k-element cover
@@ -252,6 +264,7 @@ def for_dilation(eng, w, k_spec, var):
     certifies RelConjShape((var), k_spec * (var)).
     """
     ring = eng.ring
+    check_var(ring, var)
     t = ring.var(var)
     t_spec = IdealSpec.gens(ring, t)
     cube = IdealSpec.gens(ring, t ** 3)
@@ -310,13 +323,16 @@ def dilate(eng, w, i_spec, var=None):
     splitting of the doubled word along var' is raised to the ninth power
     and rewritten by for_dilation, and var' -> s^m * var', with m the
     largest denominator exponent among its arguments, clears the
-    localization, so l = 9*m and up.  var' = 1 collapses the result, and a
-    torsion scan per representation pins the final exponent exactly,
-    including over base rings where s divides zero.  A word not trivial at
-    var = 0 raises CongruenceFailed in the split of the doubled word, whose
-    variable-free part is w at var = 0.
+    localization, so l = 9*m and up.  var' = 1 collapses the result, which
+    is then shortened (`RewriteEngine.shorten`), and a torsion scan per
+    representation pins the final exponent exactly, including over base
+    rings where s divides zero.  A word not trivial at var = 0 raises
+    CongruenceFailed in the split of the doubled word, whose variable-free
+    part is w at var = 0.
     """
     ring = eng.ring
+    if var is not None:
+        check_var(ring, var)
     if ring.loc_num is None:
         # already integral: nothing to clear
         return 0, w, eng.finish(
@@ -384,7 +400,7 @@ def dilate(eng, w, i_spec, var=None):
     # collapse the auxiliary variable
     drop = _lift_map(ring, base_out)
     drop[vp] = base_out.one()
-    h_word = collect(substitute_word(cleared, drop, base_out))
+    h_word = eng_out.shorten(substitute_word(cleared, drop, base_out))
 
     # the dilated input must be integral entrywise before it can be compared;
     # raise n when a matrix entry carries a deeper denominator than the word
@@ -478,7 +494,8 @@ def patch(problem, verify=True, node_budget=200000):
     cover element, and is collected before its dilation; dilate pulls
     each overlap back to the unlocalized extension, a unit combination of
     the powered cover elements pins the u_i to constants summing to 1,
-    and the pinned words concatenate.
+    and the pinned words concatenate into one word that is shortened
+    (`RewriteEngine.shorten`) before the checks below.
 
     The glued word is checked against every datum: over each localization
     it must evaluate to exactly the datum's matrices (OracleMismatch
@@ -502,8 +519,8 @@ def patch(problem, verify=True, node_budget=200000):
         if not base.var_names:
             raise NotSplittingIdeal("no variable to glue along")
         var = base.var_names[-1]
-    elif var not in base.var_names:
-        raise NotSplittingIdeal("%r is not a variable of %s" % (var, base))
+    else:
+        check_var(base, var)
     if problem.ideal.ring != base:
         raise SubstitutionMismatch("the level ideal must live over the base ring")
 
@@ -579,9 +596,9 @@ def patch(problem, verify=True, node_budget=200000):
         for j in range(len(data)):
             phi[aux[j]] = combo[j] if j == k else pinned_vals[j]
         out_factors.extend(_factors(substitute_word(h_k, phi, base)))
-    out = collect(Prod(tuple(out_factors)))
-
     eng_base = RewriteEngine(problem.system, base, node_budget=node_budget)
+    out = eng_base.shorten(Prod(tuple(out_factors)))
+
     for k, d in enumerate(data):
         loc = loc_rings[k]
         out_loc = substitute_word(out, _lift_map(base, loc), loc)

@@ -1,7 +1,9 @@
 """Certified word rewriting: expansion, splitting, decomposition, collection.
 
 Every operation takes a word (or the data for one), produces a word of a
-prescribed shape, and returns a RewriteReceipt alongside it.
+prescribed shape, and returns a RewriteReceipt alongside it.  The one
+exception is `shorten`, a collector like `gword.collect` that returns
+only the word; the stages that call it check its output.
 
 RewriteEngine owns the matrix representations of one (system, ring) pair
 and is the only place where words meet the oracle: `evaluate` gives a
@@ -143,6 +145,13 @@ def unit_from_idempotent_defect(ring):
     if not (total - ring.one()).is_zero():
         raise OracleMismatch("idempotent defect combination does not sum to 1")
     return combo
+
+
+def check_var(ring, var):
+    """Raise NotSplittingIdeal unless `var` names a polynomial variable of
+    ring; every lemma that takes a variable checks it here at its entry."""
+    if var not in ring.var_names:
+        raise NotSplittingIdeal("%r is not a polynomial variable of %s" % (var, ring))
 
 
 def _json_native(v):
@@ -333,13 +342,117 @@ class RewriteEngine:
             for (i, j), c in self.sc.comm_coeffs(beta, gamma)
         ]
 
+    # ----- shortening -----
+
+    def shorten(self, w):
+        """An equal word with no more generators or nodes than w.
+
+        `collect` first, then two exact rules read off the structure
+        constants, in every product of the word (conjugators and
+        commutator sides included), repeated until the generator count
+        stops falling.  With x^y = y^-1 x y and [x, y] = x^-1 y^-1 x y:
+
+        - merge across commuting generators: x_a(q) joins the nearest
+          earlier x_a(p) when every factor between them is a plain
+          generator x_b(r) with b != -a and no Chevalley coefficient for
+          (a, b), so that x_b(r) commutes with x_a(q);
+        - expand short commutators: Comm(x_b(p), x_c(u)) and the written-
+          out pair x_b(p) * Conj(x_b(-p), x_c(u)), which is
+          [x_b(-p), x_c(u)], become their Chevalley expansion when it has
+          fewer than 4 generators (none when c = b; c = -b never expands).
+
+        Every rule removes at least one generator and adds no node.  Every
+        new argument is a sum of old ones, or a multiple of each argument
+        of its commutator, so a LevelShape certificate still holds; Conj
+        and Comm nodes that other shapes match may be written out, so the
+        stages that certify those shapes keep plain `collect`.  Nothing is
+        evaluated here: the caller's checks are the acceptance test.
+        """
+        w = collect(w)
+        n = len(flatten(w))
+        while True:
+            nxt = collect(self._shortened(w))
+            m = len(flatten(nxt))
+            if m >= n:
+                return w
+            w, n = nxt, m
+
+    def _shortened(self, w):
+        """One pass of `shorten`'s rules over every product in w."""
+        if isinstance(w, Prod):
+            out = []
+            for f in w.factors:
+                f = self._shortened(f)
+                gens = self._short_expansion(out, f)
+                if gens is None and isinstance(f, Gen):
+                    gens = (f,)
+                if gens is None:
+                    out.append(f)
+                else:
+                    for g in gens:
+                        self._push_merging(out, g)
+            return Prod(tuple(out))
+        if isinstance(w, Inv):
+            return Inv(self._shortened(w.word))
+        if isinstance(w, Conj):
+            return Conj(self._shortened(w.base), self._shortened(w.by))
+        if isinstance(w, Comm):
+            return Comm(self._shortened(w.left), self._shortened(w.right))
+        return w
+
+    def _short_expansion(self, out, f):
+        """The generators of f, or of out[-1] * f (then popped), when f is a
+        short commutator; None otherwise."""
+        if isinstance(f, Comm):
+            if isinstance(f.left, Gen) and isinstance(f.right, Gen):
+                return self._short_comm(f.left, f.right)
+        elif isinstance(f, Conj) and out and isinstance(out[-1], Gen):
+            b, c, head = f.base, f.by, out[-1]
+            if (
+                isinstance(b, Gen)
+                and isinstance(c, Gen)
+                and b.root == head.root
+                and (b.arg + head.arg).is_zero()
+            ):
+                gens = self._short_comm(b, c)
+                if gens is not None:
+                    out.pop()
+                return gens
+        return None
+
+    def _short_comm(self, b, c):
+        """[b, c] for generators b, c as fewer than 4 generators, or None."""
+        if b.root == c.root:
+            return []
+        if c.root == _vneg(b.root) or len(self.sc.comm_coeffs(b.root, c.root)) >= 4:
+            return None
+        return self._comm_gens(b.root, c.root, b.arg, c.arg)
+
+    def _push_merging(self, out, g):
+        """Append x_a(q) to out, merged into the nearest earlier x_a(p) when
+        only generators that commute with it stand between them."""
+        if g.arg.is_zero():
+            return
+        a = g.root
+        for i in range(len(out) - 1, -1, -1):
+            h = out[i]
+            if not isinstance(h, Gen):
+                break
+            if h.root == a:
+                arg = h.arg + g.arg
+                if arg.is_zero():
+                    del out[i]
+                else:
+                    out[i] = Gen(a, arg)
+                return
+            if h.root == _vneg(a) or self.sc.comm_coeffs(a, h.root):
+                break
+        out.append(g)
+
     # ----- retraction splitting -----
 
     def _check_splitting_var(self, var):
-        if var not in self.ring.var_names:
-            raise NotSplittingIdeal(
-                "%r is not a polynomial variable of %s" % (var, self.ring)
-            )
+        check_var(self.ring, var)
         if self.ring.loc_num is not None:
             idx = self.ring.var_names.index(var)
             if any(e[idx] for e in self.ring.loc_num):

@@ -145,6 +145,22 @@ def test_a_field_of_the_wrong_json_type_is_a_parse_error(tmp_path, name, inst, f
     payload = json.loads(out)
     assert (payload["error"], payload["exit_code"]) == ("ParseError", 18)
     assert payload["message"].startswith("field %r must be %s" % (field, expected))
+    # the ring is in the payload as soon as it parses, whatever fails later
+    read = field not in ("ring", "system", "lemma")
+    assert payload["ring"] == (cli.ring_from_text(inst["ring"]).to_config() if read else None)
+
+
+@pytest.mark.parametrize("name", ["dilate_a2", "for_dilation_a2", "splitting_a2", "lgp_cover23"])
+def test_an_unknown_variable_is_one_typed_error_from_every_lemma(tmp_path, name):
+    inst = _with(name, var="q")
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst))
+    code, out, _ = _run(_argv(name, path))
+    assert code == 9
+    payload = json.loads(out)
+    assert payload["error"] == "NotSplittingIdeal"
+    ring = cli.ring_from_text(inst["ring"])
+    assert payload["message"] == "'q' is not a polynomial variable of %s" % ring
 
 
 def test_an_integer_cover_element_is_read_as_text(tmp_path):

@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chevcalc import lgp, rewrite
 from chevcalc.errors import (
@@ -26,7 +27,9 @@ from chevcalc.gword import (
     Prod,
     RelConjShape,
     check_shape,
+    collect,
     flatten,
+    node_count,
     substitute_word,
     word_args,
 )
@@ -40,6 +43,8 @@ from chevcalc.lgp import (
     unimodular_combination,
 )
 from chevcalc.rewrite import RewriteEngine
+
+from wordgen import dense_evaluate, random_level_word
 
 A, B, C = (1, -1, 0), (0, 1, -1), (1, 0, -1)
 
@@ -428,6 +433,32 @@ def test_patch_glues_interleaved_crafted_cover():
     assert rec.details["coefficients"] == ["-7804", "203"]
     # the coefficients really partition 1 across the powered cover
     assert -7804 * 2**9 + 203 * 3**9 == 1
+    # the pinned words alternate x_a and x_c, which commute, so every
+    # x_a merges into the first one and every x_c into the first x_c
+    assert out == g_word
+    _check_glued(base, prob, g_word, out, rec)
+
+
+def ladder_problem(n):
+    # the first n generators of the A2 word a, b, a, b, -a, -b with
+    # arguments 3c*X, c = 1, 5, 7, 11, 5, 7, lifted to R_2 and R_3
+    base = Ring(0, ("X",))
+    x = base.var("X")
+    roots = (A, B, A, B, tuple(-v for v in A), tuple(-v for v in B))
+    g_word = Prod(tuple(
+        Gen(r, base.int_(3 * c) * x) for r, c in zip(roots[:n], (1, 5, 7, 11, 5, 7))
+    ))
+    data = tuple(LocalDatum(s, lift(g_word, base.localize_at(s))) for s in (2, 3))
+    return base, PatchProblem("A2", base, IdealSpec.gens(base, 3), data, "X"), g_word
+
+
+def test_patch_glues_the_length_five_ladder_word_to_five_generators():
+    # the pinned words write x_d(p) as the pair x_b(-q) * Conj(x_b(q), x_c(1))
+    # with b + c = d; written as its Chevalley expansion the pair is one
+    # generator again (with collection alone the glued word had 14)
+    base, prob, g_word = ladder_problem(5)
+    out, rec = patch(prob)
+    assert len(flatten(out)) <= 5
     _check_glued(base, prob, g_word, out, rec)
 
 
@@ -581,3 +612,85 @@ def test_patch_rejections():
     with pytest.raises(SubstitutionMismatch):
         patch(PatchProblem("A2", base, IdealSpec.gens(other, 3),
                            (LocalDatum(2, Prod((Gen(A, l2.parse("3*X")),))),), "X"))
+
+
+# ----- shorten -----
+
+
+SHORTEN_RINGS = {
+    "Z[t]": Ring.integers().extend("t"),
+    "Z[1/2][t]": Ring.integers().extend("t").localize_at(2),
+    "Z/9[t]": Ring.integers_mod(9).extend("t"),
+}
+
+
+def _neg(r):
+    return tuple(-x for x in r)
+
+
+def planted_level_word(eng, rng, level_args, args):
+    """A product at the level of `level_args` that plants what `shorten`
+    rewrites among wordgen level words: written-out pairs
+    x_b(p) * Conj(x_b(-p), x_c(u)), Comm nodes of two generators in either
+    orientation, and runs x_a x_b x_a, with a and b commuting half of the
+    time.  The roots b and c are drawn freely, so c = b and c = -b occur
+    too."""
+    rs = eng.rs
+    roots = sorted(rs.roots)
+    commuting = [
+        (a, b) for a in roots for b in roots
+        if a != b and b != _neg(a) and not eng.sc.comm_coeffs(a, b)
+    ]
+    factors = []
+    for _ in range(4):
+        kind = rng.randrange(4)
+        b, c = rng.choice(roots), rng.choice(roots)
+        p, u = rng.choice(level_args), rng.choice(args)
+        if kind == 0:
+            factors.append(random_level_word(rs, eng.ring, rng, level_args, args,
+                                             depth=2, roots=roots[:3]))
+        elif kind == 1:
+            factors += [Gen(b, p), Conj(Gen(b, -p), Gen(c, u))]
+        elif kind == 2:
+            pair = (Gen(b, p), Gen(c, u))
+            factors.append(Comm(*pair) if rng.random() < 0.5 else Comm(*reversed(pair)))
+        else:
+            a = c
+            if rng.random() < 0.5:
+                a, b = rng.choice(commuting)
+            factors += [Gen(a, p), Gen(b, rng.choice(level_args)), Gen(a, rng.choice(level_args))]
+    return Prod(tuple(factors))
+
+
+@pytest.mark.parametrize("ring_name", sorted(SHORTEN_RINGS))
+@pytest.mark.parametrize("label", ("A2", "C2", "G2", "B3"))
+def test_shorten_keeps_the_element_and_the_level_shape(label, ring_name):
+    ring = SHORTEN_RINGS[ring_name]
+    eng = RewriteEngine(label, ring)
+    oracle = eng.congruence_oracle()
+    ideal = IdealSpec.gens(ring, 3)
+    t = ring.var("t")
+    args = [ring.zero(), t, -t, ring.one(), 2 * t]
+    if ring.loc_num is not None:
+        args.append(t * ring.s_power(1))
+    level_args = [3 * a for a in args]
+    fell = []
+
+    @settings(derandomize=True, max_examples=8, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        w = planted_level_word(eng, random.Random(seed), level_args, args)
+        assert check_shape(w, LevelShape(ideal), oracle).ok
+        out = eng.shorten(w)
+        assert eng.equal(out, w)
+        for rep in eng.reps:
+            assert dense_evaluate(rep, out, ring) == rep.evaluate_word(w, ring)
+        assert len(flatten(out)) <= len(flatten(w))
+        assert node_count(out) <= node_count(w)
+        assert eng.shorten(out) == out
+        assert check_shape(out, LevelShape(ideal), oracle).ok
+        fell.append(len(flatten(out)) < len(flatten(collect(w))))
+
+    check()
+    # the planted pairs, commutators and runs do shorten beyond collect
+    assert any(fell)

@@ -110,6 +110,46 @@ def test_expand_commuting_pair_is_empty():
     assert out.factors == ()
 
 
+# ----- shorten -----
+
+
+def test_shorten_merges_only_across_commuting_generators():
+    ring = Ring.integers().extend("t")
+    eng = RewriteEngine("A2", ring)
+    x = ring.var("t")
+    # a and c commute, a and b do not
+    w = Prod((Gen(A, 3 * x), Gen(C, 6 * x), Gen(A, 9 * x)))
+    assert eng.shorten(w) == Prod((Gen(A, 12 * x), Gen(C, 6 * x)))
+    blocked = Prod((Gen(A, 3 * x), Gen(B, 6 * x), Gen(A, 9 * x)))
+    assert eng.shorten(blocked) == blocked
+    # a merge that cancels leaves the run between
+    assert eng.shorten(Prod((Gen(A, 3 * x), Gen(C, x), Gen(A, -3 * x)))) == Prod((Gen(C, x),))
+
+
+def test_shorten_expands_short_commutators():
+    ring = Ring.integers().extend("p", "q")
+    p, q = ring.var("p"), ring.var("q")
+    eng = RewriteEngine("A2", ring)
+    ab = eng._comm_gens(A, B, p, q)
+    assert len(ab) == 1
+    assert eng.shorten(Prod((Comm(Gen(A, p), Gen(B, q)),))) == Prod(tuple(ab))
+    # x_a(-p) * Conj(x_a(p), x_b(q)) is [x_a(p), x_b(q)]
+    pair = Prod((Gen(A, -p), Conj(Gen(A, p), Gen(B, q))))
+    assert eng.shorten(pair) == Prod(tuple(ab))
+    # a pair whose arguments do not cancel is no commutator
+    skew = Prod((Gen(A, p), Conj(Gen(A, p), Gen(B, q))))
+    assert eng.shorten(skew) == skew
+    # equal roots commute; opposite roots have no expansion
+    assert eng.shorten(Prod((Comm(Gen(A, p), Gen(A, q)),))) == EMPTY
+    opposite = Prod((Comm(Gen(A, p), Gen((-1, 1, 0), q)),))
+    assert eng.shorten(opposite) == opposite
+    # a G2 commutator with four Chevalley terms is no shorter written out
+    g2 = RewriteEngine("G2", ring)
+    long_short = Prod((Comm(Gen((-2, 1, 1), p), Gen((1, -1, 0), q)),))
+    assert len(g2.sc.comm_coeffs((-2, 1, 1), (1, -1, 0))) == 4
+    assert g2.shorten(long_short) == long_short
+
+
 # ----- the Hall-Witt identity behind move_indeterminate -----
 
 
