@@ -258,7 +258,8 @@ def for_dilation(eng, w, k_spec, var):
     decomposition route over the ring are kept whole; they are honest
     congruences at level k*(var) and come back as oracle-checked
     attestations in the receipt.  The `budget` detail joins the
-    normalized factors' entries in factor order.
+    normalized factors' entries in factor order, and `trivial_pieces`
+    sums move_indeterminate's count of Hall-Witt pieces it left out.
 
     Returns (word, receipt); the word is oracle-equal to the input and
     certifies RelConjShape((var), k_spec * (var)).
@@ -283,6 +284,7 @@ def for_dilation(eng, w, k_spec, var):
         "condition_falls": 0,
         "attest_falls": 0,
         "decompositions": 0,
+        "trivial_pieces": 0,
         "budget": [],
     }
     out = []
@@ -290,13 +292,14 @@ def for_dilation(eng, w, k_spec, var):
         if isinstance(unwrap(f)[0], Comm):
             # a lone commutator has no level part to move out
             try:
-                _, mixed_w, _ = eng.move_indeterminate(Prod((f,)), cube, k_spec)
+                _, mixed_w, rec = eng.move_indeterminate(Prod((f,)), cube, k_spec)
             except (ConditionViolated, NoUnitCombination):
                 out.append(f)
                 stats["kept_factors"] += 1
                 continue
             out.extend(mixed_w.factors)
             stats["mixed_factors"] += len(mixed_w.factors)
+            stats["trivial_pieces"] += rec.details["trivial_pieces"]
         else:
             _normalize_level_factor(eng, f, level_spec, fund, out, stats)
     out_word = collect(Prod(tuple(out)))

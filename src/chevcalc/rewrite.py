@@ -422,7 +422,7 @@ class RewriteEngine:
 
     def _short_comm(self, b, c):
         """[b, c] for generators b, c as fewer than 4 generators, or None."""
-        if b.root == c.root:
+        if self._roots_commute(b.root, c.root):
             return []
         if c.root == _vneg(b.root) or len(self.sc.comm_coeffs(b.root, c.root)) >= 4:
             return None
@@ -445,9 +445,23 @@ class RewriteEngine:
                 else:
                     out[i] = Gen(a, arg)
                 return
-            if h.root == _vneg(a) or self.sc.comm_coeffs(a, h.root):
+            if not self._roots_commute(a, h.root):
                 break
         out.append(g)
+
+    def _roots_commute(self, a, b):
+        """Do x_a(p) and x_b(q) commute for all p, q?  They do when a = b,
+        and when b != -a and the commutator formula has no term: then
+        a + b is no root, so by the root strings neither is 2a + b or
+        a + 2b."""
+        return a == b or (b != _vneg(a) and not self.sc.comm_coeffs(a, b))
+
+    def _words_commute(self, x, y):
+        """Does every generator root of x commute with every one of y?
+        Then the words commute, whatever their arguments."""
+        xs = {g.root for g in flatten(x)}
+        ys = {g.root for g in flatten(y)}
+        return all(self._roots_commute(a, b) for a in xs for b in ys)
 
     # ----- retraction splitting -----
 
@@ -992,41 +1006,51 @@ class RewriteEngine:
     # ----- moving the indeterminate -----
 
     def _hw_pieces(self, comm_f, comm_h, v):
-        """[[f,h],v] split into two conjugated double commutators.
+        """[[f,h],v] split into at most two conjugated double commutators.
 
         The instance of the Hall-Witt identity used here, with
         x^y = y^-1 x y, is
         [[f,h],v] = [h^-1,[v,f^-1]]^(f h) * [f,[h^-1,v^-1]]^(v h);
-        each core reads generation side first.
+        each core reads generation side first.  A piece whose inner
+        commutator is trivial is omitted: the first when every generator
+        root of v commutes with every one of f, the second when the same
+        holds for h and v.  By the Chevalley commutator formula x_a and
+        x_b commute when a + b is no root (`_roots_commute`), so the
+        inner commutator is the identity whatever the arguments.
         """
-        core1 = Comm(Inv(comm_h), Comm(v, Inv(comm_f)))
-        core2 = Comm(comm_f, Comm(Inv(comm_h), Inv(v)))
-        return [
-            Conj(core1, Prod((comm_f, comm_h))),
-            Conj(core2, Prod((v, comm_h))),
-        ]
+        pieces = []
+        if not self._words_commute(v, comm_f):
+            core1 = Comm(Inv(comm_h), Comm(v, Inv(comm_f)))
+            pieces.append(Conj(core1, Prod((comm_f, comm_h))))
+        if not self._words_commute(comm_h, v):
+            core2 = Comm(comm_f, Comm(Inv(comm_h), Inv(v)))
+            pieces.append(Conj(core2, Prod((v, comm_h))))
+        return pieces
 
-    def _comm_with_product(self, pieces, v):
+    def _comm_with_product(self, pieces, v, stats):
         """[D_1 ... D_n, v] via [ab,c] = [a,c]^b [b,c], recursively."""
         if not pieces:
             return []
         if len(pieces) == 1:
-            return self._comm_single(pieces[0], v)
+            return self._comm_single(pieces[0], v, stats)
         head, rest = pieces[0], pieces[1:]
         rest_word = Prod(tuple(rest))
         out = [
-            _conj_factor(p, rest_word) for p in self._comm_single(head, v)
+            _conj_factor(p, rest_word) for p in self._comm_single(head, v, stats)
         ]
-        return out + self._comm_with_product(rest, v)
+        return out + self._comm_with_product(rest, v, stats)
 
-    def _comm_single(self, piece, v):
+    def _comm_single(self, piece, v, stats):
         """[C^b, v] = [C, v^(b^-1)]^b for one generation commutator C^b,
-        and [C, v] for a bare C."""
+        and [C, v] for a bare C.  Counts the Hall-Witt pieces omitted in
+        stats["trivial_pieces"]."""
         core, by = (piece.base, piece.by) if isinstance(piece, Conj) else (piece, None)
         if not isinstance(core, Comm):
             raise TypeError("expected a commutator core, got %r" % (core,))
         v_in = v if by is None else Conj(v, Inv(by))
-        return [_conj_factor(p, by) for p in self._hw_pieces(core.left, core.right, v_in)]
+        pieces = self._hw_pieces(core.left, core.right, v_in)
+        stats["trivial_pieces"] += 2 - len(pieces)
+        return [_conj_factor(p, by) for p in pieces]
 
     def move_indeterminate(self, w, j_spec, k_spec):
         """Split a two-level word into a plain level part and mixed commutators.
@@ -1036,13 +1060,20 @@ class RewriteEngine:
         J*J^(2) word against a level-K word.  The left side of each
         commutator is re-generated as commutators [level J, level J] and
         Hall-Witt splitting moves the K-side inside, leaving factors whose
-        sides sit at levels J and K*J.
+        sides sit at levels J and K*J.  The `trivial_pieces` detail counts
+        the Hall-Witt pieces left out because their inner commutator is
+        the identity (`_hw_pieces`).
         """
         kj = k_spec.product(j_spec)
         jk = j_spec.product(k_spec)
         level_acc = []
         mixed_acc = []
-        stats = {"level_factors": 0, "comm_factors": 0, "witness_terms": 0}
+        stats = {
+            "level_factors": 0,
+            "comm_factors": 0,
+            "witness_terms": 0,
+            "trivial_pieces": 0,
+        }
         for f in (w.factors if isinstance(w, Prod) else (w,)):
             un, invert, conj_by = unwrap(f)
             if isinstance(un, Comm):
@@ -1089,4 +1120,4 @@ class RewriteEngine:
             for piece in self._mixed_gen_factors(gen.root, gen.arg, j_spec, j_spec, sub_stats):
                 generated.append(_conj_factor(piece, byword) if byword else piece)
             stats["witness_terms"] += sum(sub_stats.values())
-        return self._comm_with_product(generated, right)
+        return self._comm_with_product(generated, right, stats)

@@ -7,7 +7,9 @@ certificates with no more attestations; and of
 `lgp.for_dilation` builds: every blocked peel is either charged to the
 budget or falls back to an attestation; and of `RewriteEngine.equal`,
 which evaluates only what lies between two words' shared prefix and
-suffix, against full evaluation.
+suffix, against full evaluation; and of `RewriteEngine._hw_pieces`,
+which leaves out exactly the Hall–Witt pieces whose inner commutator
+the commutator formula makes trivial.
 
 Words are nested Inv/Conj/Comm/Prod trees over c*t^e arguments (divided
 by a power of s over a localized ring).  Examples are derandomized and
@@ -31,6 +33,7 @@ from chevcalc.gword import (
     RelConjShape,
     check_shape,
     collect,
+    flatten,
     node_count,
 )
 from chevcalc.rewrite import RewriteEngine
@@ -269,3 +272,61 @@ def test_equal_matches_full_evaluation(label, ring_name, data):
     assert full == same
     assert eng.equal(left, right) == full
     assert eng.equal(right, left) == full
+
+
+def _roots_commute(rs, a, b):
+    """The reference for commuting root subgroups, read off the root
+    system alone: a = b, or b != -a with a + b no root."""
+    return a == b or (b != _vneg(a) and _vsum(a, b) not in rs.index)
+
+
+# (whether f commutes with v, whether h commutes with v)
+HW_KINDS = ((False, False), (True, False), (False, True), (True, True))
+
+
+@pytest.mark.parametrize("kind", HW_KINDS, ids=["none", "fv", "hv", "both"])
+@pytest.mark.parametrize("label", ("A2", "A3", "C2", "G2"))
+@settings(PROPERTY, max_examples=4)
+@given(data=st.data())
+def test_hall_witt_pieces_omit_exactly_the_trivial_ones(label, kind, data):
+    # [[f, h], v] for generators f, h, v over Z[t]: the pieces multiply to
+    # it, every piece kept has an inner commutator whose sides do not
+    # commute, and a piece is left out only when its sides commute
+    rs = build_root_system(label[0], int(label[1:]))
+    ring = RINGS["Z[t]"]
+    eng = RewriteEngine(rs, ring)
+    args = _args(ring, st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    a = data.draw(st.sampled_from(rs.roots))
+    v = Gen(a, data.draw(args))
+    f, h = (
+        Gen(
+            data.draw(st.sampled_from(
+                [b for b in rs.roots if _roots_commute(rs, a, b) == want]
+            )),
+            data.draw(args),
+        )
+        for want in kind
+    )
+    pieces = eng._hw_pieces(f, h, v)
+    target = Comm(Comm(f, h), v)
+    for rep in eng.reps:
+        assert dense_evaluate(rep, Prod(tuple(pieces)), ring) == dense_evaluate(
+            rep, target, ring
+        )
+
+    def sides_commute(inner):
+        return all(
+            _roots_commute(rs, x.root, y.root)
+            for x in flatten(inner.left)
+            for y in flatten(inner.right)
+        )
+
+    for p in pieces:
+        assert not sides_commute(p.base.right)
+    # the two cores of the identity, in order
+    cores = (Comm(Inv(h), Comm(v, Inv(f))), Comm(f, Comm(Inv(h), Inv(v))))
+    kept = [p.base for p in pieces]
+    for core in cores:
+        if core not in kept:
+            assert sides_commute(core.right)
+    assert len(pieces) == 2 - sum(kind)

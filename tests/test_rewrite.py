@@ -30,6 +30,7 @@ from chevcalc.gword import (
     flatten,
     node_count,
     substitute_word,
+    word_from_text,
     word_to_text,
 )
 from chevcalc.lgp import LocalDatum, PatchProblem, patch
@@ -639,8 +640,11 @@ def test_move_indeterminate_splits_example():
     assert rec.details["comm_factors"] == 1
     assert rec.details["level_factors"] == 1
     assert node_count(level) == 2
-    # the two inner double-commutator sides are attested congruences
-    assert rec.attested == 2
+    # [x_a(t^9), x_b(3)] regenerates as [[x_-b(t^6), x_c(t^3)], x_b(3)];
+    # x_c commutes with x_b, so the second Hall-Witt piece is left out and
+    # the one inner double-commutator side left is an attested congruence
+    assert rec.details["trivial_pieces"] == 1
+    assert rec.attested == 1
 
 
 def test_move_indeterminate_flipped_commutator():
@@ -695,6 +699,31 @@ def test_move_indeterminate_level_only():
     level, mixed, rec = eng.move_indeterminate(w, J, K)
     assert mixed == EMPTY
     assert level.factors == w.factors
+
+
+def test_move_indeterminate_leaves_out_trivial_hall_witt_pieces():
+    # three mixed commutators, one with a conjugated two-generator level
+    # side; where a regenerated side commutes with the K-side, its
+    # Hall-Witt piece is the identity and is not built
+    ring = Ring.integers().extend("t")
+    eng = RewriteEngine("A2", ring, node_budget=500000)
+    t = ring.var("t")
+    J = IdealSpec.gens(ring, t**3)
+    K = IdealSpec.gens(ring, 3)
+    w = word_from_text(
+        "(prod (comm (x 0,-1,1 {t^9}) (x 1,0,-1 {3}))"
+        " (comm (conj (prod (x 0,1,-1 {t^9}) (x -1,0,1 {2*t^9})) (x -1,0,1 {1}))"
+        " (x -1,0,1 {3})) (comm (x 1,-1,0 {t^9}) (x -1,0,1 {3})))",
+        ring,
+        eng.rs,
+    )
+    level, mixed, rec = eng.move_indeterminate(w, J, K)
+    assert level == EMPTY
+    assert rec.details["comm_factors"] == 3
+    assert rec.details["trivial_pieces"] == 5
+    assert len(flatten(mixed)) <= 68
+    assert rec.attested <= 3
+    assert dense_equal(eng, mixed, w)
 
 
 # ----- commutator levels through the congruence oracle -----
