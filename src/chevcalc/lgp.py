@@ -31,10 +31,11 @@ Chevalley coefficient for the pair of roots), and a commutator of two
 generators, whether a Comm node or written out as
 x_b(p) * Conj(x_b(-p), x_c(u)) = [x_b(-p), x_c(u)], becomes its Chevalley
 expansion when that has fewer than 4 generators.  Both rules keep a
-LevelShape certificate, but they write out the Conj and Comm nodes that
-RelConjShape, BarShape and MixedCommShape match, so `for_dilation` keeps
-plain `collect`.  Every collected or shortened word still passes through
-`finish`.
+LevelShape certificate, but they write out the Comm nodes that BarShape
+and MixedCommShape match, so `for_dilation` keeps plain `collect` on the
+word it returns; the level factors it normalizes are shortened inside
+`conjugation_normalize`, between peels.  Every collected or shortened
+word still passes through `finish`.
 
 Every step is checked against the matrix representations through the
 RewriteEngine over its output ring, and every receipt comes from that

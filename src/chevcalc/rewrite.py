@@ -26,6 +26,7 @@ matrix congruence check; the receipt records how many such attestations
 were needed (zero on the fully structural paths).
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 from .chevrep import congruence_check, get_representation
@@ -363,10 +364,14 @@ class RewriteEngine:
 
         Every rule removes at least one generator and adds no node.  Every
         new argument is a sum of old ones, or a multiple of each argument
-        of its commutator, so a LevelShape certificate still holds; Conj
-        and Comm nodes that other shapes match may be written out, so the
-        stages that certify those shapes keep plain `collect`.  Nothing is
-        evaluated here: the caller's checks are the acceptance test.
+        of its commutator, so a LevelShape certificate still holds.  A
+        written-out pair whose Conj factor matches RelConjShape becomes
+        generators whose arguments are multiples of its conjugated
+        argument, so they match it too: `conjugation_normalize` shortens
+        its peel state.  Comm nodes that MixedCommShape and BarShape match
+        may be written out, so the output of `lgp.for_dilation`, which
+        mixes them in, keeps plain `collect`.  Nothing is evaluated here:
+        the caller's checks are the acceptance test.
         """
         w = collect(w)
         n = len(flatten(w))
@@ -889,9 +894,12 @@ class RewriteEngine:
         peel the output stays level `level_spec`; otherwise it is certified
         RelConjShape(J, I*J).  The `budget` detail holds one {depth, root,
         value, note} entry per decomposition, in peel order.
-        The output is collected (`gword.collect`) before its receipt, so
-        the zero arguments and the adjacent same-root pieces the peels
-        leave behind never reach the oracle.
+        The state is shortened between peels, so that no peel expands a
+        piece an earlier merge removes: each maximal run of consecutive
+        pairs of one depth becomes `shorten` of its product, and its factors
+        keep that depth.  Pieces of different depths never merge, so a
+        blocked peel still decomposes exactly its depth-0 pieces.  The
+        output is collected (`gword.collect`) before its receipt.
         """
         if isinstance(g, Gen):
             base, peels = g, ()
@@ -903,6 +911,11 @@ class RewriteEngine:
         state = [(base, 0)]
         for peel in peels:
             state = [x for f, d in state for x in self._peel(f, peel, fund, d, stats)]
+            state = [
+                (f, d)
+                for d, run in itertools.groupby(state, key=lambda x: x[1])
+                for f in self.shorten(Prod(tuple(f for f, _ in run))).factors
+            ]
         out = collect(Prod(tuple(f for f, _ in state)))
         if stats["decompositions"] or stats["attest_falls"]:
             i_spec, j_spec = fund

@@ -465,6 +465,25 @@ def test_patch_glues_the_length_five_ladder_word_to_five_generators():
     _check_glued(base, prob, g_word, out, rec)
 
 
+def test_patch_keeps_the_ninth_power_rewrite_of_the_length_five_word_short(monkeypatch):
+    # conjugation_normalize shortens its state between peels, so the second
+    # dilation's for_dilation returns 61 generators; with the state
+    # collected only after the last peel it returned 152
+    base, prob, g_word = ladder_problem(5)
+    sizes = []
+
+    def spy(eng, w, k_spec, var):
+        out, rec = for_dilation(eng, w, k_spec, var)
+        sizes.append(len(flatten(out)))
+        return out, rec
+
+    monkeypatch.setattr(lgp, "for_dilation", spy)
+    out, rec = patch(prob)
+    assert len(sizes) == 2
+    assert sizes[1] <= 80
+    _check_glued(base, prob, g_word, out, rec)
+
+
 def test_patch_collects_the_overlap_word_at_the_seam(monkeypatch):
     # the A2 chain a, a, b, -a with c = 1, 5, 7, 11, lifted to R_2 and R_3.
     # The u2 overlap word ends the inverted datum at x_a(-3X*u1) and starts

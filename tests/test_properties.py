@@ -155,13 +155,18 @@ def test_collect_keeps_the_element_and_the_shape(label, ring_name, seed):
         assert after.ok and len(after.attested) <= len(before.attested)
 
 
-@pytest.mark.parametrize("label", ("A2", "A3"))
+@pytest.mark.parametrize("label", ("A2", "A3", "C2", "G2"))
 def test_conjugation_normalize_under_the_dilation_budget(label):
-    # x_a(c*t*u^2) conjugated by 1-3 generators, about 40 % of them on -a,
-    # normalized with the fund ((t), (u)): a blocked peel at depth 0 is
-    # decomposed, a blocked peel one level deeper falls back to an
-    # attestation
+    # x_a(c*t*u^2) conjugated by 1-3 generators drawn from -a and two
+    # other roots, about 40 % of them on -a, normalized with the fund
+    # ((t), (u)): a blocked peel at depth 0 is decomposed, a blocked peel
+    # one level deeper falls back to an attestation.  Repeated roots leave
+    # same-root pieces that the state merges between peels.
     ring = Ring.integers().extend("t", "u")
+    if label in ("C2", "G2"):
+        # the doubly-laced decompositions need a ring with no residue
+        # field of two elements
+        ring = ring.localize_at(2)
     t, u = ring.var("t"), ring.var("u")
     I, J = IdealSpec.gens(ring, t), IdealSpec.gens(ring, u)
     level = IdealSpec.gens(ring, t * u * u)
@@ -169,13 +174,14 @@ def test_conjugation_normalize_under_the_dilation_budget(label):
     roots = sorted(eng.rs.roots)
     coeffs = [ring.int_(c) for c in (1, -1, 2, 3)]
     falls = []
+    repeats = []
 
     @settings(PROPERTY, max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1))
     def check(seed):
         rng = random.Random(seed)
         a = rng.choice(roots)
-        others = [r for r in roots if r != _vneg(a)]
+        others = rng.sample([r for r in roots if r != _vneg(a)], 2)
         by = tuple(
             Gen(
                 _vneg(a) if rng.random() < 0.4 else rng.choice(others),
@@ -188,9 +194,11 @@ def test_conjugation_normalize_under_the_dilation_budget(label):
         spent = rec.details["budget"]
         assert [e["depth"] for e in spent] == [0] * rec.details["decompositions"]
         falls.append(rec.details["attest_falls"])
+        repeats.append(len({p.root for p in by}) < len(by))
 
     check()
     assert any(n > 0 for n in falls)
+    assert any(repeats)
 
 
 # Z/9 localized at 2 stores equal elements apart, so equality there

@@ -559,6 +559,53 @@ def test_conjugation_normalize_deeper_conjugator():
     assert rec.attested == 0
 
 
+def test_conjugation_normalize_merges_equal_depth_pieces_between_peels():
+    # peeling x_b(1) and x_b(2) leaves x_a(p) x_c(-2p) x_c(-p), p = t*u^2.
+    # The two pieces on c share depth 0 and merge into x_c(-3p) before the
+    # blocked peel on -c, which then decomposes one piece, not two
+    ring = Ring.integers().extend("t", "u")
+    eng = RewriteEngine("A2", ring)
+    t, u = ring.var("t"), ring.var("u")
+    I, J = IdealSpec.gens(ring, t), IdealSpec.gens(ring, u)
+    p = t * u * u
+    by = Prod((Gen(B, ring.int_(1)), Gen(B, ring.int_(2)), Gen((-1, 0, 1), ring.int_(1))))
+    g = Conj(Gen(A, p), by)
+    out, rec = eng.conjugation_normalize(g, IdealSpec.gens(ring, p), (I, J))
+    assert rec.details["decompositions"] == 1
+    assert [e["value"] for e in rec.details["budget"]] == [str(-3 * p)]
+    assert rec.details["attest_falls"] == 0
+    assert rec.attested == 0
+    assert len(flatten(out)) == 14
+    assert dense_equal(eng, out, g)
+
+
+def test_conjugation_normalize_keeps_depths_apart():
+    # x_-c(p) peeled by x_b(1) and x_a(1): the blocked piece on -a is
+    # decomposed, and its first piece x_-c(-t*u) sits at depth 1, one
+    # commuting generator away from x_-c(p) at depth 0.  They stay apart,
+    # so the blocked peel on c decomposes x_-c(p) and attests x_-c(-t*u)
+    ring = Ring.integers().extend("t", "u")
+    eng = RewriteEngine("A2", ring)
+    t, u = ring.var("t"), ring.var("u")
+    I, J = IdealSpec.gens(ring, t), IdealSpec.gens(ring, u)
+    p = t * u * u
+    one = ring.int_(1)
+    level = IdealSpec.gens(ring, p)
+    g = Conj(Gen((-1, 0, 1), p), Prod((Gen(B, one), Gen(A, one))))
+    out, _ = eng.conjugation_normalize(g, level, (I, J))
+    assert out.factors[:4] == (
+        Gen((-1, 0, 1), p), Gen((0, -1, 1), -p), Gen((-1, 0, 1), -t * u), Gen((0, -1, 1), t * u)
+    )
+    out, rec = eng.conjugation_normalize(
+        Conj(g.base, Prod(g.by.factors + (Gen(C, one),))), level, (I, J)
+    )
+    assert rec.details["decompositions"] == 2
+    assert [e["depth"] for e in rec.details["budget"]] == [0, 0]
+    assert rec.details["attest_falls"] == 2
+    assert rec.attested == 2
+    assert Conj(Gen((-1, 0, 1), -t * u), Gen(C, one)) in out.factors
+
+
 # ----- relative_split -----
 
 
