@@ -35,7 +35,8 @@ LevelShape certificate, but they write out the Comm nodes that BarShape
 and MixedCommShape match, so `for_dilation` keeps plain `collect` on the
 word it returns; the level factors it normalizes are shortened inside
 `conjugation_normalize`, between peels.  Every collected or shortened
-word still passes through `finish`.
+word still passes through `finish`; `for_dilation` runs one on the word
+it composes from the unchecked `conjugation_normalize` and `mixed_pieces`.
 
 Every step is checked against the matrix representations through the
 RewriteEngine over its output ring, and every receipt comes from that
@@ -223,7 +224,7 @@ def _bounded_combination_search(ring, vals):
 # ----- normalizing a ninth-power splitting -----
 
 
-def _normalize_level_factor(eng, f, level_spec, fund, out, stats):
+def _normalize_level_factor(eng, f, fund, out, stats):
     g, inverted, by = unwrap(f)
     if not isinstance(g, Gen):
         out.append(f)
@@ -232,9 +233,7 @@ def _normalize_level_factor(eng, f, level_spec, fund, out, stats):
     if inverted:
         g = Gen(g.root, -g.arg)
     try:
-        piece, rec = eng.conjugation_normalize(
-            g if by is None else Conj(g, by), level_spec, fund
-        )
+        piece, sub = eng.conjugation_normalize(g if by is None else Conj(g, by), fund)
     except (ConditionViolated, NoUnitCombination):
         # no decomposition route over this ring; the factor stays whole
         # and rides as a congruence attestation
@@ -243,24 +242,23 @@ def _normalize_level_factor(eng, f, level_spec, fund, out, stats):
         return
     out.extend(piece.factors)
     stats["level_factors"] += 1
-    stats["attest_falls"] += rec.details["attest_falls"]
-    stats["decompositions"] += rec.details["decompositions"]
-    stats["budget"].extend(rec.details["budget"])
+    for key in ("attest_falls", "decompositions", "budget"):
+        stats[key] += sub[key]
 
 
 def for_dilation(eng, w, k_spec, var):
     """Rewrite a relative splitting at var^9 into level-(var) conjugators.
 
     The input certifies BarShape(k_spec, (var^9)) over the engine's ring.
-    Commutator factors are split off by move_indeterminate with middle
-    ideal (var^3); level factors are then normalized one at a time by
+    Commutator factors are split by `RewriteEngine.mixed_pieces` with
+    middle ideal (var^3); level factors are normalized by
     conjugation_normalize with the fund (k, (var)), which turns every
-    surviving conjugator into a level-(var) word.  Factors without a
-    decomposition route over the ring are kept whole; they are honest
-    congruences at level k*(var) and come back as oracle-checked
-    attestations in the receipt.  The `budget` detail joins the
-    normalized factors' entries in factor order, and `trivial_pieces`
-    sums move_indeterminate's count of Hall-Witt pieces it left out.
+    surviving conjugator into a level-(var) word.  Neither checks, so the
+    output is checked once, here.  Factors without a decomposition route
+    over the ring are kept whole; they are honest congruences at level
+    k*(var) and come back as oracle-checked attestations in the receipt.
+    The `budget` detail joins the normalized factors' entries in factor
+    order, and `trivial_pieces` counts the Hall-Witt pieces left out.
 
     Returns (word, receipt); the word is oracle-equal to the input and
     certifies RelConjShape((var), k_spec * (var)).
@@ -276,7 +274,6 @@ def for_dilation(eng, w, k_spec, var):
         raise ConditionViolated(
             "input is not a relative splitting at %s^9: %s" % (var, report.reason)
         )
-    level_spec = k_spec.product(cube)
     fund = (k_spec, t_spec)
     stats = {
         "level_factors": 0,
@@ -291,18 +288,18 @@ def for_dilation(eng, w, k_spec, var):
     out = []
     for f in _factors(w):
         if isinstance(unwrap(f)[0], Comm):
-            # a lone commutator has no level part to move out
+            sub = {"witness_terms": 0, "trivial_pieces": 0}
             try:
-                _, mixed_w, rec = eng.move_indeterminate(Prod((f,)), cube, k_spec)
+                pieces = eng.mixed_pieces(f, cube, sub)
             except (ConditionViolated, NoUnitCombination):
                 out.append(f)
                 stats["kept_factors"] += 1
                 continue
-            out.extend(mixed_w.factors)
-            stats["mixed_factors"] += len(mixed_w.factors)
-            stats["trivial_pieces"] += rec.details["trivial_pieces"]
+            out.extend(pieces)
+            stats["mixed_factors"] += len(pieces)
+            stats["trivial_pieces"] += sub["trivial_pieces"]
         else:
-            _normalize_level_factor(eng, f, level_spec, fund, out, stats)
+            _normalize_level_factor(eng, f, fund, out, stats)
     out_word = collect(Prod(tuple(out)))
     cert = RelConjShape(t_spec, k_spec.product(t_spec))
     details = dict(stats, budget=tuple(stats["budget"]))

@@ -1,9 +1,10 @@
 """Certified word rewriting: expansion, splitting, decomposition, collection.
 
 Every operation takes a word (or the data for one), produces a word of a
-prescribed shape, and returns a RewriteReceipt alongside it.  The one
-exception is `shorten`, a collector like `gword.collect` that returns
-only the word; the stages that call it check its output.
+prescribed shape, and returns a RewriteReceipt alongside it.  Three
+builders return their word unchecked, for the stage that calls them to
+check once: `shorten`, a collector like `gword.collect`, and
+`conjugation_normalize` and `mixed_pieces`, of `lgp.for_dilation`.
 
 RewriteEngine owns the matrix representations of one (system, ring) pair
 and is the only place where words meet the oracle: `evaluate` gives a
@@ -55,7 +56,6 @@ from .gword import (
     LevelShape,
     MixedCommShape,
     Prod,
-    RelConjShape,
     YShape,
     _match_rel_like,
     check_shape,
@@ -201,7 +201,7 @@ class RewriteReceipt:
 
 class RewriteEngine:
     """Rewrites words over one root system and one ring, running the
-    matrix oracle and the certificate check on every operation."""
+    matrix oracle and the certificate check on every receipt it issues."""
 
     def __init__(self, rs, ring, node_budget=200000):
         if isinstance(rs, str):
@@ -880,7 +880,7 @@ class RewriteEngine:
         stats["attest_falls"] += 1
         return [Conj(gen, peel)]
 
-    def conjugation_normalize(self, g, level_spec, fund=None):
+    def conjugation_normalize(self, g, fund=None):
         """Peel the conjugator of Conj(Gen(alpha, a), c) one generator at a time.
 
         Peels on roots other than -alpha are plain Chevalley expansions and
@@ -890,16 +890,18 @@ class RewriteEngine:
         over it by `_peel`, so two rules hold: the pieces of a blocked
         generator sit one level deeper than it, whether it stands alone or
         is the base of a conjugate, and decomposition pieces never re-enter
-        `_blocked_pieces` (they avoid +-the blocked root).  With no blocked
-        peel the output stays level `level_spec`; otherwise it is certified
-        RelConjShape(J, I*J).  The `budget` detail holds one {depth, root,
-        value, note} entry per decomposition, in peel order.
+        `_blocked_pieces` (they avoid +-the blocked root).  A blocked peel
+        puts the output in RelConjShape(J, I*J).
         The state is shortened between peels, so that no peel expands a
         piece an earlier merge removes: each maximal run of consecutive
         pairs of one depth becomes `shorten` of its product, and its factors
         keep that depth.  Pieces of different depths never merge, so a
-        blocked peel still decomposes exactly its depth-0 pieces.  The
-        output is collected (`gword.collect`) before its receipt.
+        blocked peel still decomposes exactly its depth-0 pieces.
+
+        Returns (word, stats) and checks nothing, like `shorten`: the word
+        is collected (`gword.collect`), and stats holds the counts
+        `decompositions` and `attest_falls` and the `budget` list, one
+        {depth, root, value, note} entry per decomposition in peel order.
         """
         if isinstance(g, Gen):
             base, peels = g, ()
@@ -916,17 +918,7 @@ class RewriteEngine:
                 for d, run in itertools.groupby(state, key=lambda x: x[1])
                 for f in self.shorten(Prod(tuple(f for f, _ in run))).factors
             ]
-        out = collect(Prod(tuple(f for f, _ in state)))
-        if stats["decompositions"] or stats["attest_falls"]:
-            i_spec, j_spec = fund
-            cert = RelConjShape(j_spec, i_spec.product(j_spec))
-        else:
-            cert = LevelShape(level_spec)
-        receipt = self.finish(
-            "conjugation_normalize", g, out, [(out, cert)], g,
-            details=dict(stats, budget=tuple(stats["budget"])),
-        )
-        return out, receipt
+        return collect(Prod(tuple(f for f, _ in state))), stats
 
     # ----- relative splitting -----
 
@@ -1088,14 +1080,8 @@ class RewriteEngine:
             "trivial_pieces": 0,
         }
         for f in (w.factors if isinstance(w, Prod) else (w,)):
-            un, invert, conj_by = unwrap(f)
-            if isinstance(un, Comm):
-                pieces = self._split_mixed_factor(un, j_spec, stats)
-                if invert:
-                    pieces = _inv_factors(pieces)
-                if conj_by is not None:
-                    pieces = [_conj_factor(p, conj_by) for p in pieces]
-                mixed_acc += pieces
+            if isinstance(unwrap(f)[0], Comm):
+                mixed_acc += self.mixed_pieces(f, j_spec, stats)
                 stats["comm_factors"] += 1
             else:
                 # moving the level factor left across the mixed ones
@@ -1114,6 +1100,19 @@ class RewriteEngine:
             details=stats,
         )
         return level_word, mixed_word, receipt
+
+    def mixed_pieces(self, f, j_spec, stats):
+        """The E_{J,KJ} pieces of one commutator factor f (`gword.unwrap`):
+        its core split by `_split_mixed_factor`, inverted and conjugated
+        back.  Adds to stats' `witness_terms` and `trivial_pieces`, and
+        checks nothing: its callers check the words they build."""
+        un, invert, conj_by = unwrap(f)
+        pieces = self._split_mixed_factor(un, j_spec, stats)
+        if invert:
+            pieces = _inv_factors(pieces)
+        if conj_by is not None:
+            pieces = [_conj_factor(p, conj_by) for p in pieces]
+        return pieces
 
     def _split_mixed_factor(self, comm, j_spec, stats):
         """One [level J*J^(2), level K] commutator into E_{J,KJ} pieces."""

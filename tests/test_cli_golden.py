@@ -11,6 +11,8 @@ To regenerate the files after an intended output change, run
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,6 +88,21 @@ def test_tables_e8_digest():
     code, text = _run(["tables", "--system", "E8"])
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == TABLES_E8_SHA256
+
+
+def test_the_module_runs_as_a_process():
+    # `python -m chevcalc.cli` in a fresh interpreter, as a shell runs it:
+    # the exit code and the bytes on stdout come from the process itself
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "chevcalc.cli", *argv],
+                              cwd=ROOT, env=env, capture_output=True, timeout=60)
+
+    tables = run("tables", "--system", "A2")
+    assert tables.returncode == 0
+    assert tables.stdout == (GOLDEN / "tables_A2.txt").read_bytes()
+    assert run("lgp", "--problem", "instances/lgp_cover24.json").returncode == 17
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import collections
 import random
 import time
 
@@ -346,6 +347,22 @@ def test_dilate_peels_level_conjugators():
         assert rep.words_equal(lift(h, loc), substitute_word(w, dil, loc), loc)
 
 
+def test_dilate_raises_n_to_the_deepest_entry_denominator():
+    # every argument is 3X/2, so the word clears at m = 1 and 9m = 9, but
+    # the product's matrix entries carry 2^10 in a denominator: dilate
+    # raises n to 10 by dilating X once more
+    loc = Ring(0, ("X",)).localize_at(2)
+    eng = RewriteEngine("A2", loc)
+    x = loc.parse("3*X/s")
+    w = Prod(tuple(Gen(r, x) for r in (A, _neg(A), A, _neg(A), A)))
+    l, h, rec = dilate(eng, w, IdealSpec.gens(loc, 3))
+    assert rec.details["clear_m"] == 1
+    assert rec.details["n"] == l == 10
+    w_dil = substitute_word(w, {"X": loc.int_(2) ** l * loc.var("X")}, loc)
+    for rep in eng.reps:
+        assert dense_evaluate(rep, lift(h, loc), loc) == dense_evaluate(rep, w_dil, loc)
+
+
 def test_dilate_zero_divisor_base_pins_by_torsion():
     # Z/4 localized at 2 collapses, so the cleared word is empty and the
     # torsion scan alone finds the exponent that makes the match exact
@@ -540,17 +557,27 @@ def test_patch_collects_the_first_datum(monkeypatch):
 @pytest.mark.parametrize("interleaved", [False, True])
 def test_patch_checks_congruence_once_per_datum(monkeypatch, interleaved):
     # patch tests each datum at X = 0 once per representation (adjoint and
-    # defining); dilate and relative_split add no congruence check of their own
+    # defining); dilate and relative_split add no congruence check of their
+    # own.  Each stage runs `finish` once per call, and for_dilation composes
+    # unchecked builders, so no `finish` runs inside it but its own
     calls = []
     original = rewrite.congruence_check
+    ops = collections.Counter()
+    finish = RewriteEngine.finish
 
     def counting(m, spec):
         calls.append(spec)
         return original(m, spec)
 
+    def finishing(self, op, *args, **kwargs):
+        ops[op] += 1
+        return finish(self, op, *args, **kwargs)
+
     monkeypatch.setattr(rewrite, "congruence_check", counting)
+    monkeypatch.setattr(RewriteEngine, "finish", finishing)
     patch(crafted_problem(interleaved)[1])
     assert len(calls) == 4
+    assert ops == {"patch": 1, "dilate": 2, "relative_split": 2, "for_dilation": 2}
 
 
 def test_patch_reproduces_random_integral_words():

@@ -190,10 +190,14 @@ def test_conjugation_normalize_under_the_dilation_budget(label):
             for _ in range(rng.randint(1, 3))
         )
         g = Conj(Gen(a, rng.choice(coeffs) * t * u * u), Prod(by))
-        _, rec = eng.conjugation_normalize(g, level, (I, J))
-        spent = rec.details["budget"]
-        assert [e["depth"] for e in spent] == [0] * rec.details["decompositions"]
-        falls.append(rec.details["attest_falls"])
+        out, stats = eng.conjugation_normalize(g, (I, J))
+        assert eng.equal(out, g)
+        blocked = stats["decompositions"] or stats["attest_falls"]
+        cert = RelConjShape(J, I.product(J)) if blocked else LevelShape(level)
+        assert check_shape(out, cert, eng.congruence_oracle()).ok
+        spent = stats["budget"]
+        assert [e["depth"] for e in spent] == [0] * stats["decompositions"]
+        falls.append(stats["attest_falls"])
         repeats.append(len({p.root for p in by}) < len(by))
 
     check()

@@ -42,6 +42,16 @@ from wordgen import dense_evaluate, random_ring_element, random_word
 A, B, C = (1, -1, 0), (0, 1, -1), (1, 0, -1)
 
 
+def checked_attestations(eng, out, g, shape):
+    """The checks `finish` makes, made on a builder's unchecked word: out
+    equals g under the engine's oracle and matches shape.  Returns the
+    attested count."""
+    assert eng.equal(out, g)
+    report = check_shape(out, shape, eng.congruence_oracle())
+    assert report.ok, report.reason
+    return len(report.attested)
+
+
 def dense_equal(eng, a, b):
     """Do a and b multiply out alike as dense generator products, the
     reference that is independent of the engine's oracle?"""
@@ -339,12 +349,9 @@ def test_conjugation_normalize_pushes_a_vaserstein_conjugate(r):
     I = IdealSpec.gens(ring, t)
     J = IdealSpec.gens(ring, u)
     v = Conj(Gen(A, 5 * t * u * u), Gen((-1, 1, 0), ring.parse(r)))
-    out, rec = eng.conjugation_normalize(v, I.product(J), (I, J))
-    cert = rec.certificate
-    assert isinstance(cert, RelConjShape)
-    assert (cert.conj_ideal.describe(), cert.level.describe()) == ("(u)", "(t)*(u)")
-    assert rec.attested == 0
-    assert [(e["depth"], e["note"]) for e in rec.details["budget"]] == [(0, "unit-pair")]
+    out, stats = eng.conjugation_normalize(v, (I, J))
+    assert checked_attestations(eng, out, v, RelConjShape(J, I.product(J))) == 0
+    assert [(e["depth"], e["note"]) for e in stats["budget"]] == [(0, "unit-pair")]
     assert dense_equal(eng, out, v)
 
 
@@ -482,10 +489,10 @@ def test_conjugation_normalize_stays_level_without_blocks():
     t, u = ring.var("t"), ring.var("u")
     level = IdealSpec.gens(ring, t * u)
     g = Conj(Gen(A, t * u), Prod((Gen(B, ring.int_(2)), Gen(C, u))))
-    out, rec = eng.conjugation_normalize(g, level)
-    assert isinstance(rec.certificate, LevelShape)
-    assert rec.attested == 0
-    assert rec.details["decompositions"] == 0
+    out, stats = eng.conjugation_normalize(g)
+    assert checked_attestations(eng, out, g, LevelShape(level)) == 0
+    assert stats["decompositions"] == 0
+    assert stats["attest_falls"] == 0
 
 
 def test_conjugation_normalize_collects_its_output():
@@ -495,9 +502,9 @@ def test_conjugation_normalize_collects_its_output():
     eng = RewriteEngine("A2", ring)
     t = ring.var("t")
     g = Conj(Gen(A, t), Prod((Gen(B, ring.int_(1)), Gen(B, ring.int_(-1)))))
-    out, rec = eng.conjugation_normalize(g, IdealSpec.gens(ring, t))
+    out, _ = eng.conjugation_normalize(g)
     assert out == Prod((Gen(A, t),))
-    assert rec.attested == 0
+    assert checked_attestations(eng, out, g, LevelShape(IdealSpec.gens(ring, t))) == 0
 
 
 def test_conjugation_normalize_funds_blocked_peel():
@@ -506,13 +513,11 @@ def test_conjugation_normalize_funds_blocked_peel():
     t, u = ring.var("t"), ring.var("u")
     I = IdealSpec.gens(ring, t)
     J = IdealSpec.gens(ring, u)
-    level = IdealSpec.gens(ring, t * u * u)
     g = Conj(Gen(A, t * u * u), Gen((-1, 1, 0), ring.int_(3)))
-    out, rec = eng.conjugation_normalize(g, level, (I, J))
-    assert isinstance(rec.certificate, RelConjShape)
-    assert rec.details["decompositions"] == 1
-    assert [e["depth"] for e in rec.details["budget"]] == [0]
-    assert rec.attested == 0
+    out, stats = eng.conjugation_normalize(g, (I, J))
+    assert stats["decompositions"] == 1
+    assert [e["depth"] for e in stats["budget"]] == [0]
+    assert checked_attestations(eng, out, g, RelConjShape(J, I.product(J))) == 0
 
 
 def test_conjugation_normalize_attests_a_peel_the_fund_cannot_pay():
@@ -524,14 +529,11 @@ def test_conjugation_normalize_attests_a_peel_the_fund_cannot_pay():
     I = IdealSpec.gens(ring, t)
     J = IdealSpec.gens(ring, u)
     g = Conj(Gen(A, t * u), Gen((-1, 1, 0), ring.int_(1)))
-    out, rec = eng.conjugation_normalize(g, I.product(J), (I, J))
-    assert rec.details["attest_falls"] == 1
-    assert rec.details["decompositions"] == 0
-    assert rec.details["budget"] == ()
-    cert = rec.certificate
-    assert isinstance(cert, RelConjShape)
-    assert (cert.conj_ideal.describe(), cert.level.describe()) == ("(u)", "(t)*(u)")
-    assert rec.attested == 1
+    out, stats = eng.conjugation_normalize(g, (I, J))
+    assert stats["attest_falls"] == 1
+    assert stats["decompositions"] == 0
+    assert stats["budget"] == []
+    assert checked_attestations(eng, out, g, RelConjShape(J, I.product(J))) == 1
     assert dense_equal(eng, out, g)
 
 
@@ -539,10 +541,9 @@ def test_conjugation_normalize_budget_exhaustion():
     ring = Ring.integers().extend("t", "u")
     eng = RewriteEngine("A2", ring)
     t, u = ring.var("t"), ring.var("u")
-    level = IdealSpec.gens(ring, t * u * u)
     g = Conj(Gen(A, t * u * u), Gen((-1, 1, 0), ring.int_(3)))
     with pytest.raises(BudgetExhausted):
-        eng.conjugation_normalize(g, level)
+        eng.conjugation_normalize(g)
 
 
 def test_conjugation_normalize_deeper_conjugator():
@@ -552,11 +553,10 @@ def test_conjugation_normalize_deeper_conjugator():
     t, u = ring.var("t"), ring.var("u")
     I = IdealSpec.gens(ring, t)
     J = IdealSpec.gens(ring, u)
-    level = IdealSpec.gens(ring, t * u * u)
     g = Conj(Gen(A, t * u * u), Prod((Gen(B, u), Gen((-1, 1, 0), ring.int_(2)))))
-    out, rec = eng.conjugation_normalize(g, level, (I, J))
-    assert rec.details["decompositions"] >= 1
-    assert rec.attested == 0
+    out, stats = eng.conjugation_normalize(g, (I, J))
+    assert stats["decompositions"] >= 1
+    assert checked_attestations(eng, out, g, RelConjShape(J, I.product(J))) == 0
 
 
 def test_conjugation_normalize_merges_equal_depth_pieces_between_peels():
@@ -570,11 +570,11 @@ def test_conjugation_normalize_merges_equal_depth_pieces_between_peels():
     p = t * u * u
     by = Prod((Gen(B, ring.int_(1)), Gen(B, ring.int_(2)), Gen((-1, 0, 1), ring.int_(1))))
     g = Conj(Gen(A, p), by)
-    out, rec = eng.conjugation_normalize(g, IdealSpec.gens(ring, p), (I, J))
-    assert rec.details["decompositions"] == 1
-    assert [e["value"] for e in rec.details["budget"]] == [str(-3 * p)]
-    assert rec.details["attest_falls"] == 0
-    assert rec.attested == 0
+    out, stats = eng.conjugation_normalize(g, (I, J))
+    assert stats["decompositions"] == 1
+    assert [e["value"] for e in stats["budget"]] == [str(-3 * p)]
+    assert stats["attest_falls"] == 0
+    assert checked_attestations(eng, out, g, RelConjShape(J, I.product(J))) == 0
     assert len(flatten(out)) == 14
     assert dense_equal(eng, out, g)
 
@@ -590,19 +590,19 @@ def test_conjugation_normalize_keeps_depths_apart():
     I, J = IdealSpec.gens(ring, t), IdealSpec.gens(ring, u)
     p = t * u * u
     one = ring.int_(1)
-    level = IdealSpec.gens(ring, p)
+    cert = RelConjShape(J, I.product(J))
     g = Conj(Gen((-1, 0, 1), p), Prod((Gen(B, one), Gen(A, one))))
-    out, _ = eng.conjugation_normalize(g, level, (I, J))
+    out, _ = eng.conjugation_normalize(g, (I, J))
     assert out.factors[:4] == (
         Gen((-1, 0, 1), p), Gen((0, -1, 1), -p), Gen((-1, 0, 1), -t * u), Gen((0, -1, 1), t * u)
     )
-    out, rec = eng.conjugation_normalize(
-        Conj(g.base, Prod(g.by.factors + (Gen(C, one),))), level, (I, J)
-    )
-    assert rec.details["decompositions"] == 2
-    assert [e["depth"] for e in rec.details["budget"]] == [0, 0]
-    assert rec.details["attest_falls"] == 2
-    assert rec.attested == 2
+    checked_attestations(eng, out, g, cert)
+    g2 = Conj(g.base, Prod(g.by.factors + (Gen(C, one),)))
+    out, stats = eng.conjugation_normalize(g2, (I, J))
+    assert stats["decompositions"] == 2
+    assert [e["depth"] for e in stats["budget"]] == [0, 0]
+    assert stats["attest_falls"] == 2
+    assert checked_attestations(eng, out, g2, cert) == 2
     assert Conj(Gen((-1, 0, 1), -t * u), Gen(C, one)) in out.factors
 
 
