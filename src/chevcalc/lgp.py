@@ -36,7 +36,9 @@ and MixedCommShape match, so `for_dilation` keeps plain `collect` on the
 word it returns; the level factors it normalizes are shortened inside
 `conjugation_normalize`, between peels.  Every collected or shortened
 word still passes through `finish`; `for_dilation` runs one on the word
-it composes from the unchecked `conjugation_normalize` and `mixed_pieces`.
+it composes from the unchecked `conjugation_normalize` and `mixed_pieces`,
+and `dilate` none on its unchecked split (`split_pieces`): for_dilation's
+input gate checks the split's shape, and dilate's torsion scan its value.
 
 Every step is checked against the matrix representations through the
 RewriteEngine over its output ring, and every receipt comes from that
@@ -62,7 +64,6 @@ from .errors import (
 )
 from .exactring import IdealSpec
 from .gword import (
-    EMPTY,
     BarShape,
     Comm,
     Conj,
@@ -329,7 +330,9 @@ def dilate(eng, w, i_spec, var=None):
     representation pins the final exponent exactly, including over base
     rings where s divides zero.  A word not trivial at var = 0 raises
     CongruenceFailed in the split of the doubled word, whose variable-free
-    part is w at var = 0.
+    part is w at var = 0.  The split is unchecked (`split_pieces`): its one
+    BarShape check is for_dilation's input gate, and its one equality
+    check the torsion scan, which raises OracleMismatch on a wrong word.
     """
     ring = eng.ring
     if var is not None:
@@ -352,14 +355,6 @@ def dilate(eng, w, i_spec, var=None):
     base_out = ring.delocalized()
     eng_out = RewriteEngine(eng.rs, base_out, node_budget=eng.node_budget)
     i_base = i_spec.substitute(_lift_map(ring, base_out), base_out)
-    if isinstance(w, Prod) and not w.factors:
-        return 0, EMPTY, eng_out.finish(
-            "dilate",
-            w,
-            EMPTY,
-            [(EMPTY, LevelShape(i_base))],
-            details={"l": 0, "n": 0, "clear_m": 0, "torsion_k": 0, "den_exponents": []},
-        )
     report = check_shape(w, LevelShape(i_spec), eng.congruence_oracle())
     if not report.ok:
         raise ConditionViolated("input is not a level word: %s" % report.reason)
@@ -375,7 +370,7 @@ def dilate(eng, w, i_spec, var=None):
     doubled[var] = ring2.var(var) * tp
     i2 = i_spec.substitute(_lift_map(ring, ring2), ring2)
     f_word = substitute_word(w, doubled, ring2)
-    bar, _ = eng2.relative_split(f_word, i2, vp)
+    bar = eng2.split_pieces(f_word, i2, vp)
     nine = _lift_map(ring2, ring2)
     nine[vp] = tp ** 9
     bar9 = substitute_word(bar, nine, ring2)
@@ -425,10 +420,14 @@ def dilate(eng, w, i_spec, var=None):
 
     # pin the exponent: over a base with s-torsion the cleared word may
     # still differ from the integral dilation by s-torsion in positive
-    # var-degrees, and a further bounded dilation kills it
+    # var-degrees, and a further bounded dilation kills it; both sides
+    # live over base_out, so a refused scan means a wrong word
     k = 0
-    for gm, hm in zip(mats_in, eng_out.evaluate(h_word)):
-        k = max(k, torsion_exponent(integral_dilation(gm, n), hm, s_out, var))
+    try:
+        for gm, hm in zip(mats_in, eng_out.evaluate(h_word)):
+            k = max(k, torsion_exponent(integral_dilation(gm, n), hm, s_out, var))
+    except LocalizationMismatch as e:
+        raise OracleMismatch("dilate output differs from the dilated input: %s" % e) from None
     # at k = 0 the scan's first comparison was the acceptance test
     l = n + k
     h_final = h_word

@@ -1,10 +1,11 @@
 """Certified word rewriting: expansion, splitting, decomposition, collection.
 
 Every operation takes a word (or the data for one), produces a word of a
-prescribed shape, and returns a RewriteReceipt alongside it.  Three
+prescribed shape, and returns a RewriteReceipt alongside it.  Four
 builders return their word unchecked, for the stage that calls them to
-check once: `shorten`, a collector like `gword.collect`, and
-`conjugation_normalize` and `mixed_pieces`, of `lgp.for_dilation`.
+check once: `shorten`, a collector like `gword.collect`; `split_pieces`,
+of `lgp.dilate`; `conjugation_normalize` and `mixed_pieces`, of
+`lgp.for_dilation`.
 
 RewriteEngine owns the matrix representations of one (system, ring) pair
 and is the only place where words meet the oracle: `evaluate` gives a
@@ -942,7 +943,7 @@ class RewriteEngine:
             return self._rel_factor_list(expanded, outer)
         raise TypeError("not a word: %r" % (w,))
 
-    def relative_split(self, w, i_spec, var):
+    def split_pieces(self, w, i_spec, var):
         """Split a level-I word living in the congruence group of (var).
 
         Each argument a splits as a = a(var=0) + rest; each conjugator b
@@ -951,6 +952,7 @@ class RewriteEngine:
         identity; what remains is mixed commutators [d, g^-1] plus factors
         at level I*(var).  The variable-free parts multiply to w at var = 0,
         so a word not trivial there raises CongruenceFailed at that check.
+        The split is unchecked; `relative_split` is the checked op.
         """
         self._check_splitting_var(var)
         for g in i_spec.expand():
@@ -958,7 +960,6 @@ class RewriteEngine:
                 raise NotExtendedIdeal(
                     "generator %s of %s involves %r" % (g, i_spec.describe(), var)
                 )
-        j_spec = IdealSpec.gens(self.ring, self.ring.var(var))
         mapping = self._retraction(var)
         out_factors = []
         prefix = []
@@ -997,16 +998,15 @@ class RewriteEngine:
             raise CongruenceFailed(
                 "the word is not congruent to the identity mod (%s)" % var
             )
-        out = Prod(tuple(out_factors))
-        receipt = self.finish(
-            "relative_split",
-            w,
-            out,
-            [(out, BarShape(i_spec, j_spec))],
-            w,
-            details={"var": var},
+        return Prod(tuple(out_factors))
+
+    def relative_split(self, w, i_spec, var):
+        """`split_pieces` checked: equal to w and of BarShape(I, (var))."""
+        out = self.split_pieces(w, i_spec, var)
+        shape = BarShape(i_spec, IdealSpec.gens(self.ring, self.ring.var(var)))
+        return out, self.finish(
+            "relative_split", w, out, [(out, shape)], w, details={"var": var}
         )
-        return out, receipt
 
     # ----- moving the indeterminate -----
 

@@ -196,3 +196,34 @@ def test_a_key_error_inside_a_lemma_is_not_a_missing_field(monkeypatch):
     monkeypatch.setitem(cli.DEMOS, "decomposition", lemma)
     with pytest.raises(KeyError):
         _run(_argv("decomposition_a2"))
+
+
+# ----- refusals -----
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["--suite", "nope", "--ring", "Z[t]"], 3, "unknown suite 'nope'"),
+    (["--suite", "steinberg", "--ring", "Z[t]q"], 18, "unrecognized ring descriptor 'Z[t]q'"),
+    (["--suite", "steinberg", "--ring", "Q[t]"], 18, "must start with Z or Z/m: 'Q[t]'"),
+], ids=["unknown-suite", "ring-trailer", "ring-head"])
+def test_verify_refuses_a_bad_suite_or_ring(argv, code, message):
+    got, out, err = _run(["verify", "--system", "A2"] + argv)
+    assert got == code
+    assert message in out + err
+
+
+@pytest.mark.parametrize("name", ["lgp_cover23", "dilate_a2"])
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read"),
+    ("{", "is not valid JSON"),
+], ids=["missing", "not-json"])
+def test_an_unreadable_instance_file_is_a_parse_error(tmp_path, name, text, message):
+    path = tmp_path / "instance.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, _ = _run(_argv(name, path))
+    assert code == 18
+    payload = json.loads(out)
+    assert (payload["error"], payload["exit_code"]) == ("ParseError", 18)
+    assert message in payload["message"] and str(path) in payload["message"]
+    assert (payload["ring"], payload["system"]) == (None, None)

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chevcalc import lgp, rewrite
+from chevcalc import cli, lgp, rewrite
 from chevcalc.errors import (
     CongruenceFailed,
     ConditionViolated,
@@ -384,8 +384,33 @@ def test_dilate_trivial_cases():
     assert (l, h) == (0, w)
     assert rec.details["l"] == 0
     loc = ring.localize_at(2)
-    l, h, _ = dilate(RewriteEngine("A2", loc), EMPTY, IdealSpec.gens(loc, 3))
+    l, h, rec = dilate(RewriteEngine("A2", loc), EMPTY, IdealSpec.gens(loc, 3))
     assert (l, h) == (0, EMPTY)
+    # the empty word takes the path of every other word, so its receipt
+    # carries the same details
+    _, _, full = dilate(RewriteEngine("A2", loc), Prod((Gen(A, loc.parse("3*t/s")),)),
+                        IdealSpec.gens(loc, 3))
+    assert rec.details.keys() == full.details.keys()
+    assert rec.details["den_exponents"] == []
+    assert (rec.details["clear_m"], rec.details["n"], rec.details["torsion_k"]) == (0, 0, 0)
+    assert rec.details["ninth_power_attested"] == 0
+
+
+def test_dilate_refuses_a_faulty_split(monkeypatch):
+    # the split is composed unchecked: a builder that loses a factor gets
+    # through for_dilation, whose checks compare against the faulty split,
+    # and dilate's torsion scan against the dilated input refuses it
+    split = RewriteEngine.split_pieces
+
+    def dropping(self, w, i_spec, var):
+        return Prod(split(self, w, i_spec, var).factors[:-1])
+
+    monkeypatch.setattr(RewriteEngine, "split_pieces", dropping)
+    loc = Ring(0, ("t",)).localize_at(2)
+    w = Prod((Gen(A, loc.parse("3*t/s")), Gen(C, loc.parse("3*t"))))
+    with pytest.raises(OracleMismatch, match="dilate output differs from the dilated input") as e:
+        dilate(RewriteEngine("A2", loc), w, IdealSpec.gens(loc, 3))
+    assert cli.exit_code(e.value) == 19
 
 
 def test_dilate_input_checks():
@@ -557,9 +582,10 @@ def test_patch_collects_the_first_datum(monkeypatch):
 @pytest.mark.parametrize("interleaved", [False, True])
 def test_patch_checks_congruence_once_per_datum(monkeypatch, interleaved):
     # patch tests each datum at X = 0 once per representation (adjoint and
-    # defining); dilate and relative_split add no congruence check of their
-    # own.  Each stage runs `finish` once per call, and for_dilation composes
-    # unchecked builders, so no `finish` runs inside it but its own
+    # defining); dilate and its split add no congruence check of their own.
+    # Each stage runs `finish` once per call, and dilate and for_dilation
+    # compose unchecked builders, so no `finish` runs inside them but
+    # for_dilation's and their own
     calls = []
     original = rewrite.congruence_check
     ops = collections.Counter()
@@ -577,7 +603,7 @@ def test_patch_checks_congruence_once_per_datum(monkeypatch, interleaved):
     monkeypatch.setattr(RewriteEngine, "finish", finishing)
     patch(crafted_problem(interleaved)[1])
     assert len(calls) == 4
-    assert ops == {"patch": 1, "dilate": 2, "relative_split": 2, "for_dilation": 2}
+    assert ops == {"patch": 1, "dilate": 2, "for_dilation": 2}
 
 
 def test_patch_reproduces_random_integral_words():

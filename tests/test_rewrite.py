@@ -15,6 +15,7 @@ from chevcalc.errors import (
     NotExtendedIdeal,
     NotSplittingIdeal,
     OppositeRoots,
+    OracleMismatch,
 )
 from chevcalc.exactring import IdealSpec, Ring
 from chevcalc.gword import (
@@ -811,6 +812,27 @@ def test_receipt_serializes_to_json():
     for d in details["dilations"]:
         assert type(d["ninth_power_attested"]) is int
         assert type(d["den_exponents"]) is list
+
+
+def test_finish_refuses_an_output_that_differs_from_its_target():
+    ring = Ring.integers().extend("t")
+    eng = RewriteEngine("A2", ring)
+    w = Prod((Gen(A, 3 * ring.var("t")),))
+    wrong = Prod((Gen(A, 6 * ring.var("t")),))
+    with pytest.raises(OracleMismatch, match="probe output differs from its target") as e:
+        eng.finish("probe", w, wrong, [(wrong, LevelShape(IdealSpec.gens(ring, 3)))], w)
+    assert cli.exit_code(e.value) == 19
+
+
+def test_finish_refuses_a_failed_certificate():
+    # x_a(t) is no level-(3) generator, and it is not congruent to the
+    # identity mod 3, so no attestation can place it
+    ring = Ring.integers().extend("t")
+    eng = RewriteEngine("A2", ring)
+    w = Prod((Gen(A, ring.var("t")),))
+    with pytest.raises(OracleMismatch, match="probe certificate failed") as e:
+        eng.finish("probe", w, w, [(w, LevelShape(IdealSpec.gens(ring, 3)))], w)
+    assert cli.exit_code(e.value) == 19
 
 
 @pytest.mark.parametrize("label", ("A", "A2x", ""))
