@@ -28,9 +28,11 @@ a shift, so no term needs an accumulator.  Two multi-term factors take the
 general double loop.  Exact division is long division for every divisor:
 the remainder is updated in place and a heap hands out its leading term.
 
-`RingElement.substitute` maps through one-term images (every image in
-`lgp`'s lifts and dilations, var -> s^e * var) in one pass over the
-terms with one normalization; other images take ring products.
+`RingElement.substitute` maps through one-term or zero images (every
+image in `lgp`'s lifts and dilations, var -> s^e * var, and in the
+retraction var -> 0 that splits words and tests `patch`'s data) in one
+pass over the terms with one normalization; other images take ring
+products.
 
 The ideal layer carries witnesses.  Membership tests never guess: they
 answer True or False only for generator classes where the test is complete

@@ -14,6 +14,11 @@ functions here carry that out exactly and glue the pullbacks:
 - `unimodular_combination` handles the cover bookkeeping, and `patch`
   glues dilated pullbacks over a unimodular cover into one global word.
 
+`patch` tests each datum at var = 0 by the retraction var -> 0
+(`RewriteEngine.trivial_at_zero`), as `split_pieces` tests its
+remainder: a datum whose generators all vanish at 0 evaluates nothing,
+and any other evaluates only the generators that survive.
+
 Words are collected (`gword.collect`) where a stage hands them on: the
 words `patch` hands to `dilate` (the first datum and each overlap word)
 and the output of `for_dilation`.  Collection drops x_a(0) and conjugates
@@ -488,9 +493,13 @@ def patch(problem, verify=True, node_budget=200000):
     """Glue local words over a unimodular cover into one global word.
 
     Each datum's word lives over base localized at its s, certifies the
-    level ideal there, and is trivial at var = 0.  The k-th overlap word
-    compares the datum at var * (u_1 + ... + u_k) against the same datum
-    at var * (u_1 + ... + u_{k-1}) over fresh variables u_i, one per
+    level ideal there, and is trivial at var = 0: its image under the
+    retraction var -> 0 equals the empty word, and only the generators
+    that survive the retraction are evaluated (CongruenceFailed
+    otherwise; NotSplittingIdeal for an s involving var, where var -> 0
+    is no retraction).  The k-th overlap word compares the datum at
+    var * (u_1 + ... + u_k) against the same datum at
+    var * (u_1 + ... + u_{k-1}) over fresh variables u_i, one per
     cover element, and is collected before its dilation; dilate pulls
     each overlap back to the unlocalized extension, a unit combination of
     the powered cover elements pins the u_i to constants summing to 1,
@@ -542,7 +551,7 @@ def patch(problem, verify=True, node_budget=200000):
             raise ConditionViolated(
                 "a local word is not a level word: %s" % report.reason
             )
-        if not eng_k.congruence_oracle()(d.word, IdealSpec.gens(loc, loc.var(var))):
+        if not eng_k.trivial_at_zero(d.word, var):
             raise CongruenceFailed("a local word is not trivial at %s = 0" % var)
         cover.append(s_k)
         loc_rings.append(loc)

@@ -9,8 +9,9 @@ of `lgp.dilate`; `conjugation_normalize` and `mixed_pieces`, of
 
 RewriteEngine owns the matrix representations of one (system, ring) pair
 and is the only place where words meet the oracle: `evaluate` gives a
-word's matrices, `equal` compares two words and `congruence_oracle` tests
-a word against the identity modulo an ideal.  Each op is a function of
+word's matrices, `equal` compares two words, `congruence_oracle` tests
+a word against the identity modulo an ideal and `trivial_at_zero` tests
+it at var = 0 through the retraction var -> 0.  Each op is a function of
 its arguments alone: the engine keeps no state between calls, so every
 word is evaluated where it is checked.  `equal` evaluates only where two
 words differ: it flattens both to their generators, returns at once when
@@ -64,6 +65,7 @@ from .gword import (
     flatten,
     is_word,
     node_count,
+    substitute_word,
     unwrap,
     word_to_text,
 )
@@ -486,6 +488,19 @@ class RewriteEngine:
             n: (self.ring.zero() if n == var else self.ring.var(n))
             for n in self.ring.var_names
         }
+
+    def trivial_at_zero(self, w, var):
+        """Is w the identity at var = 0?
+
+        M(w) = 1 mod (var) exactly when M(w)(var = 0) = 1, so w is mapped
+        through the retraction var -> 0, collected and compared with the
+        empty word.  A word whose generators all vanish at 0 collects to
+        nothing and evaluates nothing; otherwise only the generators that
+        survive the retraction are evaluated.
+        """
+        self._check_splitting_var(var)
+        at_zero = substitute_word(w, self._retraction(var), self.ring)
+        return self.equal(collect(at_zero), EMPTY)
 
     def _absolute_split_parts(self, w, mapping):
         """(retract word, tail factors) for the generator-wise retraction."""

@@ -580,11 +580,12 @@ def test_patch_collects_the_first_datum(monkeypatch):
 
 
 @pytest.mark.parametrize("interleaved", [False, True])
-def test_patch_checks_congruence_once_per_datum(monkeypatch, interleaved):
-    # patch tests each datum at X = 0 once per representation (adjoint and
-    # defining); dilate and its split add no congruence check of their own.
-    # Each stage runs `finish` once per call, and dilate and for_dilation
-    # compose unchecked builders, so no `finish` runs inside them but
+def test_patch_runs_no_congruence_check(monkeypatch, interleaved):
+    # patch tests each datum at X = 0 through the retraction X -> 0, and
+    # every generator of the crafted data vanishes there, so no congruence
+    # check runs; dilate and its split add none of their own.  Each stage
+    # runs `finish` once per call, and dilate and for_dilation compose
+    # unchecked builders, so no `finish` runs inside them but
     # for_dilation's and their own
     calls = []
     original = rewrite.congruence_check
@@ -602,7 +603,7 @@ def test_patch_checks_congruence_once_per_datum(monkeypatch, interleaved):
     monkeypatch.setattr(rewrite, "congruence_check", counting)
     monkeypatch.setattr(RewriteEngine, "finish", finishing)
     patch(crafted_problem(interleaved)[1])
-    assert len(calls) == 4
+    assert calls == []
     assert ops == {"patch": 1, "dilate": 2, "for_dilation": 2}
 
 
@@ -683,6 +684,11 @@ def test_patch_rejections():
         patch(PatchProblem("A2", base, I3, (LocalDatum(2, Prod((Gen(A, base.parse("3*X")),))),), "X"))
     with pytest.raises(NotSplittingIdeal):
         patch(PatchProblem("A2", base, I3, (LocalDatum(2, Prod((Gen(A, l2.parse("3*X")),))),), "Y"))
+    # X -> 0 is no retraction of a ring localized at an element involving X
+    s_x = base.parse("X + 1")
+    lx = base.localize_at(s_x)
+    with pytest.raises(NotSplittingIdeal):
+        patch(PatchProblem("A2", base, I3, (LocalDatum(s_x, Prod((Gen(A, lx.parse("3*X")),))),), "X"))
     other = Ring(0, ("Y",))
     with pytest.raises(SubstitutionMismatch):
         patch(PatchProblem("A2", base, IdealSpec.gens(other, 3),

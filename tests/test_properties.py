@@ -9,7 +9,9 @@ budget or falls back to an attestation; and of `RewriteEngine.equal`,
 which evaluates only what lies between two words' shared prefix and
 suffix, against full evaluation; and of `RewriteEngine._hw_pieces`,
 which leaves out exactly the Hall–Witt pieces whose inner commutator
-the commutator formula makes trivial.
+the commutator formula makes trivial; and of
+`RewriteEngine.trivial_at_zero` against the congruence oracle modulo
+(X) and the matrices' entries at X = 0.
 
 Words are nested Inv/Conj/Comm/Prod trees over c*t^e arguments (divided
 by a power of s over a localized ring).  Examples are derandomized and
@@ -21,7 +23,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chevcalc.chevrep import get_representation
+from chevcalc.chevrep import congruence_check, get_representation
+from chevcalc.errors import UndecidableIdealClass
 from chevcalc.exactring import IdealSpec, Ring
 from chevcalc.gword import (
     Comm,
@@ -35,11 +38,18 @@ from chevcalc.gword import (
     collect,
     flatten,
     node_count,
+    substitute_word,
 )
 from chevcalc.rewrite import RewriteEngine
 from chevcalc.rootsys import _vneg, _vsum, build_root_system
 
-from wordgen import dense_evaluate, is_identity, random_level_word, random_word
+from wordgen import (
+    dense_evaluate,
+    is_identity,
+    random_level_word,
+    random_ring_element,
+    random_word,
+)
 
 SYSTEMS = ("A2", "C2", "G2")
 RINGS = {
@@ -342,3 +352,75 @@ def test_hall_witt_pieces_omit_exactly_the_trivial_ones(label, kind, data):
         if core not in kept:
             assert sides_commute(core.right)
     assert len(pieces) == 2 - sum(kind)
+
+
+_ZTX = Ring.integers().extend("t", "X")
+AT_ZERO_RINGS = {
+    "Z[X]_2": Ring.integers().extend("X").localize_at(2),
+    # 6 is zero after inverting 2 but is stored nonzero
+    "Z/12[X]_2": Ring.integers_mod(12).extend("X").localize_at(2),
+    # 2 is nilpotent, so the localization is the zero ring
+    "Z/4[X]_2": Ring.integers_mod(4).extend("X").localize_at(2),
+    "Z/9[X]": Ring.integers_mod(9).extend("X"),
+    "Z[t,X]_(t+3)": _ZTX.localize_at(_ZTX.parse("t + 3")),
+}
+
+
+@pytest.mark.parametrize("ring_name", sorted(AT_ZERO_RINGS))
+def test_trivial_at_zero_matches_the_congruence_oracle(ring_name):
+    # RewriteEngine.trivial_at_zero maps a word through var -> 0; the
+    # congruence oracle modulo (X) is the reference wherever it decides,
+    # and the matrices' own entries at X = 0 are the reference everywhere.
+    # Half the words are multiplied by the inverse of their image at X = 0,
+    # which makes them trivial there.
+    ring = AT_ZERO_RINGS[ring_name]
+    eng = RewriteEngine("A2", ring)
+    spec = IdealSpec.gens(ring, ring.var("X"))
+    at_zero = {n: ring.zero() if n == "X" else ring.var(n) for n in ring.var_names}
+    undecided = []
+
+    def arg(rng):
+        # mostly with a constant term, so that the image at 0 is not trivial
+        a = random_ring_element(ring, rng, max_deg=1) + ring.int_(rng.randrange(-3, 4))
+        if ring.loc_num is not None:
+            a = a * ring.s_power(rng.randrange(3))
+        return a
+
+    @settings(PROPERTY, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        args = [arg(rng) for _ in range(4)]
+        w = Prod(
+            tuple(random_word(eng.rs, ring, rng, depth=2, args=args) for _ in range(2))
+        )
+        made_trivial = rng.random() < 0.5
+        if made_trivial:
+            w = Prod((w, Inv(substitute_word(w, at_zero, ring))))
+        got = eng.trivial_at_zero(w, "X")
+        assert got or not made_trivial
+        # the oracle's own loop, run on the matrices that the reference reads
+        ref, old = True, True
+        for rep in eng.reps:
+            m = rep.evaluate_word(w, ring)
+            ref = ref and all(
+                v.substitute(at_zero, ring).is_zero()
+                for _, v in m.entries_minus_identity()
+            )
+            try:
+                old = old and congruence_check(m, spec)
+            except UndecidableIdealClass:
+                old = None
+        assert got == ref
+        if old is None:
+            undecided.append(seed)
+        else:
+            assert old == got
+
+    check()
+    if ring_name == "Z[t,X]_(t+3)":
+        # the witnesses modulo (X) are incomplete over this ring; the
+        # retraction decides every word
+        assert undecided
+    else:
+        assert not undecided
