@@ -28,11 +28,13 @@ a shift, so no term needs an accumulator.  Two multi-term factors take the
 general double loop.  Exact division is long division for every divisor:
 the remainder is updated in place and a heap hands out its leading term.
 
-`RingElement.substitute` maps through one-term or zero images (every
-image in `lgp`'s lifts and dilations, var -> s^e * var, and in the
-retraction var -> 0 that splits words and tests `patch`'s data) in one
-pass over the terms with one normalization; other images take ring
-products.
+A ring map var -> image is prepared once (`Ring.substitution`) and then
+applied to every matrix entry, word argument or ideal generator it moves.
+Images c_i * x_i at each variable's own position, or zero (every lift in
+`lgp`, var -> s^e * var for an integer s, the retraction var -> 0), keep
+each term's exponent key and scale its coefficient; other one-term
+images send each term to one term in one pass; other images take ring
+products.  `RingElement.substitute` is one map applied to one element.
 
 The ideal layer carries witnesses.  Membership tests never guess: they
 answer True or False only for generator classes where the test is complete
@@ -261,30 +263,6 @@ def _poly_divide(a, b, mod):
     return quot
 
 
-def _eval_monomial(num, images, target):
-    """num with variable i sent to the one-term image images[i] (den 0, or
-    zero): c*x^e goes to c * prod(c_i^e_i) * x^(sum of e_i f_i), terms
-    that land on one exponent add up, and `_make` normalizes once."""
-    mod = target.base_mod
-    terms = {i: next(iter(img.num.items()), None) for i, img in images.items()}
-    zero = (0,) * len(target.var_names)
-    out = {}
-    for e, c in num.items():
-        exp = zero
-        for i, k in enumerate(e):
-            if not k:
-                continue
-            term = terms[i]
-            if term is None:
-                break
-            f, ci = term
-            c *= pow(ci, k, mod) if mod else ci**k
-            exp = tuple(x + k * y for x, y in zip(exp, f))
-        else:
-            out[exp] = out.get(exp, 0) + c
-    return target._make(out, 0)
-
-
 def _format_poly(num, var_names):
     if not num:
         return "0"
@@ -500,12 +478,17 @@ class Ring:
 
     def coerce(self, x):
         if isinstance(x, RingElement):
-            if x.ring != self:
+            if x.ring is not self and x.ring != self:
                 raise SubstitutionMismatch("element of %s used in %s" % (x.ring, self))
             return x
         if isinstance(x, int):
             return self.int_(x)
         raise TypeError("cannot coerce %r" % (x,))
+
+    def substitution(self, mapping, target):
+        """The ring map var -> mapping[var] from this ring into `target`,
+        prepared once for many elements (`_Substitution`)."""
+        return _Substitution(self, mapping, target)
 
     # ----- equality and torsion -----
 
@@ -912,70 +895,10 @@ class RingElement:
         return self.ring._normal(q, den)
 
     def substitute(self, mapping, target):
-        """Map variables through `mapping` into `target`.
-
-        Every variable appearing in the element (and in s, when this element
-        carries a denominator) must be covered.  The base change Z -> Z/m or
-        Z/m -> Z/m' with m' | m is applied to coefficients.  Denominators are
-        resolved by exact division, by matching the target localization, or
-        by inverting an integer image of s, in that order.  When every image
-        is one term (or zero) with no denominator, each term maps to one term
-        in a single pass (`_eval_monomial`).
-        """
-        if self.ring.base_mod:
-            if target.base_mod == 0 or self.ring.base_mod % target.base_mod:
-                raise SubstitutionMismatch(
-                    "no ring map from base Z/%d into %s" % (self.ring.base_mod, target)
-                )
-        needed = set(self.vars_used())
-        if self.den:
-            for e in self.ring.loc_num:
-                for name, k in zip(self.ring.var_names, e):
-                    if k:
-                        needed.add(name)
-        for name in mapping:
-            if name not in self.ring.var_names:
-                raise SubstitutionMismatch("mapping names unknown variable %r" % name)
-        missing = needed - set(mapping)
-        if missing:
-            raise SubstitutionMismatch("mapping misses %s" % sorted(missing))
-        images = {}
-        for name, img in mapping.items():
-            images[self.ring.var_names.index(name)] = target.coerce(img)
-        monomial = all(len(img.num) <= 1 and not img.den for img in images.values())
-
-        def eval_num(num):
-            if monomial:
-                return _eval_monomial(num, images, target)
-            total = target.zero()
-            for e, c in num.items():
-                term = target.int_(c)
-                for i, k in enumerate(e):
-                    if k:
-                        term = term * images[i] ** k
-                total = total + term
-            return total
-
-        out = eval_num(self.num)
-        if not self.den:
-            return out
-        s_img = eval_num(self.ring.loc_num)
-        for _ in range(self.den):
-            q = out.divide_exact(s_img)
-            if q is not None:
-                out = q
-                continue
-            if target.loc_num is not None and target.loc_element() == s_img:
-                out = RingElement(target, out.num, out.den + 1)
-                continue
-            c = s_img.is_int_constant()
-            if c is not None and target.n_invertible(c):
-                out = out * target.inverse_of_int(c)
-                continue
-            raise SubstitutionMismatch(
-                "cannot resolve denominator image %s in %s" % (s_img, target)
-            )
-        return target._make(dict(out.num), out.den)
+        """Map variables through `mapping` into `target`: the map
+        `self.ring.substitution(mapping, target)` applied to this element
+        alone.  Code that maps many elements prepares the map once."""
+        return _Substitution(self.ring, mapping, target)(self)
 
     # ----- display -----
 
@@ -988,6 +911,155 @@ class RingElement:
         return "%s/s" % body if self.den == 1 else "%s/s^%d" % (body, self.den)
 
     __repr__ = __str__
+
+
+class _Substitution:
+    """The ring map var -> mapping[var] from `source` into `target`,
+    prepared once and applied to many elements of `source`.
+
+    Preparing checks the base change (Z -> Z/m, or Z/m -> Z/m' with
+    m' | m) and the variable names, coerces the images and picks a kernel
+    (see the module docstring).  Denominators are resolved by exact
+    division by the image of s, by matching the target localization, or by
+    inverting an integer image of s, in that order; the last two are
+    tested once, on the first element with a denominator.  A failed check
+    raises on every element it concerns, and only there.
+    """
+
+    def __init__(self, source, mapping, target):
+        self.source, self.target = source, target
+        self._absorb = None
+        names = source.var_names
+        # raised before and after the element's missing-variable check
+        self._errors = [None, None]
+        mod = source.base_mod
+        if mod and (target.base_mod == 0 or mod % target.base_mod):
+            self._errors[0] = SubstitutionMismatch(
+                "no ring map from base Z/%d into %s" % (mod, target)
+            )
+            return
+        unknown = [name for name in mapping if name not in names]
+        if unknown:
+            self._errors[0] = SubstitutionMismatch(
+                "mapping names unknown variable %r" % unknown[0]
+            )
+            return
+        self._unmapped = [i for i, name in enumerate(names) if name not in mapping]
+        images = self._images = [None] * len(names)
+        try:
+            for name, img in mapping.items():
+                images[names.index(name)] = target.coerce(img)
+        except (SubstitutionMismatch, TypeError) as e:
+            self._errors[1] = e
+            return
+        self._terms = self._diagonal = None
+        if any(img is not None and (len(img.num) > 1 or img.den) for img in images):
+            return
+        terms = self._terms = [
+            None if img is None else next(iter(img.num.items()), None) for img in images
+        ]
+        width = len(target.var_names)
+        if width < len(names):
+            return
+        kill, scale = [], []
+        for i, (img, term) in enumerate(zip(images, terms)):
+            if term is None:
+                if img is not None:
+                    kill.append(i)
+            elif term[0][i] != 1 or sum(term[0]) != 1:
+                return
+            elif term[1] != 1:
+                scale.append((i, term[1]))
+        self._diagonal = (kill, scale, (0,) * (width - len(names)))
+
+    def __call__(self, x):
+        source, target = self.source, self.target
+        if x.ring is not source and x.ring != source:
+            raise SubstitutionMismatch("%s element mapped from %s" % (x.ring, source))
+        before, after = self._errors
+        if before is not None:
+            raise before.with_traceback(None)
+        if self._unmapped:
+            nums = (x.num, source.loc_num) if x.den else (x.num,)
+            missing = sorted(
+                source.var_names[i]
+                for i in self._unmapped
+                if any(e[i] for num in nums for e in num)
+            )
+            if missing:
+                raise SubstitutionMismatch("mapping misses %s" % missing)
+        if after is not None:
+            raise after.with_traceback(None)
+        out = self._image(x.num)
+        if not x.den:
+            return out
+        if self._absorb is None:
+            s_img = self._image(source.loc_num)
+            in_target = target.loc_num is not None and target.loc_element() == s_img
+            c = None if in_target else s_img.is_int_constant()
+            inverse = None
+            if c is not None and target.n_invertible(c):
+                inverse = target.inverse_of_int(c)
+            self._absorb = (s_img, in_target, inverse)
+        s_img, in_target, inverse = self._absorb
+        for _ in range(x.den):
+            q = out.divide_exact(s_img)
+            if q is not None:
+                out = q
+            elif in_target:
+                out = RingElement(target, out.num, out.den + 1)
+            elif inverse is not None:
+                out = out * inverse
+            else:
+                raise SubstitutionMismatch(
+                    "cannot resolve denominator image %s in %s" % (s_img, target)
+                )
+        return target._make(dict(out.num), out.den)
+
+    def _image(self, num):
+        """The image of a numerator, with no denominator."""
+        target = self.target
+        mod = target.base_mod
+        if self._diagonal is not None:
+            kill, scale, pad = self._diagonal
+            out = {}
+            for e, c in num.items():
+                if kill and any(e[i] for i in kill):
+                    continue
+                for i, ci in scale:
+                    k = e[i]
+                    if k:
+                        c *= pow(ci, k, mod) if mod else ci**k
+                out[e + pad] = c
+            if scale or mod != self.source.base_mod:
+                return target._make(out, 0)
+            return target._normal(out, 0)
+        terms = self._terms
+        if terms is not None:
+            zero = (0,) * len(target.var_names)
+            out = {}
+            for e, c in num.items():
+                exp = zero
+                for i, k in enumerate(e):
+                    if not k:
+                        continue
+                    term = terms[i]
+                    if term is None:
+                        break
+                    f, ci = term
+                    c *= pow(ci, k, mod) if mod else ci**k
+                    exp = tuple(x + k * y for x, y in zip(exp, f))
+                else:
+                    out[exp] = out.get(exp, 0) + c
+            return target._make(out, 0)
+        total = target.zero()
+        for e, c in num.items():
+            term = target.int_(c)
+            for i, k in enumerate(e):
+                if k:
+                    term = term * self._images[i] ** k
+            total = total + term
+        return total
 
 
 class IdealSpec:
@@ -1082,21 +1154,19 @@ class IdealSpec:
     __repr__ = describe
 
     def substitute(self, mapping, target):
+        """The same tree over `target`, every leaf generator mapped
+        through one prepared map."""
+        return self._mapped(self.ring.substitution(mapping, target))
+
+    def _mapped(self, sub):
         if self.kind == "gens":
-            return IdealSpec(
-                target,
-                "gens",
-                tuple(g.substitute(mapping, target) for g in self.parts),
-            )
+            return IdealSpec(sub.target, "gens", tuple(sub(g) for g in self.parts))
         if self.kind in ("product", "sum"):
-            a = self.parts[0].substitute(mapping, target)
-            b = self.parts[1].substitute(mapping, target)
-            return IdealSpec(target, self.kind, (a, b))
-        return IdealSpec(
-            target,
-            self.kind,
-            (self.parts[0].substitute(mapping, target), self.parts[1]),
-        )
+            a = self.parts[0]._mapped(sub)
+            b = self.parts[1]._mapped(sub)
+            return IdealSpec(sub.target, self.kind, (a, b))
+        part, m = self.parts
+        return IdealSpec(sub.target, self.kind, (part._mapped(sub), m))
 
     # ----- membership -----
 

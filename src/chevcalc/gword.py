@@ -229,24 +229,29 @@ def _merge_pair(a, b):
 
 
 def substitute_word(w, mapping, target):
-    """Apply a ring substitution to every generator argument."""
-    if isinstance(w, Gen):
-        return Gen(w.root, w.arg.substitute(mapping, target))
-    if isinstance(w, Inv):
-        return Inv(substitute_word(w.word, mapping, target))
-    if isinstance(w, Prod):
-        return Prod(tuple(substitute_word(f, mapping, target) for f in w.factors))
-    if isinstance(w, Conj):
-        return Conj(
-            substitute_word(w.base, mapping, target),
-            substitute_word(w.by, mapping, target),
-        )
-    if isinstance(w, Comm):
-        return Comm(
-            substitute_word(w.left, mapping, target),
-            substitute_word(w.right, mapping, target),
-        )
-    raise TypeError("not a word: %r" % (w,))
+    """Apply the ring map var -> mapping[var] into `target` to every
+    generator argument.  The map is prepared once per argument ring
+    (`Ring.substitution`), from the first generator over that ring."""
+    maps = {}
+
+    def walk(w):
+        if isinstance(w, Gen):
+            arg = w.arg
+            sub = maps.get(arg.ring)
+            if sub is None:
+                sub = maps[arg.ring] = arg.ring.substitution(mapping, target)
+            return Gen(w.root, sub(arg))
+        if isinstance(w, Prod):
+            return Prod(tuple([walk(f) for f in w.factors]))
+        if isinstance(w, Inv):
+            return Inv(walk(w.word))
+        if isinstance(w, Conj):
+            return Conj(walk(w.base), walk(w.by))
+        if isinstance(w, Comm):
+            return Comm(walk(w.left), walk(w.right))
+        raise TypeError("not a word: %r" % (w,))
+
+    return walk(w)
 
 
 def word_args(w):

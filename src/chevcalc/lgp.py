@@ -96,21 +96,26 @@ MAX_COMBINATION_TUPLES = 20000
 # ----- small helpers -----
 
 
-def _lift_map(src, target):
-    return {n: target.var(n) for n in src.var_names}
+def _lift_map(src, target, images=()):
+    """Each variable of src to its namesake in target, except those that
+    `images` sends elsewhere."""
+    mapping = {n: target.var(n) for n in src.var_names}
+    mapping.update(images)
+    return mapping
 
 
 def _to_ring(elt, target):
     return elt.substitute(_lift_map(elt.ring, target), target)
 
 
-def _mat_substitute(m, mapping, target):
+def _mat_substitute(m, sub):
+    """The matrix m mapped entrywise through the prepared ring map `sub`."""
     entries = {}
     for pos, v in m.entries.items():
-        img = v.substitute(mapping, target)
+        img = sub(v)
         if img.num:
             entries[pos] = img
-    return RepMatrix(target, m.dim, entries)
+    return RepMatrix(sub.target, m.dim, entries)
 
 
 # ----- torsion pinning -----
@@ -149,15 +154,14 @@ def torsion_exponent(g, h, s, var=None):
             raise LocalizationMismatch(
                 "the matrices still differ after inverting %s" % s_elt
             )
-    at_zero = _lift_map(ring, ring)
-    at_zero[var] = ring.zero()
-    if _mat_substitute(g, at_zero, ring) != _mat_substitute(h, at_zero, ring):
+    at_zero = ring.substitution(_lift_map(ring, ring, {var: 0}), ring)
+    if _mat_substitute(g, at_zero) != _mat_substitute(h, at_zero):
         raise LocalizationMismatch("the matrices disagree at %s = 0" % var)
     # m = 0 is the g == h test above
     for m in range(1, bound + 1):
-        dil = _lift_map(ring, ring)
-        dil[var] = s_elt ** m * ring.var(var)
-        if _mat_substitute(g, dil, ring) == _mat_substitute(h, dil, ring):
+        image = s_elt ** m * ring.var(var)
+        dil = ring.substitution(_lift_map(ring, ring, {var: image}), ring)
+        if _mat_substitute(g, dil) == _mat_substitute(h, dil):
             return m
     # every positive v-degree coefficient of the difference is killed by
     # s^bound, so the loop cannot fall through
@@ -333,7 +337,12 @@ def dilate(eng, w, i_spec, var=None):
     localization, so l = 9*m and up.  var' = 1 collapses the result, which
     is then shortened (`RewriteEngine.shorten`), and a torsion scan per
     representation pins the final exponent exactly, including over base
-    rings where s divides zero.  A word not trivial at var = 0 raises
+    rings where s divides zero.  The scan is the acceptance check: it
+    compares the evaluated output with the dilated input at exponent n,
+    and at a positive torsion exponent k it compares the output matrices
+    shifted entrywise by var -> s^k * var, which are the matrices of the
+    returned word, with the input dilated by s^(n+k) once more; nothing
+    is evaluated a third time.  A word not trivial at var = 0 raises
     CongruenceFailed in the split of the doubled word, whose variable-free
     part is w at var = 0.  The split is unchecked (`split_pieces`): its one
     BarShape check is for_dilation's input gate, and its one equality
@@ -371,22 +380,18 @@ def dilate(eng, w, i_spec, var=None):
     ring2 = ring.extend(vp)
     eng2 = RewriteEngine(eng.rs, ring2, node_budget=eng.node_budget)
     tp = ring2.var(vp)
-    doubled = _lift_map(ring, ring2)
-    doubled[var] = ring2.var(var) * tp
+    doubled = _lift_map(ring, ring2, {var: ring2.var(var) * tp})
     i2 = i_spec.substitute(_lift_map(ring, ring2), ring2)
     f_word = substitute_word(w, doubled, ring2)
     bar = eng2.split_pieces(f_word, i2, vp)
-    nine = _lift_map(ring2, ring2)
-    nine[vp] = tp ** 9
-    bar9 = substitute_word(bar, nine, ring2)
+    bar9 = substitute_word(bar, _lift_map(ring2, ring2, {vp: tp ** 9}), ring2)
     h9, rec_ford = for_dilation(eng2, bar9, i2, vp)
 
     # clear denominators with var' -> s^m var', m the largest denominator
     dens = sorted({a.den for a in word_args(h9) if a.den})
     m = dens[-1] if dens else 0
     base2 = ring2.delocalized()
-    clear = _lift_map(ring2, base2)
-    clear[vp] = _to_ring(s_elt, base2) ** m * base2.var(vp)
+    clear = _lift_map(ring2, base2, {vp: _to_ring(s_elt, base2) ** m * base2.var(vp)})
     try:
         cleared = substitute_word(h9, clear, base2)
     except SubstitutionMismatch as e:
@@ -399,8 +404,7 @@ def dilate(eng, w, i_spec, var=None):
     n = 9 * m
 
     # collapse the auxiliary variable
-    drop = _lift_map(ring, base_out)
-    drop[vp] = base_out.one()
+    drop = _lift_map(ring, base_out, {vp: base_out.one()})
     h_word = eng_out.shorten(substitute_word(cleared, drop, base_out))
 
     # the dilated input must be integral entrywise before it can be compared;
@@ -412,36 +416,40 @@ def dilate(eng, w, i_spec, var=None):
         for _, v in gm.entries_minus_identity():
             if v.den > entry_den:
                 entry_den = v.den
-    if entry_den > n:
-        bump = _lift_map(base_out, base_out)
-        bump[var] = s_out ** (entry_den - n) * base_out.var(var)
-        h_word = substitute_word(h_word, bump, base_out)
-        n = entry_den
 
-    def integral_dilation(gm, e):
-        mp = _lift_map(ring, base_out)
-        mp[var] = s_out ** e * base_out.var(var)
-        return _mat_substitute(gm, mp, base_out)
+    def dilation(src, e):
+        """var -> s^e * var, from src into base_out."""
+        return _lift_map(src, base_out, {var: s_out ** e * base_out.var(var)})
+
+    if entry_den > n:
+        h_word = substitute_word(h_word, dilation(base_out, entry_den - n), base_out)
+        n = entry_den
 
     # pin the exponent: over a base with s-torsion the cleared word may
     # still differ from the integral dilation by s-torsion in positive
     # var-degrees, and a further bounded dilation kills it; both sides
     # live over base_out, so a refused scan means a wrong word
     k = 0
+    at_n = ring.substitution(dilation(ring, n), base_out)
     try:
-        for gm, hm in zip(mats_in, eng_out.evaluate(h_word)):
-            k = max(k, torsion_exponent(integral_dilation(gm, n), hm, s_out, var))
+        mats_out = eng_out.evaluate(h_word)
+        for gm, hm in zip(mats_in, mats_out):
+            k = max(k, torsion_exponent(_mat_substitute(gm, at_n), hm, s_out, var))
     except LocalizationMismatch as e:
         raise OracleMismatch("dilate output differs from the dilated input: %s" % e) from None
-    # at k = 0 the scan's first comparison was the acceptance test
+    # at k = 0 the scan's first comparison was the acceptance test; else
+    # the output is shifted by var -> s^k * var, an endomorphism of
+    # base_out, which commutes with evaluation: its matrices are the
+    # scanned ones shifted entrywise
     l = n + k
     h_final = h_word
     if k:
-        shift = _lift_map(base_out, base_out)
-        shift[var] = s_out ** k * base_out.var(var)
-        h_final = substitute_word(h_word, shift, base_out)
-        for rep, gm, hm in zip(eng.reps, mats_in, eng_out.evaluate(h_final)):
-            if hm != integral_dilation(gm, l):
+        shift_k = dilation(base_out, k)
+        h_final = substitute_word(h_word, shift_k, base_out)
+        shift = base_out.substitution(shift_k, base_out)
+        at_l = ring.substitution(dilation(ring, l), base_out)
+        for rep, gm, hm in zip(eng.reps, mats_in, mats_out):
+            if _mat_substitute(hm, shift) != _mat_substitute(gm, at_l):
                 raise OracleMismatch(
                     "dilate output differs from the dilated input in the %s "
                     "representation" % rep.kind
@@ -575,14 +583,13 @@ def patch(problem, verify=True, node_budget=200000):
         sigma = loc_big.zero()
         for nm in aux[: k + 1]:
             sigma = sigma + loc_big.var(nm)
-        to_k = _lift_map(base, loc_big)
-        to_k[var] = loc_big.var(var) * sigma
+        to_k = _lift_map(base, loc_big, {var: loc_big.var(var) * sigma})
         a_word = substitute_word(d.word, to_k, loc_big)
         if k == 0:
             w_k = collect(a_word)
         else:
-            to_prev = _lift_map(base, loc_big)
-            to_prev[var] = loc_big.var(var) * (sigma - loc_big.var(aux[k]))
+            prev = sigma - loc_big.var(aux[k])
+            to_prev = _lift_map(base, loc_big, {var: loc_big.var(var) * prev})
             prev_inv = inv_word(substitute_word(d.word, to_prev, loc_big))
             # one product, so that the seam pair x_a(-p(sigma - u_k)) *
             # x_a(p(sigma)) merges into one generator before dilation

@@ -502,10 +502,11 @@ class RewriteEngine:
         at_zero = substitute_word(w, self._retraction(var), self.ring)
         return self.equal(collect(at_zero), EMPTY)
 
-    def _absolute_split_parts(self, w, mapping):
-        """(retract word, tail factors) for the generator-wise retraction."""
+    def _absolute_split_parts(self, w, retraction):
+        """(retract word, tail factors) for the generator-wise retraction,
+        a prepared ring map."""
         gens = flatten(w)
-        retracts = [g.arg.substitute(mapping, self.ring) for g in gens]
+        retracts = [retraction(g.arg) for g in gens]
         retract_gens = [
             Gen(g.root, r) for g, r in zip(gens, retracts) if not r.is_zero()
         ]
@@ -531,8 +532,8 @@ class RewriteEngine:
         conjugated by an ordinary elementary word.
         """
         self._check_splitting_var(var)
-        mapping = self._retraction(var)
-        retract, tail = self._absolute_split_parts(w, mapping)
+        retraction = self.ring.substitution(self._retraction(var), self.ring)
+        retract, tail = self._absolute_split_parts(w, retraction)
         tail_word = Prod(tuple(tail))
         j_spec = IdealSpec.gens(self.ring, self.ring.var(var))
         out = Prod((retract, tail_word))
@@ -975,16 +976,16 @@ class RewriteEngine:
                 raise NotExtendedIdeal(
                     "generator %s of %s involves %r" % (g, i_spec.describe(), var)
                 )
-        mapping = self._retraction(var)
+        retraction = self.ring.substitution(self._retraction(var), self.ring)
         out_factors = []
         prefix = []
         for gen, byword in self._rel_factor_list(w):
-            u = gen.arg.substitute(mapping, self.ring)
+            u = retraction(gen.arg)
             v = gen.arg - u
             if byword is None:
                 c_word, d_factors = EMPTY, []
             else:
-                c_word, d_factors = self._absolute_split_parts(byword, mapping)
+                c_word, d_factors = self._absolute_split_parts(byword, retraction)
             d_word = Prod(tuple(d_factors))
             g_word = None
             if not u.is_zero():

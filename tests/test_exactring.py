@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -942,6 +943,86 @@ def test_monomial_substitution_resolves_denominators():
     same = Ring.integers().extend("v").localize_at(Ring.integers().extend("v").parse("v + 3"))
     y = at.var("t") * at.s_power(1)
     assert y.substitute({"t": same.var("v")}, same) * same.loc_element() == same.var("v")
+
+
+def _sym_poly(num, syms):
+    return sympy.Add(*(c * sympy.Mul(*(x**k for x, k in zip(syms, e))) for e, c in num.items()))
+
+
+def _vanishes_mod(expr, syms, mod):
+    poly = sympy.Poly(sympy.expand(expr), *syms, domain=sympy.ZZ)
+    return all(int(c) % mod == 0 for c in poly.coeffs()) if mod else poly.is_zero
+
+
+# (label, source, target, the variable that carries the denominators or
+# None, image of each source variable as (element, sympy expression))
+def _kernel_cases():
+    t, u, w = sympy.symbols("t u w")
+    out = []
+    for label, mod, s, s_sym in (
+        ("Z[t,u] at 2", 0, 2, 2),
+        ("Z/12[t,u] at 2", 12, 2, 2),
+        ("Z[t,u] at t+3", 0, "t + 3", t + 3),
+    ):
+        base = Ring(mod, ("t", "u"))
+        src = base.localize_at(base.parse(s) if isinstance(s, str) else s)
+        # same-position images c*x_i into a ring with one more variable,
+        # localized at the same s: keys carry over with a padded zero
+        wide = Ring(mod, ("t", "u", "w"))
+        dst = wide.localize_at(wide.parse(s) if isinstance(s, str) else s)
+        # t stays put where s involves t, so that s maps onto itself
+        for ct in ((1,) if isinstance(s, str) else (1, -1, 3)):
+            for cu in (1, 2):
+                images = {"t": (dst.int_(ct) * dst.var("t"), ct * t),
+                          "u": (dst.int_(cu) * dst.var("u"), cu * u)}
+                out.append((label + " same position", src, dst, None, images, s_sym))
+    # var -> s^e * var into the delocalized ring, on elements divisible by
+    # var: an integer s keeps the image at var's position, and s = t + 3
+    # takes ring products.  Over Z/12 the integer 2 divides zero, so no
+    # such map into Z/12[t,u] resolves a denominator.
+    for s, s_sym, var in ((2, 2, "t"), ("t + 3", t + 3, "u")):
+        base = Ring(0, ("t", "u"))
+        src = base.localize_at(base.parse(s) if isinstance(s, str) else s)
+        s_out = base.parse(s) if isinstance(s, str) else base.int_(s)
+        for e in (3, 4):
+            images = {"t": (base.var("t"), t), "u": (base.var("u"), u)}
+            sym = {"t": t, "u": u}[var]
+            images[var] = (s_out**e * base.var(var), s_sym**e * sym)
+            out.append(("%s dilated by s^%d" % (s, e), src, base, var, images, s_sym))
+    return out
+
+
+def test_prepared_substitution_matches_sympy():
+    # the image R of num/s^den must satisfy R * phi(s)^den = phi(num) in
+    # the target localization, phi computed by sympy; over Z/12 at 2 that
+    # equation holds after multiplying by s^T, T the torsion bound
+    t, u, w = sympy.symbols("t u w")
+    rng = random.Random("prepared-substitution")
+    seen = collections.Counter()
+    for label, src, dst, var, images, s_sym in _kernel_cases():
+        mapping = {n: img for n, (img, _) in images.items()}
+        subs = {sympy.Symbol(n): expr for n, (_, expr) in images.items()}
+        sub = src.substitution(mapping, dst)
+        syms = (t, u, w)[: len(dst.var_names)]
+        mod = dst.base_mod
+        s_dst = _sym_poly(dst.loc_num, syms) if dst.loc_num is not None else 1
+        kill = s_dst ** dst.torsion_bound()
+        for _ in range(12):
+            num = _random_poly(rng, src.base_mod, terms=5, max_deg=3)
+            if var is not None:
+                num = _poly_mul(num, src.var(var).num, 0)
+            el = src._make(num, rng.randrange(4))
+            got = sub(el)
+            # one prepared map gives what a map prepared per element gives
+            again = el.substitute(mapping, dst)
+            assert (got.ring, got.num, got.den) == (again.ring, again.num, again.den)
+            if dst.loc_num is None:
+                assert got.den == 0
+            image = _sym_poly(el.num, (t, u)).subs(subs, simultaneous=True)
+            lhs = _sym_poly(got.num, syms) * s_sym**el.den
+            assert _vanishes_mod(kill * (lhs - image * s_dst**got.den), syms, mod), label
+            seen[label] += el.den > 0
+    assert all(seen[label] for label, *_ in _kernel_cases()), seen
 
 
 def _strip_by_division(ring, num, den):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevcalc import cli, lgp, rewrite
+from chevcalc.chevrep import RepMatrix
 from chevcalc.errors import (
     CongruenceFailed,
     ConditionViolated,
@@ -33,6 +34,8 @@ from chevcalc.gword import (
     node_count,
     substitute_word,
     word_args,
+    word_from_text,
+    word_to_text,
 )
 from chevcalc.lgp import (
     LocalDatum,
@@ -53,6 +56,41 @@ A, B, C = (1, -1, 0), (0, 1, -1), (1, 0, -1)
 def lift(word, target):
     ring = word_args(word)[0].ring
     return substitute_word(word, {n: target.var(n) for n in ring.var_names}, target)
+
+
+def _substitution_error_cases():
+    zt = Ring(0, ("t",))
+    zv = Ring(0, ("v",))
+    return [
+        (Ring(6, ("t",)).parse("t + 2"), {"t": zt.var("t")}, zt,
+         "no ring map from base Z/6 into Z[t]"),
+        (zt.parse("t + 1"), {"t": zv.var("v"), "nope": zv.var("v")}, zv,
+         "mapping names unknown variable 'nope'"),
+        (zt.parse("t + 1"), {}, zv, "mapping misses ['t']"),
+        (zt.localize_at(2).parse("t/s"), {"t": zv.var("v")}, zv,
+         "cannot resolve denominator image 2 in Z[v]"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_substitution_errors_keep_their_types_and_messages(case):
+    el, mapping, dst, message = _substitution_error_cases()[case]
+    sub = el.ring.substitution(mapping, dst)
+    calls = [
+        lambda: el.substitute(mapping, dst),
+        lambda: substitute_word(Prod((Gen(A, el),)), mapping, dst),
+        lambda: lgp._mat_substitute(RepMatrix(el.ring, 3, {(0, 1): el}), sub),
+        # a prepared map raises on every element it fails on
+        lambda: sub(el),
+        lambda: sub(el),
+    ]
+    for call in calls:
+        with pytest.raises(SubstitutionMismatch) as info:
+            call()
+        assert str(info.value) == message
+    # errors are raised on the first element the map is applied to
+    assert substitute_word(EMPTY, mapping, dst) == EMPTY
+    assert lgp._mat_substitute(RepMatrix(el.ring, 3, {}), sub).entries == {}
 
 
 # ----- torsion_exponent -----
@@ -374,6 +412,43 @@ def test_dilate_zero_divisor_base_pins_by_torsion():
     assert h == EMPTY
     assert rec.details["n"] == 0
     assert rec.details["torsion_k"] == 1
+
+
+def _counting_evaluate(monkeypatch):
+    calls = []
+    evaluate = RewriteEngine.evaluate
+
+    def counted(self, w):
+        calls.append(w)
+        return evaluate(self, w)
+
+    monkeypatch.setattr(RewriteEngine, "evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mod, text, out", [
+    (4, "(prod (x 1,-1,0 {2*t}))", "(prod)"),
+    (12, "(prod (x -1,1,0 {8*t^2}) (x 1,-1,0 {6*t}))", "(prod (x -1,1,0 {8*t^2}))"),
+])
+def test_dilate_shifts_the_scanned_matrices_at_positive_torsion_k(monkeypatch, mod, text, out):
+    # at torsion_k > 0 the output is the cleared word under t -> 2^k * t,
+    # an endomorphism of the unlocalized base, so its matrices are the
+    # scanned ones shifted entrywise: the input and the cleared word are
+    # evaluated, and the shifted word is not
+    loc = Ring(mod, ("t",)).localize_at(2)
+    eng = RewriteEngine("A2", loc)
+    calls = _counting_evaluate(monkeypatch)
+    l, h, rec = dilate(eng, word_from_text(text, loc, eng.rs), IdealSpec.gens(loc, 2))
+    assert len(calls) == 2
+    assert (l, word_to_text(h)) == (1, out)
+    assert rec.to_dict() == {
+        "op": "dilate", "oracle_checked": True, "nodes_in": text.count("(x") + 1,
+        "nodes_out": out.count("(x") + 1, "attested": 0,
+        "details": {"s": "2", "var": "t", "aux_var": "tp", "den_exponents": [],
+                    "clear_m": 0, "n": 0, "torsion_k": 1, "l": 1,
+                    "ninth_power_attested": 0},
+        "input": text, "output": out, "certificate": "LevelShape",
+    }
 
 
 def test_dilate_trivial_cases():
