@@ -25,8 +25,9 @@ Most products have a one-term factor (an argument c*t^e, a power of an
 integer s, a witness coefficient), so `_poly_mul` multiplies by a one-term
 operand in one pass over the other: distinct exponents stay distinct under
 a shift, so no term needs an accumulator.  Two multi-term factors take the
-general double loop.  Exact division is long division for every divisor:
-the remainder is updated in place and a heap hands out its leading term.
+general double loop.  Exact division is long division: the remainder is
+updated in place and a heap hands out its leading term.  Over Z/m a
+one-term divisor need not be a unit (6t / 2 = 3t in Z/12[t]).
 
 A ring map var -> image is prepared once (`Ring.substitution`) and then
 applied to every matrix entry, word argument or ideal generator it moves.
@@ -212,18 +213,17 @@ def _descending(e):
 def _poly_divide(a, b, mod):
     """Exact division a / b, or None when no exact quotient is found.
 
-    Complete over Z (a domain with a multiplicative leading term) and over
-    Z/m when the divisor's leading coefficient is a unit.
+    Long division; each step divides a leading coefficient by the
+    divisor's with `_int_quotient`.  Complete over Z (a domain with a
+    multiplicative leading term), and over Z/m when the divisor has one
+    term (each term of a divides alone) or a unit leading coefficient.
+    Otherwise a quotient it returns is exact, but it may miss one.
     """
     if not b:
         return None
     if not a:
         return {}
     eb, cb = _lead_term(b)
-    if mod:
-        if math.gcd(cb, mod) != 1:
-            return None
-        cb_inv = pow(cb, -1, mod)
     # The remainder is updated in place; a heap of its exponents under the
     # same order hands out the leading term.  Every term a step adds sits
     # below the term it cancels, so a popped exponent that has left the
@@ -239,14 +239,11 @@ def _poly_divide(a, b, mod):
         if ca is None:
             continue
         eq = tuple(map(sub, ea, eb))
-        if any(x < 0 for x in eq):
+        cq = _int_quotient(ca, cb, mod)
+        if cq is None or any(x < 0 for x in eq):
             return None
         if mod:
-            cq = (ca * cb_inv) % mod
-        else:
-            if ca % cb:
-                return None
-            cq = ca // cb
+            cq %= mod
         quot[eq] = cq
         for e, c in tail:
             e = tuple(map(add, eq, e))
@@ -778,9 +775,6 @@ class RingElement:
                 if k:
                     used.add(name)
         return used
-
-    def total_degree(self):
-        return max((sum(e) for e in self.num), default=0)
 
     # ----- arithmetic -----
 

@@ -12,10 +12,11 @@ keeps every shape certificate its input had, with no more attestations.
 The pipeline runs it wherever a stage hands a word on.  `unwrap` is the
 one walk through the Inv and Conj wrappers around a factor's core.
 
-Shape certificates describe the subgroup a word visibly belongs to.
-`check_shape` pattern matches a word against a certificate and reports
-which factors, if any, could only be justified by the matrix congruence
-oracle; without an oracle such words fail closed.
+Shape certificates (LevelShape, RelConjShape, YShape, MixedCommShape,
+BarShape) describe the subgroup a word visibly belongs to, one per
+subgroup a lemma produces.  `check_shape` pattern matches a word against
+a certificate and reports which factors, if any, could only be justified
+by the matrix congruence oracle; without an oracle such words fail closed.
 """
 
 from dataclasses import dataclass, field
@@ -378,11 +379,6 @@ def word_from_text(text, ring, rs):
 
 
 @dataclass(frozen=True)
-class ElemShape:
-    """Any elementary word; no argument constraints."""
-
-
-@dataclass(frozen=True)
 class LevelShape:
     """Relative level word: generators with arguments in the ideal, closed
     under products, inverses, conjugation by arbitrary elementary words, and
@@ -583,8 +579,6 @@ def check_shape(w, cert, oracle=None):
 
 
 def _check(w, cert):
-    if isinstance(cert, ElemShape):
-        return _OK if is_word(w) else _fail("not a word")
     if isinstance(cert, LevelShape):
         return _match_rel_like(w, cert.ideal)
     if isinstance(cert, RelConjShape):

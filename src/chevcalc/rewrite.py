@@ -1,4 +1,4 @@
-"""Certified word rewriting: expansion, splitting, decomposition, collection.
+"""Certified word rewriting for the lemmas of the local-global principle.
 
 Every operation takes a word (or the data for one), produces a word of a
 prescribed shape, and returns a RewriteReceipt alongside it.  Four
@@ -42,7 +42,6 @@ from .errors import (
     NotExtendedIdeal,
     NotInIdeal,
     NotSplittingIdeal,
-    OppositeRoots,
     OracleMismatch,
     UndecidableIdealClass,
 )
@@ -52,7 +51,6 @@ from .gword import (
     BarShape,
     Comm,
     Conj,
-    ElemShape,
     Gen,
     Inv,
     LevelShape,
@@ -197,7 +195,9 @@ class RewriteReceipt:
             out["input"] = word_to_text(self.input_word)
         if is_word(self.output_word):
             out["output"] = word_to_text(self.output_word)
-        if self.certificate is not None:
+        if isinstance(self.certificate, tuple):
+            out["certificate"] = [type(c).__name__ for c in self.certificate]
+        elif self.certificate is not None:
             out["certificate"] = type(self.certificate).__name__
         return out
 
@@ -326,17 +326,6 @@ class RewriteEngine:
             )
 
     # ----- commutator expansion -----
-
-    def expand_commutator(self, beta, gamma, p, q):
-        """[x_beta(p), x_gamma(q)] as an explicit product of generators."""
-        beta, gamma = tuple(beta), tuple(gamma)
-        p, q = self.ring.coerce(p), self.ring.coerce(q)
-        w_in = Comm(Gen(beta, p), Gen(gamma, q))
-        if gamma == _vneg(beta):
-            raise OppositeRoots("no expansion for opposite roots %s, %s" % (beta, gamma))
-        factors = [] if beta == gamma else self._comm_gens(beta, gamma, p, q)
-        out = Prod(tuple(factors))
-        return out, self.finish("expand_commutator", w_in, out, [(out, ElemShape())], w_in)
 
     def _comm_gens(self, beta, gamma, p, q):
         """[x_beta(p), x_gamma(q)] as generators, one per Chevalley
@@ -503,8 +492,13 @@ class RewriteEngine:
         return self.equal(collect(at_zero), EMPTY)
 
     def _absolute_split_parts(self, w, retraction):
-        """(retract word, tail factors) for the generator-wise retraction,
-        a prepared ring map."""
+        """(retract word, tail factors) with w = retract * tail.
+
+        `retraction` is a prepared ring map, var -> 0 in `split_pieces`.
+        Each generator x_a(p) splits as x_a(p(0)) * x_a(p - p(0)); pushing
+        every retract generator left across the rest of the word leaves
+        each var-divisible piece conjugated by the retract generators after
+        it, so the tail lies in the level of (var)."""
         gens = flatten(w)
         retracts = [retraction(g.arg) for g in gens]
         retract_gens = [
@@ -523,29 +517,6 @@ class RewriteEngine:
             piece = Gen(g.root, v)
             tail.append(Conj(piece, Prod(tuple(suffix))) if suffix else piece)
         return Prod(tuple(retract_gens)), tail
-
-    def absolute_split(self, w, var):
-        """w = retract * tail with the tail inside the level of (var).
-
-        The retraction sends var to 0; pushing every retract-generator left
-        across the rest of the word leaves each var-divisible piece
-        conjugated by an ordinary elementary word.
-        """
-        self._check_splitting_var(var)
-        retraction = self.ring.substitution(self._retraction(var), self.ring)
-        retract, tail = self._absolute_split_parts(w, retraction)
-        tail_word = Prod(tuple(tail))
-        j_spec = IdealSpec.gens(self.ring, self.ring.var(var))
-        out = Prod((retract, tail_word))
-        receipt = self.finish(
-            "absolute_split",
-            w,
-            out,
-            [(tail_word, LevelShape(j_spec))],
-            w,
-            details={"var": var},
-        )
-        return retract, tail_word, receipt
 
     # ----- decomposition avoiding a root -----
 

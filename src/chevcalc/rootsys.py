@@ -318,17 +318,6 @@ class RootSystem:
             cur = _vsub(cur, a)
         return p
 
-    def q_value(self, a, b):
-        """Largest q >= 0 with b + q*a a root."""
-        if a == b or a == _vneg(b):
-            raise OppositeRoots("chain through a proportional root")
-        q = 0
-        cur = _vadd(b, a)
-        while cur in self.index:
-            q += 1
-            cur = _vadd(cur, a)
-        return q
-
     def coroot_coords(self, a):
         """Coordinates of the coroot 2a/(a, a) over the simple coroots
         2a_i/(a_i, a_i): c_i * (a_i, a_i) / (a, a) for a = sum c_i a_i."""

@@ -284,7 +284,7 @@ def test_divide_exact_random():
             continue
         q = (a * b).divide_exact(b)
         assert q == a
-        if not a.is_zero() and b.total_degree() > 0:
+        if not a.is_zero() and any(any(e) for e in b.num):
             assert (a * b + 1).divide_exact(b) is None
             found += 1
     assert found > 20
@@ -336,14 +336,33 @@ def test_substitution_clears_denominators():
     assert x.substitute({"t": 2 * dst.var("v")}, dst) == dst.var("v")
     with pytest.raises(SubstitutionMismatch):
         x.substitute({"t": dst.var("v")}, dst)
-    half_ring = Ring.integers().localize_at(2).extend("v")
     # Same localization on the target keeps the denominator.
     same = Ring.integers().extend("v").localize_at(2)
     img = x.substitute({"t": same.var("v")}, same)
     assert img * 2 == same.var("v")
     inv_target = Ring.integers_mod(9)
     assert x.substitute({"t": inv_target.int_(1)}, inv_target) == inv_target.int_(5)
-    assert half_ring is not None
+    # 2 is no image of s in Z[t][1/6], but it is invertible there: t/s
+    # becomes 3t/s
+    sixth = Ring.integers().extend("t").localize_at(6)
+    img = x.substitute({"t": sixth.var("t")}, sixth)
+    assert img == sixth.parse("3*t/s")
+    assert img * 2 == sixth.var("t")
+
+
+@pytest.mark.parametrize(
+    "image, error",
+    [(Ring.integers().extend("u").var("u"), SubstitutionMismatch), (0.5, TypeError)],
+    ids=["foreign-ring", "float"],
+)
+def test_prepared_substitution_stores_a_bad_image_error(image, error):
+    # preparing keeps the coercion error; applying the map raises it on
+    # every element, and not before
+    src = Ring.integers().extend("t")
+    sub = src.substitution({"t": image}, src)
+    for el in (src.var("t"), src.int_(3)):
+        with pytest.raises(error):
+            sub(el)
 
 
 def test_ideal_membership_frozen_cases():
@@ -830,11 +849,43 @@ def test_poly_divide_by_a_term_matches_sympy(mod):
 
 def test_poly_divide_by_a_non_unit_term_mod_m():
     a = {(2,): 3, (1,): 6}  # 3t^2 + 6t = 3t * (t + 2) in Z/9[t]
-    # 3 is no unit mod 9, so no quotient is claimed even though one exists
-    assert _poly_divide(a, {(1,): 3}, 9) is None
+    # 3 is no unit mod 9, but each coefficient is a multiple of it, so a
+    # quotient q with q * 3t = a exists and is found
+    q = _poly_divide(a, {(1,): 3}, 9)
+    assert q is not None and _poly_mul(q, {(1,): 3}, 9) == a
     # 2 is: (3t^2 + 6t) / 2t = 5 * (3t + 6) = 6t + 3
     assert _poly_divide(a, {(1,): 2}, 9) == {(1,): 6, (0,): 3}
     assert _poly_divide({(0,): 3}, {(1,): 2}, 9) is None
+    # 3t^2 + t: 3 divides no multiple of 1 mod 9
+    assert _poly_divide({(2,): 3, (1,): 1}, {(1,): 3}, 9) is None
+
+
+@pytest.mark.parametrize("mod", [9, 12])
+def test_poly_divide_by_a_term_mod_m_brute_force(mod):
+    # q * c*x^e = a has a solution exactly when every term c_a*x^f of a
+    # has f >= e and c_a in c*Z/m; the quotient is checked by product
+    rng = random.Random(900 + mod)
+    exact = inexact = 0
+    for n in range(200):
+        b = _random_term(rng, mod, max_deg=2)
+        a = _random_poly(rng, mod, terms=4)
+        if n % 2:
+            a = _poly_mul(a, b, mod)
+        if not a:
+            continue
+        ((e, c),) = b.items()
+        solvable = all(
+            all(x >= y for x, y in zip(f, e)) and any(q * c % mod == ca for q in range(mod))
+            for f, ca in a.items()
+        )
+        q = _poly_divide(a, b, mod)
+        assert (q is not None) == solvable
+        if solvable:
+            assert _poly_mul(q, b, mod) == a
+            exact += 1
+        else:
+            inexact += 1
+    assert exact and inexact
 
 
 @pytest.mark.parametrize("mod", [0, 7])

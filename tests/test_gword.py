@@ -10,7 +10,6 @@ from chevcalc.gword import (
     BarShape,
     Comm,
     Conj,
-    ElemShape,
     Gen,
     Inv,
     LevelShape,
@@ -279,12 +278,11 @@ def test_substitute_word():
     assert [g.arg for g in flatten(out)] == [-u * u, target.int_(-3), u * u, target.int_(3)]
 
 
-def test_shape_elem_and_level():
+def test_shape_level():
     ring = Ring.integers().extend("t")
     t = ring.var("t")
     two = IdealSpec.gens(ring, ring.int_(2))
     w = Prod((Gen((1, -1, 0), 2 * t), Gen((0, 1, -1), ring.int_(-4))))
-    assert check_shape(w, ElemShape())
     assert check_shape(w, LevelShape(two))
     # The level grammar is the relative one: conjugates of level generators
     # by arbitrary elementary words stay inside.

@@ -414,6 +414,21 @@ def test_dilate_zero_divisor_base_pins_by_torsion():
     assert rec.details["torsion_k"] == 1
 
 
+def test_dilate_divides_by_a_zero_divisor_image_of_s():
+    # over Z/12[t] the entry 6t/s clears to 6t / 2 = 3t although 2 is no
+    # unit mod 12; Z/12[1/2] is Z/3, where the word is the identity, so
+    # the output is empty and l = 1
+    loc = Ring(12, ("t",)).localize_at(2)
+    eng = RewriteEngine("A2", loc)
+    w = Prod((Gen(A, loc.parse("6*t/s")),))
+    l, h, rec = dilate(eng, w, IdealSpec.gens(loc, 3))
+    assert (l, h) == (1, EMPTY)
+    assert (rec.details["n"], rec.details["torsion_k"]) == (1, 0)
+    w_dil = substitute_word(w, {"t": loc.int_(2) ** l * loc.var("t")}, loc)
+    for rep in eng.reps:
+        assert dense_evaluate(rep, w_dil, loc) == dense_evaluate(rep, EMPTY, loc)
+
+
 def _counting_evaluate(monkeypatch):
     calls = []
     evaluate = RewriteEngine.evaluate

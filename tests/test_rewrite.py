@@ -73,7 +73,7 @@ def ideal_element(spec, rng, terms=2):
             return el
 
 
-# ----- expand_commutator -----
+# ----- commutator expansion -----
 
 
 def test_expand_matches_structure_constants():
@@ -87,15 +87,15 @@ def test_expand_matches_structure_constants():
             beta, gamma = rng.choice(roots), rng.choice(roots)
             if gamma == eng.rs.neg(beta) or gamma == beta:
                 continue
-            out, rec = eng.expand_commutator(beta, gamma, p, q)
-            # the engine already checked matrices; pin the structure too
+            gens = eng._comm_gens(beta, gamma, p, q)
+            assert eng.equal(Prod(tuple(gens)), Comm(Gen(beta, p), Gen(gamma, q)))
             expected = [
                 (tuple(i * x + j * y for x, y in zip(beta, gamma)), i, j, c)
                 for (i, j), c in eng.sc.comm_coeffs(beta, gamma)
                 if c
             ]
-            assert len(out.factors) == len(expected)
-            for g, (root, i, j, c) in zip(out.factors, expected):
+            assert len(gens) == len(expected)
+            for g, (root, i, j, c) in zip(gens, expected):
                 assert g.root == root
                 assert g.arg == ring.int_(c) * p**i * q**j
 
@@ -103,23 +103,23 @@ def test_expand_matches_structure_constants():
 def test_expand_same_root_is_empty():
     ring = Ring.integers().extend("p", "q")
     eng = RewriteEngine("A2", ring)
-    out, _ = eng.expand_commutator(A, A, ring.var("p"), ring.var("q"))
-    assert out == EMPTY
+    w = Prod((Comm(Gen(A, ring.var("p")), Gen(A, ring.var("q"))),))
+    assert eng.shorten(w) == EMPTY
 
 
 def test_expand_opposite_roots_raises():
     ring = Ring.integers().extend("p", "q")
     eng = RewriteEngine("A2", ring)
     with pytest.raises(OppositeRoots):
-        eng.expand_commutator(A, (-1, 1, 0), ring.var("p"), ring.var("q"))
+        eng._comm_gens(A, (-1, 1, 0), ring.var("p"), ring.var("q"))
 
 
 def test_expand_commuting_pair_is_empty():
     # e1-e2 and e1-e3 span no new root in either order
     ring = Ring.integers().extend("p", "q")
     eng = RewriteEngine("A2", ring)
-    out, _ = eng.expand_commutator(A, C, ring.var("p"), ring.var("q"))
-    assert out.factors == ()
+    w = Prod((Comm(Gen(A, ring.var("p")), Gen(C, ring.var("q"))),))
+    assert eng.shorten(w) == EMPTY
 
 
 # ----- shorten -----
@@ -187,7 +187,14 @@ def test_hall_witt_trivial_cases():
         assert eng.equal(Prod(tuple(eng._hw_pieces(*triple))), EMPTY)
 
 
-# ----- absolute_split -----
+# ----- the absolute split behind split_pieces -----
+
+
+def absolute_split(eng, w, var):
+    """`_absolute_split_parts` under the engine's prepared retraction."""
+    retraction = eng.ring.substitution(eng._retraction(var), eng.ring)
+    retract, tail = eng._absolute_split_parts(w, retraction)
+    return retract, Prod(tuple(tail))
 
 
 def test_absolute_split_retract_and_tail():
@@ -195,34 +202,42 @@ def test_absolute_split_retract_and_tail():
     eng = RewriteEngine("A2", ring)
     t, u = ring.var("t"), ring.var("u")
     w = Prod((Gen(A, t + 2), Gen(B, 3 * t * u + u), Gen(C, t**2)))
-    retract, tail, rec = eng.absolute_split(w, "t")
+    retract, tail = absolute_split(eng, w, "t")
     for g in flatten(retract):
         assert "t" not in g.arg.vars_used()
     spec = IdealSpec.gens(ring, t)
     report = check_shape(tail, LevelShape(spec))
     assert report.ok and not report.attested
-    assert rec.attested == 0
+    assert eng.equal(Prod((retract, tail)), w)
 
 
 def test_absolute_split_random_roundtrip():
     ring = Ring.integers_mod(7).extend("t", "u")
     eng = RewriteEngine("A2", ring)
+    spec = IdealSpec.gens(ring, ring.var("t"))
     rng = random.Random(11)
     for _ in range(10):
         w = Prod(tuple(random_word(eng.rs, ring, rng, depth=1) for _ in range(3)))
-        retract, tail, rec = eng.absolute_split(w, "t")
+        retract, tail = absolute_split(eng, w, "t")
+        for g in flatten(retract):
+            assert "t" not in g.arg.vars_used()
+        report = check_shape(tail, LevelShape(spec))
+        assert report.ok and not report.attested
+        assert eng.equal(Prod((retract, tail)), w)
 
 
 def test_absolute_split_rejects_bad_variables():
+    # split_pieces runs the splitting-variable check before it splits
     ring = Ring.integers().extend("t")
     eng = RewriteEngine("A2", ring)
+    three = IdealSpec.gens(ring, 3)
     with pytest.raises(NotSplittingIdeal):
-        eng.absolute_split(Gen(A, ring.var("t")), "x")
+        eng.split_pieces(Gen(A, ring.var("t")), three, "x")
     loc = Ring.integers().extend("t")
     loc = loc.localize_at(loc.var("t"))
     eng2 = RewriteEngine("A2", loc)
     with pytest.raises(NotSplittingIdeal):
-        eng2.absolute_split(Gen(A, loc.var("t")), "t")
+        eng2.split_pieces(Gen(A, loc.var("t")), IdealSpec.gens(loc, 3), "t")
 
 
 # ----- decompose_avoiding_root -----
@@ -623,6 +638,25 @@ def test_relative_split_single_commutator_case():
     assert rec.attested == 0
 
 
+def test_relative_split_conjugates_a_commutator_piece_by_its_prefix():
+    # x_b(3) conjugated by x_a(t) comes after the retract generator x_a(3),
+    # so its commutator piece [x_a(t), x_b(3)^-1] is conjugated by the
+    # inverse of that prefix
+    ring = Ring.integers().extend("t")
+    eng = RewriteEngine("A2", ring)
+    three = ring.int_(3)
+    w = Prod(
+        (Gen(A, three), Conj(Gen(B, three), Gen(A, ring.var("t"))), Gen(B, -three), Gen(A, -three))
+    )
+    out, rec = eng.relative_split(w, IdealSpec.gens(ring, 3), "t")
+    assert word_to_text(out) == (
+        "(prod (conj (comm (prod (x 1,-1,0 {t})) (inv (x 0,1,-1 {3})))"
+        " (inv (prod (x 1,-1,0 {3})))))"
+    )
+    assert rec.attested == 0
+    assert dense_equal(eng, out, w)
+
+
 def test_relative_split_mixed_word():
     ring = Ring.integers().extend("t")
     eng = RewriteEngine("A2", ring)
@@ -687,6 +721,8 @@ def test_move_indeterminate_splits_example():
     level, mixed, rec = eng.move_indeterminate(w, J, K)
     assert rec.details["comm_factors"] == 1
     assert rec.details["level_factors"] == 1
+    # a receipt with several shapes names each of them
+    assert rec.to_dict()["certificate"] == ["LevelShape", "MixedCommShape"]
     assert node_count(level) == 2
     # [x_a(t^9), x_b(3)] regenerates as [[x_-b(t^6), x_c(t^3)], x_b(3)];
     # x_c commutes with x_b, so the second Hall-Witt piece is left out and
@@ -793,12 +829,15 @@ def test_check_commutator_level():
 def test_receipt_serializes_to_json():
     ring = Ring.integers().extend("p", "q")
     eng = RewriteEngine("A2", ring)
-    out, rec = eng.expand_commutator(A, B, ring.var("p"), ring.var("q"))
+    p, q = ring.var("p"), ring.var("q")
+    out, rec = eng.relative_split(Comm(Gen(A, 3 * p), Gen(B, q)), IdealSpec.gens(ring, 3), "p")
     blob = json.dumps(rec.to_dict())
     data = json.loads(blob)
-    assert data["op"] == "expand_commutator"
+    assert data["op"] == "relative_split"
     assert data["oracle_checked"] is True
     assert data["attested"] == 0
+    assert data["certificate"] == "BarShape"
+    assert data["details"] == {"var": "p"}
     # nested details stay structured: a patch receipt's dilations are records
     base = Ring(0, ("X",))
     data = tuple(
@@ -845,13 +884,16 @@ def test_bad_system_labels_are_invalid_types(label):
 
 
 def test_node_budget_enforced():
-    # [x_a(1), x_b(t)] expands to one generator in a product: 2 nodes
+    # the split of x_a(3)^(x_b(t)) * x_a(-3) is the 6-node
+    # (prod (comm (prod x_b(t)) (inv x_a(3))))
     ring = Ring.integers().extend("t")
-    eng = RewriteEngine("A2", ring, node_budget=2)
-    eng.expand_commutator(A, B, ring.int_(1), ring.var("t"))
-    eng.node_budget = 1
+    eng = RewriteEngine("A2", ring, node_budget=6)
+    w = Prod((Conj(Gen(A, ring.int_(3)), Gen(B, ring.var("t"))), Gen(A, ring.int_(-3))))
+    three = IdealSpec.gens(ring, 3)
+    eng.relative_split(w, three, "t")
+    eng.node_budget = 5
     with pytest.raises(NodeBudgetExceeded):
-        eng.expand_commutator(A, B, ring.int_(1), ring.var("t"))
+        eng.relative_split(w, three, "t")
 
 
 # ----- the engine's oracle: evaluation and equality -----

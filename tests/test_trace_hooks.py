@@ -10,12 +10,22 @@ import sys
 
 import pytest
 
-from chevcalc import exactring, gword, lgp, rewrite
+from chevcalc import chevrep, cli, exactring, gword, lgp, rewrite, rootsys
 
 FUNCTIONS = [
     (gword, "substitute_word", (lgp, rewrite)),
+    (gword, "check_shape", (lgp, rewrite)),
+    (gword, "flatten", (rewrite,)),
+    (gword, "word_from_text", (cli,)),
     (lgp, "dilate", ()),
     (lgp, "torsion_exponent", ()),
+    (lgp, "patch", (cli,)),
+    (lgp, "for_dilation", (cli,)),
+    (lgp, "unimodular_combination", ()),
+    (rootsys, "build_root_system", ()),
+    (rootsys, "compute_structure_constants", (cli, rewrite)),
+    (chevrep, "get_representation", (rewrite,)),
+    (cli, "main", ()),
 ]
 
 METHODS = [
@@ -24,6 +34,19 @@ METHODS = [
     (exactring.RingElement, "__sub__"),
     (exactring.IdealSpec, "contains"),
     (exactring.IdealSpec, "witness"),
+    (chevrep.Representation, "evaluate_word"),
+    (chevrep.Representation, "words_equal"),
+    (rootsys.StructureConstants, "comm_coeffs"),
+] + [
+    (rewrite.RewriteEngine, op)
+    for op in (
+        "decompose_avoiding_root",
+        "relative_generation_witness",
+        "conjugation_normalize",
+        "relative_split",
+        "move_indeterminate",
+        "congruence_oracle",
+    )
 ]
 
 
