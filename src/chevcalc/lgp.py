@@ -5,8 +5,8 @@ fiber of one variable can be pulled back to the unlocalized ring once the
 variable is dilated by a high enough power of the localized element.  The
 functions here carry that out exactly and glue the pullbacks:
 
-- `torsion_exponent` finds the least dilation making two candidate
-  pullbacks agree entrywise, bounded by the torsion of the localization;
+- `torsion_exponent` finds the least exponent at which every model's
+  input matrix, dilated into the base, equals its output shifted alike;
 - `for_dilation` rewrites a relative splitting whose indeterminate sits
   at a ninth power into a word whose conjugators live at level (t);
 - `dilate` composes splitting, ninth power, normalization and clearing
@@ -121,51 +121,43 @@ def _mat_substitute(m, sub):
 # ----- torsion pinning -----
 
 
-def torsion_exponent(g, h, s, var=None):
-    """Least m >= 0 with g(s^m v) == h(s^m v) entrywise, v a chosen variable.
+def torsion_exponent(gs, hs, s, var, lo, hi):
+    """Least l in lo..hi at which every input matrix pulls back to its output.
 
-    Both matrices must live over the same unlocalized polynomial ring,
-    agree at v = 0, and become equal after inverting s.  The difference is
-    then s-power torsion concentrated in positive v-degrees, so the scan
-    is bounded by the torsion exponent of the localization and always
-    terminates.  `var` defaults to the last variable of the ring.
+    `gs` are the input matrices over R or R_s, `hs` the output matrices
+    over R in the same model order, `s` an element of R.  At l each input
+    is mapped into R by var -> s^l * var and compared with its output
+    shifted by var -> s^(l - lo) * var, an endomorphism of R that commutes
+    with evaluation; at l = lo the outputs are compared as they are.  An l
+    at which an input entry keeps a denominator is passed over: if no l
+    maps the inputs, the last SubstitutionMismatch is raised, and if none
+    matches, OracleMismatch.
     """
-    ring = g.ring
-    if not isinstance(h, RepMatrix) or h.ring != ring:
-        raise LocalizationMismatch("torsion comparison needs matrices over one ring")
-    if g == h:
-        return 0
-    if ring.loc_num is not None:
-        raise LocalizationMismatch(
-            "torsion pinning works over the base ring, not its localization"
-        )
-    if not ring.var_names:
-        raise LocalizationMismatch("unequal matrices over a ring with no variables")
-    if var is None:
-        var = ring.var_names[-1]
-    elif var not in ring.var_names:
-        raise LocalizationMismatch("%r is not a variable of %s" % (var, ring))
-    s_elt = ring.coerce(s)
-    bound = ring.localize_at(s_elt).torsion_bound()
-    kill = s_elt ** bound
-    for pos in set(g.entries) | set(h.entries):
-        d = g.entry(*pos) - h.entry(*pos)
-        if not (kill * d).is_zero():
-            raise LocalizationMismatch(
-                "the matrices still differ after inverting %s" % s_elt
-            )
-    at_zero = ring.substitution(_lift_map(ring, ring, {var: 0}), ring)
-    if _mat_substitute(g, at_zero) != _mat_substitute(h, at_zero):
-        raise LocalizationMismatch("the matrices disagree at %s = 0" % var)
-    # m = 0 is the g == h test above
-    for m in range(1, bound + 1):
-        image = s_elt ** m * ring.var(var)
-        dil = ring.substitution(_lift_map(ring, ring, {var: image}), ring)
-        if _mat_substitute(g, dil) == _mat_substitute(h, dil):
-            return m
-    # every positive v-degree coefficient of the difference is killed by
-    # s^bound, so the loop cannot fall through
-    raise OracleMismatch("no dilation exponent at or below %d" % bound)
+    base = hs[0].ring
+    src = gs[0].ring
+    s = base.coerce(s)
+    x = base.var(var)
+    mapped, refusal = False, None
+    for l in range(lo, hi + 1):
+        try:
+            at_l = src.substitution(_lift_map(src, base, {var: s ** l * x}), base)
+            dilated = [_mat_substitute(g, at_l) for g in gs]
+        except SubstitutionMismatch as e:
+            refusal = e
+            continue
+        mapped = True
+        shifted = hs
+        if l > lo:
+            shift = base.substitution(_lift_map(base, base, {var: s ** (l - lo) * x}), base)
+            shifted = [_mat_substitute(h, shift) for h in hs]
+        if dilated == shifted:
+            return l
+    if refusal is not None and not mapped:
+        raise refusal
+    raise OracleMismatch(
+        "dilate output differs from the dilated input at every exponent in %d..%d"
+        % (lo, hi)
+    )
 
 
 # ----- cover bookkeeping -----
@@ -328,29 +320,33 @@ def dilate(eng, w, i_spec, var=None):
     trivial at var = 0 (`var` defaults to the last variable).  Returns
     (l, h, receipt) with h a level word over the unlocalized base whose
     evaluation equals the entrywise dilation of w by var -> s^l * var in
-    every representation.
+    every representation.  The level of w is checked first, so a word
+    over an unlocalized ring, returned as it is with l = 0, is checked too.
 
     The variable is doubled through a fresh one (var -> var * var'), the
     splitting of the doubled word along var' is raised to the ninth power
     and rewritten by for_dilation, and var' -> s^m * var', with m the
     largest denominator exponent among its arguments, clears the
-    localization, so l = 9*m and up.  var' = 1 collapses the result, which
-    is then shortened (`RewriteEngine.shorten`), and a torsion scan per
-    representation pins the final exponent exactly, including over base
-    rings where s divides zero.  The scan is the acceptance check: it
-    compares the evaluated output with the dilated input at exponent n,
-    and at a positive torsion exponent k it compares the output matrices
-    shifted entrywise by var -> s^k * var, which are the matrices of the
-    returned word, with the input dilated by s^(n+k) once more; nothing
-    is evaluated a third time.  A word not trivial at var = 0 raises
-    CongruenceFailed in the split of the doubled word, whose variable-free
-    part is w at var = 0.  The split is unchecked (`split_pieces`): its one
-    BarShape check is for_dilation's input gate, and its one equality
-    check the torsion scan, which raises OracleMismatch on a wrong word.
+    localization.  var' = 1 collapses the result, which is then shortened
+    (`RewriteEngine.shorten`).  One scan (`torsion_exponent`) pins l: the
+    least exponent from n = 9*m at which every model's input matrix,
+    mapped into the base by var -> s^l * var, equals the output's matrix
+    shifted by var -> s^(l-n) * var, the matrix of the output word shifted
+    alike; the word is shifted so when l > n.  The scan ends at the
+    deepest stored entry denominator of the input, or n if larger, plus
+    the torsion bound of the localization, which covers bases where s
+    divides zero.  A word not trivial at var = 0 raises CongruenceFailed
+    in the split of the doubled word, whose variable-free part is w at
+    var = 0.  The split is unchecked (`split_pieces`): its one BarShape
+    check is for_dilation's input gate, and its one equality check the
+    scan, which raises OracleMismatch on a wrong word.
     """
     ring = eng.ring
     if var is not None:
         check_var(ring, var)
+    report = check_shape(w, LevelShape(i_spec), eng.congruence_oracle())
+    if not report.ok:
+        raise ConditionViolated("input is not a level word: %s" % report.reason)
     if ring.loc_num is None:
         # already integral: nothing to clear
         return 0, w, eng.finish(
@@ -369,9 +365,6 @@ def dilate(eng, w, i_spec, var=None):
     base_out = ring.delocalized()
     eng_out = RewriteEngine(eng.rs, base_out, node_budget=eng.node_budget)
     i_base = i_spec.substitute(_lift_map(ring, base_out), base_out)
-    report = check_shape(w, LevelShape(i_spec), eng.congruence_oracle())
-    if not report.ok:
-        raise ConditionViolated("input is not a level word: %s" % report.reason)
 
     # double the variable through a fresh one and split along it
     vp = var + "p"
@@ -407,53 +400,19 @@ def dilate(eng, w, i_spec, var=None):
     drop = _lift_map(ring, base_out, {vp: base_out.one()})
     h_word = eng_out.shorten(substitute_word(cleared, drop, base_out))
 
-    # the dilated input must be integral entrywise before it can be compared;
-    # raise n when a matrix entry carries a deeper denominator than the word
-    s_out = _to_ring(s_elt, base_out)
+    # pin the exponent from n; over a Z base every input entry maps into
+    # base_out past its stored denominator, and the torsion bound past
+    # that kills any s-torsion left in positive var-degrees
     mats_in = eng.evaluate(w)
-    entry_den = 0
-    for gm in mats_in:
-        for _, v in gm.entries_minus_identity():
-            if v.den > entry_den:
-                entry_den = v.den
-
-    def dilation(src, e):
-        """var -> s^e * var, from src into base_out."""
-        return _lift_map(src, base_out, {var: s_out ** e * base_out.var(var)})
-
-    if entry_den > n:
-        h_word = substitute_word(h_word, dilation(base_out, entry_den - n), base_out)
-        n = entry_den
-
-    # pin the exponent: over a base with s-torsion the cleared word may
-    # still differ from the integral dilation by s-torsion in positive
-    # var-degrees, and a further bounded dilation kills it; both sides
-    # live over base_out, so a refused scan means a wrong word
-    k = 0
-    at_n = ring.substitution(dilation(ring, n), base_out)
-    try:
-        mats_out = eng_out.evaluate(h_word)
-        for gm, hm in zip(mats_in, mats_out):
-            k = max(k, torsion_exponent(_mat_substitute(gm, at_n), hm, s_out, var))
-    except LocalizationMismatch as e:
-        raise OracleMismatch("dilate output differs from the dilated input: %s" % e) from None
-    # at k = 0 the scan's first comparison was the acceptance test; else
-    # the output is shifted by var -> s^k * var, an endomorphism of
-    # base_out, which commutes with evaluation: its matrices are the
-    # scanned ones shifted entrywise
-    l = n + k
-    h_final = h_word
-    if k:
-        shift_k = dilation(base_out, k)
-        h_final = substitute_word(h_word, shift_k, base_out)
-        shift = base_out.substitution(shift_k, base_out)
-        at_l = ring.substitution(dilation(ring, l), base_out)
-        for rep, gm, hm in zip(eng.reps, mats_in, mats_out):
-            if _mat_substitute(hm, shift) != _mat_substitute(gm, at_l):
-                raise OracleMismatch(
-                    "dilate output differs from the dilated input in the %s "
-                    "representation" % rep.kind
-                )
+    entry_den = max(
+        (v.den for gm in mats_in for _, v in gm.entries_minus_identity()), default=0
+    )
+    hi = max(n, entry_den) + ring.torsion_bound()
+    s_out = _to_ring(s_elt, base_out)
+    l = torsion_exponent(mats_in, eng_out.evaluate(h_word), s_out, var, n, hi)
+    if l > n:
+        shift = _lift_map(base_out, base_out, {var: s_out ** (l - n) * base_out.var(var)})
+        h_word = substitute_word(h_word, shift, base_out)
     details = {
         "s": str(s_elt),
         "var": var,
@@ -461,12 +420,12 @@ def dilate(eng, w, i_spec, var=None):
         "den_exponents": dens,
         "clear_m": m,
         "n": n,
-        "torsion_k": k,
+        "torsion_k": l - n,
         "l": l,
         "ninth_power_attested": rec_ford.attested,
     }
-    return l, h_final, eng_out.finish(
-        "dilate", w, h_final, [(h_final, LevelShape(i_base))], details=details
+    return l, h_word, eng_out.finish(
+        "dilate", w, h_word, [(h_word, LevelShape(i_base))], details=details
     )
 
 

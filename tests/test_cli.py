@@ -163,6 +163,20 @@ def test_an_unknown_variable_is_one_typed_error_from_every_lemma(tmp_path, name)
     assert payload["message"] == "'q' is not a polynomial variable of %s" % ring
 
 
+def test_dilate_refuses_a_non_level_word_over_an_unlocalized_ring(tmp_path):
+    # the level gate runs before dilate's return for an unlocalized ring,
+    # so the word exits 12 over Z[X] as it does over Z[X][1/2]
+    for ring in ("Z[X]", "Z[X][1/2]"):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"lemma": "dilate", "system": "A2", "ring": ring,
+                                    "word": "(prod (x 1,-1,0 {X}))", "ideal": ["3"]}))
+        code, out, _ = _run(_argv("dilate", path))
+        assert code == 12
+        payload = json.loads(out)
+        assert payload["error"] == "ConditionViolated"
+        assert payload["message"].startswith("input is not a level word")
+
+
 def test_an_integer_cover_element_is_read_as_text(tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(_with("lgp_cover23_global", cover=[2, 3])))

@@ -1,6 +1,8 @@
 import collections
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from chevcalc.errors import (
     OracleMismatch,
     SubstitutionMismatch,
     UndecidableIdealClass,
+    UnsupportedRing,
 )
 from chevcalc.exactring import IdealSpec, Ring
 from chevcalc.gword import (
@@ -51,6 +54,7 @@ from chevcalc.rewrite import RewriteEngine
 from wordgen import dense_evaluate, random_level_word
 
 A, B, C = (1, -1, 0), (0, 1, -1), (1, 0, -1)
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def lift(word, target):
@@ -103,34 +107,36 @@ def test_torsion_exponent_kills_nilpotent_tail():
     rep = eng.reps[0]
     g = rep.evaluate_word(Gen(A, ring.parse("2*t")), ring)
     ident = rep.evaluate_word(EMPTY, ring)
-    assert torsion_exponent(g, ident, 2) == 1
+    assert torsion_exponent([g], [ident], 2, "t", 0, 2) == 1
 
 
 def test_torsion_exponent_equal_is_zero():
     ring = Ring(4, ("t",))
     eng = RewriteEngine("A2", ring)
     g = eng.reps[0].evaluate_word(Gen(A, ring.parse("2*t")), ring)
-    assert torsion_exponent(g, g, 2) == 0
+    assert torsion_exponent([g], [g], 2, "t", 0, 2) == 0
 
 
 def test_torsion_exponent_agrees_with_direct_scan():
     ring = Ring(8, ("t",))
     eng = RewriteEngine("A2", ring)
-    rep = eng.reps[0]
-    ident = rep.evaluate_word(EMPTY, ring)
+    ident = [rep.evaluate_word(EMPTY, ring) for rep in eng.reps]
     rng = random.Random(41)
     for _ in range(10):
         c = rng.choice((2, 4, 6))
-        g = rep.evaluate_word(Gen(rng.choice((A, B, C)), ring.int_(c) * ring.var("t")), ring)
-        m = torsion_exponent(g, ident, 2)
+        w = Gen(rng.choice((A, B, C)), ring.int_(c) * ring.var("t"))
+        gs = [rep.evaluate_word(w, ring) for rep in eng.reps]
+        m = torsion_exponent(gs, ident, 2, "t", 0, 3)
         scan = 0
         while True:
             dil = {"t": ring.int_(2) ** scan * ring.var("t")}
-            entries = [v.substitute(dil, ring) for _, v in g.entries_minus_identity()]
+            entries = [v.substitute(dil, ring) for g in gs for _, v in g.entries_minus_identity()]
             if all(v.is_zero() for v in entries):
                 break
             scan += 1
         assert m == scan
+        # from a later start the scan returns the start or the least exponent
+        assert torsion_exponent(gs, ident, 2, "t", 1, 3) == max(1, scan)
 
 
 def test_torsion_exponent_rejects_persistent_difference():
@@ -140,8 +146,8 @@ def test_torsion_exponent_rejects_persistent_difference():
     g = rep.evaluate_word(Gen(A, ring.var("t")), ring)
     ident = rep.evaluate_word(EMPTY, ring)
     # over Z nothing divides t away
-    with pytest.raises(LocalizationMismatch):
-        torsion_exponent(g, ident, 2)
+    with pytest.raises(OracleMismatch, match="at every exponent in 0..3"):
+        torsion_exponent([g], [ident], 2, "t", 0, 3)
 
 
 def test_torsion_exponent_rejects_constant_difference():
@@ -150,8 +156,8 @@ def test_torsion_exponent_rejects_constant_difference():
     rep = eng.reps[0]
     g = rep.evaluate_word(Gen(A, ring.int_(2)), ring)
     ident = rep.evaluate_word(EMPTY, ring)
-    with pytest.raises(LocalizationMismatch):
-        torsion_exponent(g, ident, 2)
+    with pytest.raises(OracleMismatch):
+        torsion_exponent([g], [ident], 2, "t", 0, 2)
 
 
 def test_torsion_exponent_input_checks():
@@ -161,15 +167,25 @@ def test_torsion_exponent_input_checks():
     g = eng.reps[0].evaluate_word(Gen(A, ring.parse("2*t")), ring)
     ident = eng.reps[0].evaluate_word(EMPTY, ring)
     h = RewriteEngine("A2", other).reps[0].evaluate_word(Gen(A, other.parse("2*u")), other)
-    with pytest.raises(LocalizationMismatch):
-        torsion_exponent(g, h, 2)
-    with pytest.raises(LocalizationMismatch):
-        torsion_exponent(g, ident, 2, var="x")
+    with pytest.raises(UnsupportedRing, match="no variable 't' in Z/4\\[u\\]"):
+        torsion_exponent([g], [h], 2, "u", 0, 2)
+    with pytest.raises(UnsupportedRing, match="no variable 'x'"):
+        torsion_exponent([g], [ident], 2, "x", 0, 2)
+
+
+def test_torsion_exponent_passes_over_exponents_that_keep_a_denominator():
+    # x_a(t/s^3) over Z[t][1/2] maps into Z[t] from t -> 8t on
     loc = Ring(0, ("t",)).localize_at(2)
-    gl = RewriteEngine("A2", loc).reps[0].evaluate_word(Gen(A, loc.parse("2*t")), loc)
-    il = RewriteEngine("A2", loc).reps[0].evaluate_word(EMPTY, loc)
-    with pytest.raises(LocalizationMismatch):
-        torsion_exponent(gl, il, 2)
+    base = loc.delocalized()
+    g = RewriteEngine("A2", loc).reps[0].evaluate_word(Gen(A, loc.parse("t/s^3")), loc)
+    h = RewriteEngine("A2", base).reps[0].evaluate_word(Gen(A, base.var("t")), base)
+    assert torsion_exponent([g], [h], 2, "t", 3, 5) == 3
+    # no exponent maps the input: the last failed map is raised
+    with pytest.raises(SubstitutionMismatch, match="cannot resolve denominator image 2"):
+        torsion_exponent([g], [h], 2, "t", 0, 2)
+    # some exponent maps it but none matches: an oracle refusal
+    with pytest.raises(OracleMismatch, match="at every exponent in 2..4"):
+        torsion_exponent([g], [h], 2, "t", 2, 4)
 
 
 # ----- unimodular_combination -----
@@ -385,17 +401,21 @@ def test_dilate_peels_level_conjugators():
         assert rep.words_equal(lift(h, loc), substitute_word(w, dil, loc), loc)
 
 
-def test_dilate_raises_n_to_the_deepest_entry_denominator():
-    # every argument is 3X/2, so the word clears at m = 1 and 9m = 9, but
-    # the product's matrix entries carry 2^10 in a denominator: dilate
-    # raises n to 10 by dilating X once more
+def test_dilate_maps_deep_entry_denominators_at_the_clearing_exponent():
+    # every argument is 3X/2, so the word clears at m = 1 and 9m = 9.  An
+    # adjoint entry stores 2^10 in its denominator, but each term c*X^d
+    # of an entry has at most 2^d times the powers of 2 in c below it, so
+    # X -> 2X already maps every entry into Z[X], and so does X -> 2^9 X:
+    # the least exponent from 9 is 9 itself
     loc = Ring(0, ("X",)).localize_at(2)
     eng = RewriteEngine("A2", loc)
     x = loc.parse("3*X/s")
     w = Prod(tuple(Gen(r, x) for r in (A, _neg(A), A, _neg(A), A)))
+    assert max(v.den for m in eng.evaluate(w) for _, v in m.entries_minus_identity()) == 10
     l, h, rec = dilate(eng, w, IdealSpec.gens(loc, 3))
     assert rec.details["clear_m"] == 1
-    assert rec.details["n"] == l == 10
+    assert rec.details["n"] == l == 9
+    assert rec.details["torsion_k"] == 0
     w_dil = substitute_word(w, {"X": loc.int_(2) ** l * loc.var("X")}, loc)
     for rep in eng.reps:
         assert dense_evaluate(rep, lift(h, loc), loc) == dense_evaluate(rep, w_dil, loc)
@@ -415,15 +435,16 @@ def test_dilate_zero_divisor_base_pins_by_torsion():
 
 
 def test_dilate_divides_by_a_zero_divisor_image_of_s():
-    # over Z/12[t] the entry 6t/s clears to 6t / 2 = 3t although 2 is no
+    # over Z/12[t] the entry 6t/s maps to 6t / 2 = 3t although 2 is no
     # unit mod 12; Z/12[1/2] is Z/3, where the word is the identity, so
-    # the output is empty and l = 1
+    # the output is empty.  The scan starts at n = 0, where the input maps
+    # to x_a(3t), not the identity, and stops at l = 1, where 12t / 2 = 0
     loc = Ring(12, ("t",)).localize_at(2)
     eng = RewriteEngine("A2", loc)
     w = Prod((Gen(A, loc.parse("6*t/s")),))
     l, h, rec = dilate(eng, w, IdealSpec.gens(loc, 3))
     assert (l, h) == (1, EMPTY)
-    assert (rec.details["n"], rec.details["torsion_k"]) == (1, 0)
+    assert (rec.details["n"], rec.details["torsion_k"]) == (0, 1)
     w_dil = substitute_word(w, {"t": loc.int_(2) ** l * loc.var("t")}, loc)
     for rep in eng.reps:
         assert dense_evaluate(rep, w_dil, loc) == dense_evaluate(rep, EMPTY, loc)
@@ -464,6 +485,124 @@ def test_dilate_shifts_the_scanned_matrices_at_positive_torsion_k(monkeypatch, m
                     "ninth_power_attested": 0},
         "input": text, "output": out, "certificate": "LevelShape",
     }
+
+
+def test_dilate_scans_once_and_maps_each_input_matrix_once(monkeypatch):
+    # on the word of instances/dilate_a2.json the least exponent is n: one
+    # scan, one map of each model's input matrix and none of its outputs
+    inst = json.loads((INSTANCES / "dilate_a2.json").read_text())
+    loc = cli.ring_from_text(inst["ring"])
+    eng = RewriteEngine(inst["system"], loc)
+    w = word_from_text(inst["word"], loc, eng.rs)
+    scans, mapped = [], []
+    scan, mat_substitute = lgp.torsion_exponent, lgp._mat_substitute
+
+    def counted_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    def counted_map(m, sub):
+        mapped.append(m.ring)
+        return mat_substitute(m, sub)
+
+    monkeypatch.setattr(lgp, "torsion_exponent", counted_scan)
+    monkeypatch.setattr(lgp, "_mat_substitute", counted_map)
+    l, _, rec = dilate(eng, w, cli.ideal_from_texts(loc, inst["ideal"]), var=inst["var"])
+    assert l == rec.details["n"] == 9
+    assert len(scans) == 1
+    assert mapped == [loc] * len(eng.reps)
+
+
+def _seeded_dilation_word(loc, rng, level):
+    """Three A2 generators x_r(level*c*X/s^j), c in {1, 5, 7}, j in 0..2."""
+    roots = sorted(RewriteEngine("A2", loc).rs.roots)
+    x = loc.var("X")
+    return Prod(tuple(
+        Gen(rng.choice(roots), loc.int_(level * rng.choice((1, 5, 7))) * x * loc.s_power(rng.randrange(3)))
+        for _ in range(3)
+    ))
+
+
+# the words of 4 A2 generators c*t/s^j over Z/12[t] and Z/4[t] localized at
+# 2 that dilate glues at ideal (1); all four are integral, with l = 2, n = 0
+GLUING_TORSION_WORDS = [
+    (12, "(prod (x -1,0,1 {t}) (x 0,-1,1 {3*t}) (x 0,1,-1 {5*t}) (x 1,-1,0 {t}))"),
+    (12, "(prod (x 1,0,-1 {5*t}) (x -1,1,0 {5*t}) (x 0,1,-1 {3*t}) (x 0,-1,1 {3*t}))"),
+    (4, "(prod (x -1,0,1 {t}) (x 0,-1,1 {3*t}) (x 0,1,-1 {t}) (x 1,-1,0 {t}))"),
+    (4, "(prod (x 1,0,-1 {t}) (x -1,1,0 {t}) (x 0,1,-1 {3*t}) (x 0,-1,1 {3*t}))"),
+]
+
+
+def _shortened(monkeypatch):
+    """The words every engine returns from `shorten`, with its ring; the
+    last one over dilate's base is its cleared word."""
+    out = []
+    shorten = RewriteEngine.shorten
+
+    def spy(self, word):
+        short = shorten(self, word)
+        out.append((self.ring, short))
+        return short
+
+    monkeypatch.setattr(RewriteEngine, "shorten", spy)
+    return out
+
+
+def _check_least_exponent(shortened, loc, w, level):
+    """dilate's output equals w dilated by s^l over the base in every model,
+    by dense products; when l > n the same comparison at l - 1 fails."""
+    base = loc.delocalized()
+    var = loc.var_names[-1]
+    eng = RewriteEngine("A2", loc)
+    l, h, rec = dilate(eng, w, IdealSpec.gens(loc, level))
+    n = rec.details["n"]
+    assert rec.details["torsion_k"] == l - n >= 0
+    cleared = [word for ring, word in shortened if ring == base]
+    s_base = loc.loc_element().substitute({var: base.var(var)}, base)
+
+    def dilation(e):
+        return {var: s_base ** e * base.var(var)}
+
+    def agrees(e):
+        out = substitute_word(cleared[-1], dilation(e - n), base)
+        try:
+            at_e = loc.substitution(dilation(e), base)
+            return all(
+                lgp._mat_substitute(dense_evaluate(rep, w, loc), at_e) == dense_evaluate(rep, out, base)
+                for rep in eng.reps
+            )
+        except SubstitutionMismatch:
+            return False
+
+    assert h == substitute_word(cleared[-1], dilation(l - n), base)
+    assert agrees(l)
+    if l > n:
+        assert not agrees(l - 1)
+    return l, n
+
+
+@pytest.mark.parametrize("s, level", [(2, 3), (3, 2)])
+def test_dilate_returns_the_least_exponent_on_seeded_words(monkeypatch, s, level):
+    loc = Ring(0, ("X",)).localize_at(s)
+    rng = random.Random(s)
+    shortened = _shortened(monkeypatch)
+    for _ in range(3):
+        _check_least_exponent(shortened, loc, _seeded_dilation_word(loc, rng, level), level)
+
+
+@pytest.mark.parametrize("mod, text", GLUING_TORSION_WORDS)
+def test_dilate_returns_the_least_exponent_over_a_torsion_base(monkeypatch, mod, text):
+    loc = Ring(mod, ("t",)).localize_at(2)
+    w = word_from_text(text, loc, RewriteEngine("A2", loc).rs)
+    assert _check_least_exponent(_shortened(monkeypatch), loc, w, 1) == (2, 0)
+
+
+def test_dilate_gates_a_non_level_word_before_its_unlocalized_return():
+    # over Z[X] as over Z[X][1/2], x_a(X) is no level word at (3)
+    base = Ring(0, ("X",))
+    for ring in (base, base.localize_at(2)):
+        with pytest.raises(ConditionViolated, match="input is not a level word"):
+            dilate(RewriteEngine("A2", ring), Prod((Gen(A, ring.var("X")),)), IdealSpec.gens(ring, 3))
 
 
 def test_dilate_trivial_cases():
