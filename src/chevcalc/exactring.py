@@ -1071,6 +1071,10 @@ class IdealSpec:
         self.parts = parts
         self._expansion = None
 
+    def __reduce__(self):
+        # the tree alone: a pickled spec does not carry its expansion
+        return IdealSpec, (self.ring, self.kind, self.parts)
+
     @classmethod
     def gens(cls, ring, *els):
         return cls(ring, "gens", tuple(ring.coerce(e) for e in els))
@@ -1179,6 +1183,8 @@ class IdealSpec:
 
         Raises NotInIdeal when x is provably outside the ideal, and
         UndecidableIdealClass when the generator class has no complete test.
+        Over single-term generators the witness holds one coefficient
+        element per generator, built in time linear in the terms of x.
         """
         x = self.ring.coerce(x)
         tagged = [(g, t) for g, t in self.expand_tagged() if not g.is_zero()]
@@ -1220,6 +1226,13 @@ class IdealSpec:
         of s are free), which is again complete.  For other localization
         elements a successful unsaturated witness still proves membership,
         but a failure is inconclusive and raises.
+
+        Each term of x is split over the generators by one xgcd.  The
+        pieces of one generator have distinct monomials (distinct terms of
+        x shifted by the same exponent), so they are gathered into one
+        dict, made into one ring element and multiplied by the generator's
+        constant factors once: linear in the terms of x, with no running
+        sum of ring elements.
         """
         ring = self.ring
         mod = ring.base_mod
@@ -1248,7 +1261,7 @@ class IdealSpec:
         m_eff = mod
         if saturate and mod:
             m_eff, _ = _strip_primes(mod, s_primes)
-        combo = {}
+        terms = {}
         for xe in sorted(x.num, key=lambda t: (sum(t), t), reverse=True):
             xc = x.num[xe]
             applicable = [g for g in gens if all(a >= b for a, b in zip(xe, g[1]))]
@@ -1267,17 +1280,18 @@ class IdealSpec:
                     "term %s of %s is outside %s" % (xc, x, self.describe())
                 )
             scale = xc // g_all
-            for (c_str, e_str, removed, excess, gden, t), u in zip(applicable, coeffs):
-                if not u:
-                    continue
-                coeff = ring._make(
-                    {tuple(a - b for a, b in zip(xe, e_str)): u * scale}, 0
-                )
-                if removed != 1 or any(excess):
-                    coeff = coeff * ring.invert_s_smooth_term(removed, excess)
-                if gden:
-                    coeff = coeff * ring.loc_element() ** gden
-                combo[t] = combo[t] + coeff if t in combo else coeff
+            for g, u in zip(applicable, coeffs):
+                if u:
+                    mono = tuple(a - b for a, b in zip(xe, g[1]))
+                    terms.setdefault(g, {})[mono] = u * scale
+        combo = {}
+        for (_, _, removed, excess, gden, t), num in terms.items():
+            coeff = ring._make(num, 0)
+            if removed != 1 or any(excess):
+                coeff = coeff * ring.invert_s_smooth_term(removed, excess)
+            if gden:
+                coeff = coeff * ring.loc_element() ** gden
+            combo[t] = coeff
         if x.den:
             shift = ring.s_power(x.den)
             combo = {t: c * shift for t, c in combo.items()}

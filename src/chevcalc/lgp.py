@@ -344,17 +344,18 @@ def dilate(eng, w, i_spec, var=None):
     ring = eng.ring
     if var is not None:
         check_var(ring, var)
-    report = check_shape(w, LevelShape(i_spec), eng.congruence_oracle())
+    level = LevelShape(i_spec)
+    report = check_shape(w, level, eng.congruence_oracle())
     if not report.ok:
         raise ConditionViolated("input is not a level word: %s" % report.reason)
     if ring.loc_num is None:
-        # already integral: nothing to clear
+        # already integral: nothing to clear, and the gate's report is the
+        # certificate
         return 0, w, eng.finish(
             "dilate",
             w,
             w,
-            [(w, LevelShape(i_spec))],
-            w,
+            [(w, level, report)],
             details={"l": 0, "n": 0, "clear_m": 0, "torsion_k": 0, "den_exponents": []},
         )
     if var is None:

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from chevcalc import exactring
 from chevcalc.chevrep import RepMatrix
 from chevcalc.errors import (
     NotInIdeal,
@@ -1144,3 +1145,110 @@ def test_equal_elements_hash_alike_over_localized_z_mod_m():
     zero_ring = Ring(4, ("t",)).localize_at(2)
     assert zero_ring.int_(1) == zero_ring.int_(3)
     assert hash(zero_ring.int_(1)) == hash(zero_ring.int_(3))
+
+
+# ----- single-term witnesses: linear cost, checked against sympy -----
+
+
+@pytest.mark.parametrize("localized", (False, True))
+def test_witness_cost_does_not_grow_with_the_terms_of_x(monkeypatch, localized):
+    # x = sum 3k*t^k over Z[t] at (t), or over Z[t][1/2] at (6t), whose
+    # generator is saturated to 3t with the factor 2 removed: one
+    # coefficient per generator, so the kernel calls do not depend on n
+    base = Ring(0, ("t",))
+    ring = base.localize_at(2) if localized else base
+    spec = IdealSpec.gens(ring, ring.parse("6*t" if localized else "t"))
+    calls = collections.Counter()
+    for name in ("_poly_add", "_poly_mul"):
+        kernel = getattr(exactring, name)
+
+        def counted(*args, _name=name, _kernel=kernel, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(exactring, name, counted)
+
+    def cost(n):
+        x = ring._make({(k,): 3 * k for k in range(1, n + 1)}, 0)
+        calls.clear()
+        assert len(spec.witness(x)) == 1
+        return dict(calls)
+
+    assert cost(10) == cost(160)
+
+
+_WITNESS_BASE = Ring(0, ("t", "X"))
+WITNESS_RINGS = {
+    "Z[t,X]": _WITNESS_BASE,
+    "Z[t,X][1/2]": _WITNESS_BASE.localize_at(2),
+    "Z[t,X][1/6]": _WITNESS_BASE.localize_at(6),
+    "Z/9[t,X]": Ring(9, ("t", "X")),
+    "Z[t,X][1/t]": _WITNESS_BASE.localize_at(_WITNESS_BASE.var("t")),
+}
+
+
+def _sympy_poly(num, syms):
+    return sympy.Poly.from_dict(dict(num) or {(0, 0): 0}, *syms, domain=sympy.ZZ)
+
+
+@pytest.mark.parametrize("ring_name", sorted(WITNESS_RINGS))
+def test_single_term_witness_rebuilds_x_in_sympy(ring_name):
+    """Rebuild sum c*g from each witness pair's stored (num, den) in sympy
+    and compare it with x: over Z the numerators are cleared to the
+    deepest power of s, which is exact since Z[t, X] is a domain (QQ[t, X]
+    with s inverted); over Z/9 the difference must vanish mod 9.  Localized
+    Z/m is left out: its stored forms are not unique, so a numerator
+    identity there would compare forms, not values.
+
+    Generators are single terms, some with coefficients or exponents that
+    share factors with s and some carrying 1/s^k, so that the removed
+    factor, the excess exponents and the generator denominator all occur.
+    """
+    ring = WITNESS_RINGS[ring_name]
+    rng = random.Random(1211)
+    syms = sympy.symbols(ring.var_names)
+    s_poly = _sympy_poly(ring.loc_num or {(0, 0): 1}, syms)
+    localized = ring.loc_num is not None
+    s_c, s_e = Ring._single_term(ring.loc_num) if localized else (1, ())
+
+    def term(coeffs, max_exp):
+        e = tuple(rng.randint(0, max_exp) for _ in syms)
+        k = rng.randint(1, 2) if localized and rng.random() < 0.4 else 0
+        return ring._make({e: rng.choice(coeffs)}, k)
+
+    paths = set()
+    for _ in range(60):
+        gens = [term((1, 2, 3, 4, 6, 12, 15, -8), 2) for _ in range(rng.randint(1, 3))]
+        spec = IdealSpec.gens(ring, *gens)
+        if rng.random() < 0.3:
+            spec = spec.product(IdealSpec.gens(ring, term((2, 4, 5, 8), 1)))
+        x = ring.zero()
+        while not 1 <= len(x.num) <= 25:
+            x = ring.zero()
+            for g in spec.expand():
+                for _ in range(rng.randint(0, 10)):
+                    x = x + term((1, -1, 2, 5, -7), 3) * g
+        pairs = spec.witness(x)
+        depth = max([x.den] + [c.den + spec.element_for_tag(t).den for c, t in pairs])
+        total = _sympy_poly(x.num, syms) * s_poly ** (depth - x.den)
+        for c, t in pairs:
+            g = spec.element_for_tag(t)
+            total -= (
+                _sympy_poly(c.num, syms) * _sympy_poly(g.num, syms)
+                * s_poly ** (depth - c.den - g.den)
+            )
+            ((ge, gc),) = g.num.items()
+            if localized:
+                paths.add("removed" if math.gcd(gc, s_c) > 1 else "unit")
+                if any(a and b for a, b in zip(ge, s_e)):
+                    paths.add("excess")
+            if g.den:
+                paths.add("gden")
+        if ring.base_mod:
+            assert all(int(v) % ring.base_mod == 0 for v in total.coeffs())
+        else:
+            assert total.is_zero
+    if ring_name in ("Z[t,X][1/2]", "Z[t,X][1/6]"):
+        assert paths == {"removed", "unit", "gden"}
+    elif ring_name == "Z[t,X][1/t]":
+        assert {"excess", "gden"} <= paths

@@ -605,6 +605,36 @@ def test_dilate_gates_a_non_level_word_before_its_unlocalized_return():
             dilate(RewriteEngine("A2", ring), Prod((Gen(A, ring.var("X")),)), IdealSpec.gens(ring, 3))
 
 
+def test_dilate_checks_level_once_over_an_unlocalized_ring(monkeypatch):
+    # the gate's report certifies the unlocalized return, so the word's
+    # LevelShape is checked once, and the receipt is the one a second
+    # check gave
+    ring = Ring(0, ("t",))
+    w = Prod((Gen(A, ring.parse("3*t")),))
+    checked = []
+
+    def counted(word, shape, oracle):
+        checked.append((word, shape))
+        return check_shape(word, shape, oracle)
+
+    monkeypatch.setattr(lgp, "check_shape", counted)
+    monkeypatch.setattr(rewrite, "check_shape", counted)
+    l, h, rec = dilate(RewriteEngine("A2", ring), w, IdealSpec.gens(ring, 3))
+    assert (l, h) == (0, w)
+    assert [word for word, _ in checked] == [w]
+    assert rec.to_dict() == {
+        "op": "dilate",
+        "oracle_checked": True,
+        "nodes_in": 2,
+        "nodes_out": 2,
+        "attested": 0,
+        "details": {"l": 0, "n": 0, "clear_m": 0, "torsion_k": 0, "den_exponents": []},
+        "input": "(prod (x 1,-1,0 {3*t}))",
+        "output": "(prod (x 1,-1,0 {3*t}))",
+        "certificate": "LevelShape",
+    }
+
+
 def test_dilate_trivial_cases():
     ring = Ring(0, ("t",))
     eng = RewriteEngine("A2", ring)

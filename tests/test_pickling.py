@@ -1,5 +1,5 @@
 """Pickle round trips of the objects a run hands back: every word node
-kind, a RepMatrix and a `patch` receipt.
+kind, a RepMatrix, an ideal spec and a `patch` receipt.
 
 `perfbench/run.py` keeps each pass's results pickled until the checks; a
 result that fails to pickle is kept as it is, which costs memory that no
@@ -9,7 +9,7 @@ equal, hash alike, and their ring elements mix with the originals'.
 
 import pickle
 
-from chevcalc.exactring import Ring
+from chevcalc.exactring import IdealSpec, Ring
 from chevcalc.gword import Comm, Conj, Gen, Inv, Prod, word_to_text
 from chevcalc.lgp import patch
 from chevcalc.rewrite import RewriteEngine
@@ -52,6 +52,23 @@ def test_rep_matrix_round_trips():
     # the copy multiplies against matrices built from the original ring
     eng2 = RewriteEngine("A2", _round_trip(ring))
     assert eng2.evaluate(w) == eng.evaluate(w)
+
+
+def test_used_ideal_spec_pickles_its_tree_not_its_expansion():
+    # receipts carry specs in their certificates; the expansion a
+    # membership test caches is rebuilt by the copy when it is needed
+    ring = Ring(0, ("t", "X"))
+    spec = IdealSpec.gens(ring, 3, ring.var("t")).product(IdealSpec.gens(ring, ring.var("X")))
+    fresh = len(pickle.dumps(spec))
+    assert spec.contains(ring.parse("3*X"))
+    assert spec._expansion is not None
+    assert len(pickle.dumps(spec)) == fresh
+    got = _round_trip(spec)
+    assert got._expansion is None
+    assert got.describe() == spec.describe()
+    for text, member in (("3*X", True), ("t^2*X - 6*X^3", True), ("t + X", False)):
+        x = ring.parse(text)
+        assert got.contains(x) is spec.contains(x) is member
 
 
 def test_patch_receipt_round_trips():

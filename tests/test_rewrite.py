@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chevcalc import cli
+from chevcalc import cli, rewrite
 from chevcalc.chevrep import Representation
 from chevcalc.errors import (
     BudgetExhausted,
@@ -27,6 +27,7 @@ from chevcalc.gword import (
     LevelShape,
     Prod,
     RelConjShape,
+    ShapeReport,
     check_shape,
     flatten,
     node_count,
@@ -872,6 +873,22 @@ def test_finish_refuses_a_failed_certificate():
     with pytest.raises(OracleMismatch, match="probe certificate failed") as e:
         eng.finish("probe", w, w, [(w, LevelShape(IdealSpec.gens(ring, 3)))], w)
     assert cli.exit_code(e.value) == 19
+
+
+def test_finish_counts_a_gate_report_without_checking_again(monkeypatch):
+    # a (word, shape, report) triple is certified by the report a gate
+    # already made: finish counts its attestations and checks nothing
+    ring = Ring.integers().extend("t")
+    eng = RewriteEngine("A2", ring)
+    w = Prod((Gen(A, 3 * ring.var("t")),))
+    spec = IdealSpec.gens(ring, 3)
+    level = LevelShape(spec)
+    checked = []
+    monkeypatch.setattr(rewrite, "check_shape", lambda *args: checked.append(args))
+    report = ShapeReport(True, "", ((w, spec),) * 2)
+    rec = eng.finish("probe", w, w, [(w, level, report)])
+    assert checked == []
+    assert (rec.certificate, rec.attested) == (level, 2)
 
 
 @pytest.mark.parametrize("label", ("A", "A2x", ""))
