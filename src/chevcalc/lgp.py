@@ -20,13 +20,13 @@ remainder: a datum whose generators all vanish at 0 evaluates nothing,
 and any other evaluates only the generators that survive.
 
 Words are collected (`gword.collect`) where a stage hands them on: the
-words `patch` hands to `dilate` (the first datum and each overlap word)
-and the output of `for_dilation`.  Collection drops x_a(0) and conjugates
-of it and merges adjacent factors on one root.  An overlap word is
-collected as one product, so the pair of factors that meet at its seam
-merges into one generator; the first datum is collected alone, so a datum
-written as x_a(3X/2)^2 reaches its dilation as one integral generator
-(l = 0).
+words `patch` hands to its dilations (the first datum and each overlap
+word) and the output of `ninth_power_rewrite`.  Collection drops x_a(0)
+and conjugates of it and merges adjacent factors on one root.  An overlap
+word is collected as one product, so the pair of factors that meet at its
+seam merges into one generator; the first datum is collected alone, so a
+datum written as x_a(3X/2)^2 reaches its dilation as one integral
+generator (l = 0).
 
 The two level words the pipeline returns, the pulled-back word of
 `dilate` and the glued word of `patch`, are shortened instead
@@ -37,13 +37,17 @@ generators, whether a Comm node or written out as
 x_b(p) * Conj(x_b(-p), x_c(u)) = [x_b(-p), x_c(u)], becomes its Chevalley
 expansion when that has fewer than 4 generators.  Both rules keep a
 LevelShape certificate, but they write out the Comm nodes that BarShape
-and MixedCommShape match, so `for_dilation` keeps plain `collect` on the
-word it returns; the level factors it normalizes are shortened inside
-`conjugation_normalize`, between peels.  Every collected or shortened
-word still passes through `finish`; `for_dilation` runs one on the word
-it composes from the unchecked `conjugation_normalize` and `mixed_pieces`,
-and `dilate` none on its unchecked split (`split_pieces`): for_dilation's
-input gate checks the split's shape, and dilate's torsion scan its value.
+and MixedCommShape match, so `ninth_power_rewrite` keeps plain `collect`
+on the word it returns; the level factors it normalizes are shortened
+inside `conjugation_normalize`, between peels.
+
+Each public stage is an unchecked builder between a gate and `finish`:
+`for_dilation` gates BarShape around `ninth_power_rewrite`, `dilate`
+LevelShape around `pullback`.  `patch` calls `pullback` ungated, since
+its LevelShape gate on each datum covers every word a dilation receives
+(a ring-map image of the datum); each dilation keeps one `finish`, on the
+ninth-power rewrite against the unchecked split (`split_pieces`), and
+its torsion scan, which checks the pulled-back word's value.
 
 Every step is checked against the matrix representations through the
 RewriteEngine over its output ring, and every receipt comes from that
@@ -248,35 +252,22 @@ def _normalize_level_factor(eng, f, fund, out, stats):
         stats[key] += sub[key]
 
 
-def for_dilation(eng, w, k_spec, var):
-    """Rewrite a relative splitting at var^9 into level-(var) conjugators.
+def ninth_power_rewrite(eng, w, k_spec, var):
+    """`for_dilation`'s unchecked builder: (word, shapes, details).
 
-    The input certifies BarShape(k_spec, (var^9)) over the engine's ring.
-    Commutator factors are split by `RewriteEngine.mixed_pieces` with
+    Commutator factors of w are split by `RewriteEngine.mixed_pieces` with
     middle ideal (var^3); level factors are normalized by
     conjugation_normalize with the fund (k, (var)), which turns every
-    surviving conjugator into a level-(var) word.  Neither checks, so the
-    output is checked once, here.  Factors without a decomposition route
-    over the ring are kept whole; they are honest congruences at level
-    k*(var) and come back as oracle-checked attestations in the receipt.
-    The `budget` detail joins the normalized factors' entries in factor
-    order, and `trivial_pieces` counts the Hall-Witt pieces left out.
-
-    Returns (word, receipt); the word is oracle-equal to the input and
-    certifies RelConjShape((var), k_spec * (var)).
+    surviving conjugator into a level-(var) word.  Factors without a
+    decomposition route over the ring are kept whole; they are honest
+    congruences at level k*(var) and come back as oracle-checked
+    attestations from `finish`.  The `budget` detail joins the normalized
+    factors' entries in factor order, and `trivial_pieces` counts the
+    Hall-Witt pieces left out.
     """
     ring = eng.ring
-    check_var(ring, var)
-    t = ring.var(var)
-    t_spec = IdealSpec.gens(ring, t)
-    cube = IdealSpec.gens(ring, t ** 3)
-    ninth = IdealSpec.gens(ring, t ** 9)
-    report = check_shape(w, BarShape(k_spec, ninth), eng.congruence_oracle())
-    if not report.ok:
-        raise ConditionViolated(
-            "input is not a relative splitting at %s^9: %s" % (var, report.reason)
-        )
-    fund = (k_spec, t_spec)
+    t_spec = IdealSpec.gens(ring, ring.var(var))
+    cube = IdealSpec.gens(ring, ring.var(var) ** 3)
     stats = {
         "level_factors": 0,
         "mixed_factors": 0,
@@ -301,32 +292,41 @@ def for_dilation(eng, w, k_spec, var):
             stats["mixed_factors"] += len(pieces)
             stats["trivial_pieces"] += sub["trivial_pieces"]
         else:
-            _normalize_level_factor(eng, f, fund, out, stats)
+            _normalize_level_factor(eng, f, (k_spec, t_spec), out, stats)
     out_word = collect(Prod(tuple(out)))
     cert = RelConjShape(t_spec, k_spec.product(t_spec))
-    details = dict(stats, budget=tuple(stats["budget"]))
-    return out_word, eng.finish(
-        "for_dilation", w, out_word, [(out_word, cert)], w, details=details
-    )
+    return out_word, [(out_word, cert)], dict(stats, budget=tuple(stats["budget"]))
+
+
+def for_dilation(eng, w, k_spec, var):
+    """Rewrite a relative splitting at var^9 into level-(var) conjugators.
+
+    Gates the input's BarShape(k_spec, (var^9)) (ConditionViolated), builds
+    with `ninth_power_rewrite`, and returns (word, receipt) from `finish`:
+    the word is oracle-equal to the input and certifies
+    RelConjShape((var), k_spec * (var)).
+    """
+    check_var(eng.ring, var)
+    ninth = IdealSpec.gens(eng.ring, eng.ring.var(var) ** 9)
+    report = check_shape(w, BarShape(k_spec, ninth), eng.congruence_oracle())
+    if not report.ok:
+        raise ConditionViolated(
+            "input is not a relative splitting at %s^9: %s" % (var, report.reason)
+        )
+    out_word, shapes, details = ninth_power_rewrite(eng, w, k_spec, var)
+    return out_word, eng.finish("for_dilation", w, out_word, shapes, w, details=details)
 
 
 # ----- dilation -----
 
 
-def dilate(eng, w, i_spec, var=None):
-    """Pull a local level word back to the unlocalized ring.
-
-    `w` is a level-i_spec word over the engine's ring localized at s,
-    trivial at var = 0 (`var` defaults to the last variable).  Returns
-    (l, h, receipt) with h a level word over the unlocalized base whose
-    evaluation equals the entrywise dilation of w by var -> s^l * var in
-    every representation.  The level of w is checked first, so a word
-    over an unlocalized ring, returned as it is with l = 0, is checked too.
+def pullback(eng, w, i_spec, var):
+    """`dilate`'s builder over a localized ring: (l, word, shapes, details).
 
     The variable is doubled through a fresh one (var -> var * var'), the
     splitting of the doubled word along var' is raised to the ninth power
-    and rewritten by for_dilation, and var' -> s^m * var', with m the
-    largest denominator exponent among its arguments, clears the
+    and rewritten by `ninth_power_rewrite`, and var' -> s^m * var', with m
+    the largest denominator exponent among its arguments, clears the
     localization.  var' = 1 collapses the result, which is then shortened
     (`RewriteEngine.shorten`).  One scan (`torsion_exponent`) pins l: the
     least exponent from n = 9*m at which every model's input matrix,
@@ -337,31 +337,13 @@ def dilate(eng, w, i_spec, var=None):
     the torsion bound of the localization, which covers bases where s
     divides zero.  A word not trivial at var = 0 raises CongruenceFailed
     in the split of the doubled word, whose variable-free part is w at
-    var = 0.  The split is unchecked (`split_pieces`): its one BarShape
-    check is for_dilation's input gate, and its one equality check the
-    scan, which raises OracleMismatch on a wrong word.
+    var = 0.
+
+    The input is not gated.  `finish` checks the ninth-power rewrite
+    against the split and caps its nodes, which nothing later adds to,
+    and the scan raises OracleMismatch on a wrong word.
     """
     ring = eng.ring
-    if var is not None:
-        check_var(ring, var)
-    level = LevelShape(i_spec)
-    report = check_shape(w, level, eng.congruence_oracle())
-    if not report.ok:
-        raise ConditionViolated("input is not a level word: %s" % report.reason)
-    if ring.loc_num is None:
-        # already integral: nothing to clear, and the gate's report is the
-        # certificate
-        return 0, w, eng.finish(
-            "dilate",
-            w,
-            w,
-            [(w, level, report)],
-            details={"l": 0, "n": 0, "clear_m": 0, "torsion_k": 0, "den_exponents": []},
-        )
-    if var is None:
-        if not ring.var_names:
-            raise NotSplittingIdeal("no polynomial variable to dilate along")
-        var = ring.var_names[-1]
     s_elt = ring.loc_element()
     base_out = ring.delocalized()
     eng_out = RewriteEngine(eng.rs, base_out, node_budget=eng.node_budget)
@@ -379,7 +361,8 @@ def dilate(eng, w, i_spec, var=None):
     f_word = substitute_word(w, doubled, ring2)
     bar = eng2.split_pieces(f_word, i2, vp)
     bar9 = substitute_word(bar, _lift_map(ring2, ring2, {vp: tp ** 9}), ring2)
-    h9, rec_ford = for_dilation(eng2, bar9, i2, vp)
+    h9, shapes, ford = ninth_power_rewrite(eng2, bar9, i2, vp)
+    rec_ford = eng2.finish("for_dilation", bar9, h9, shapes, bar9, details=ford)
 
     # clear denominators with var' -> s^m var', m the largest denominator
     dens = sorted({a.den for a in word_args(h9) if a.den})
@@ -425,9 +408,39 @@ def dilate(eng, w, i_spec, var=None):
         "l": l,
         "ninth_power_attested": rec_ford.attested,
     }
-    return l, h_word, eng_out.finish(
-        "dilate", w, h_word, [(h_word, LevelShape(i_base))], details=details
-    )
+    return l, h_word, [(h_word, LevelShape(i_base))], details
+
+
+def dilate(eng, w, i_spec, var=None):
+    """Pull a local level word back to the unlocalized ring.
+
+    `w` is a level-i_spec word over the engine's ring localized at s,
+    trivial at var = 0 (`var` defaults to the last variable).  Returns
+    (l, h, receipt) with h a level word over the unlocalized base whose
+    evaluation equals the entrywise dilation of w by var -> s^l * var in
+    every representation.  The level of w is checked first, so a word
+    over an unlocalized ring, returned as it is with l = 0, is checked
+    too; over a localized ring `pullback` builds h.
+    """
+    ring = eng.ring
+    if var is not None:
+        check_var(ring, var)
+    level = LevelShape(i_spec)
+    report = check_shape(w, level, eng.congruence_oracle())
+    if not report.ok:
+        raise ConditionViolated("input is not a level word: %s" % report.reason)
+    if ring.loc_num is None:
+        # already integral: nothing to clear, and the gate's report is the
+        # certificate
+        details = {"l": 0, "n": 0, "clear_m": 0, "torsion_k": 0, "den_exponents": []}
+        return 0, w, eng.finish("dilate", w, w, [(w, level, report)], details=details)
+    if var is None:
+        if not ring.var_names:
+            raise NotSplittingIdeal("no polynomial variable to dilate along")
+        var = ring.var_names[-1]
+    l, h_word, shapes, details = pullback(eng, w, i_spec, var)
+    eng_out = RewriteEngine(eng.rs, ring.delocalized(), node_budget=eng.node_budget)
+    return l, h_word, eng_out.finish("dilate", w, h_word, shapes, details=details)
 
 
 # ----- patching -----
@@ -468,8 +481,9 @@ def patch(problem, verify=True, node_budget=200000):
     is no retraction).  The k-th overlap word compares the datum at
     var * (u_1 + ... + u_k) against the same datum at
     var * (u_1 + ... + u_{k-1}) over fresh variables u_i, one per
-    cover element, and is collected before its dilation; dilate pulls
-    each overlap back to the unlocalized extension, a unit combination of
+    cover element, and is collected before its dilation.  `pullback`
+    pulls each overlap back to the unlocalized extension, ungated (each
+    overlap is a ring-map image of a gated datum); a unit combination of
     the powered cover elements pins the u_i to constants summing to 1,
     and the pinned words concatenate into one word that is shortened
     (`RewriteEngine.shorten`) before the checks below.
@@ -481,7 +495,7 @@ def patch(problem, verify=True, node_budget=200000):
     Every step is checked: `verify` stays for callers that pass True, and
     False raises ValueError.  The per-datum var = 0 check alone catches a
     datum k >= 2 not trivial at var = 0: its overlap word is trivial at
-    u_k = 0 by construction, so `dilate` cannot.
+    u_k = 0 by construction, so its dilation cannot.
     """
     if not verify:
         raise ValueError("patch always verifies; verify=False is not supported")
@@ -534,9 +548,7 @@ def patch(problem, verify=True, node_budget=200000):
         aux.append(nm)
     big = base.extend(*aux)
 
-    exponents = []
-    pulled = []
-    dilation_details = []
+    pullbacks = []
     for k, d in enumerate(data):
         loc_big = big.localize_at(_to_ring(cover[k], big))
         eng_w = RewriteEngine(problem.system, loc_big, node_budget=node_budget)
@@ -555,10 +567,8 @@ def patch(problem, verify=True, node_budget=200000):
             # x_a(p(sigma)) merges into one generator before dilation
             w_k = collect(Prod(_factors(prev_inv) + _factors(a_word)))
         i_loc_big = problem.ideal.substitute(_lift_map(base, loc_big), loc_big)
-        l_k, h_k, rec_k = dilate(eng_w, w_k, i_loc_big, var=aux[k])
-        exponents.append(l_k)
-        pulled.append(h_k)
-        dilation_details.append(rec_k.details)
+        pullbacks.append(pullback(eng_w, w_k, i_loc_big, aux[k]))
+    exponents = [l_k for l_k, _, _, _ in pullbacks]
 
     # pin the auxiliary variables: 1 = sum of p_k * s_k^{l_k}, u_k -> p_k
     # in its own word and u_j -> p_j * s_j^{l_j} in the others, so every
@@ -567,7 +577,7 @@ def patch(problem, verify=True, node_budget=200000):
     combo = unimodular_combination(base, powered)
     pinned_vals = [powered[k] * combo[k] for k in range(len(data))]
     out_factors = []
-    for k, h_k in enumerate(pulled):
+    for k, (_, h_k, _, _) in enumerate(pullbacks):
         phi = _lift_map(base, base)
         for j in range(len(data)):
             phi[aux[j]] = combo[j] if j == k else pinned_vals[j]
@@ -587,7 +597,7 @@ def patch(problem, verify=True, node_budget=200000):
         "exponents": exponents,
         "coefficients": [str(c) for c in combo],
         "gluing_vars": aux,
-        "dilations": dilation_details,
+        "dilations": [details_k for _, _, _, details_k in pullbacks],
     }
     return out, eng_base.finish(
         "patch", None, out, [(out, LevelShape(problem.ideal))], details=details

@@ -4,8 +4,8 @@ Every operation takes a word (or the data for one), produces a word of a
 prescribed shape, and returns a RewriteReceipt alongside it.  Four
 builders return their word unchecked, for the stage that calls them to
 check once: `shorten`, a collector like `gword.collect`; `split_pieces`,
-of `lgp.dilate`; `conjugation_normalize` and `mixed_pieces`, of
-`lgp.for_dilation`.
+of `lgp.pullback` (dilate's builder); `conjugation_normalize` and
+`mixed_pieces`, of `lgp.ninth_power_rewrite` (for_dilation's builder).
 
 RewriteEngine owns the matrix representations of one (system, ring) pair
 and is the only place where words meet the oracle: `evaluate` gives a
@@ -364,7 +364,7 @@ class RewriteEngine:
         generators whose arguments are multiples of its conjugated
         argument, so they match it too: `conjugation_normalize` shortens
         its peel state.  Comm nodes that MixedCommShape and BarShape match
-        may be written out, so the output of `lgp.for_dilation`, which
+        may be written out, so the output of `lgp.ninth_power_rewrite`, which
         mixes them in, keeps plain `collect`.  Nothing is evaluated here:
         the caller's checks are the acceptance test.
         """

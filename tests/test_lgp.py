@@ -45,7 +45,9 @@ from chevcalc.lgp import (
     PatchProblem,
     dilate,
     for_dilation,
+    ninth_power_rewrite,
     patch,
+    pullback,
     torsion_exponent,
     unimodular_combination,
 )
@@ -768,17 +770,17 @@ def test_patch_glues_the_length_five_ladder_word_to_five_generators():
 
 def test_patch_keeps_the_ninth_power_rewrite_of_the_length_five_word_short(monkeypatch):
     # conjugation_normalize shortens its state between peels, so the second
-    # dilation's for_dilation returns 61 generators; with the state
+    # dilation's ninth-power rewrite returns 61 generators; with the state
     # collected only after the last peel it returned 152
     base, prob, g_word = ladder_problem(5)
     sizes = []
 
     def spy(eng, w, k_spec, var):
-        out, rec = for_dilation(eng, w, k_spec, var)
+        out, shapes, details = ninth_power_rewrite(eng, w, k_spec, var)
         sizes.append(len(flatten(out)))
-        return out, rec
+        return out, shapes, details
 
-    monkeypatch.setattr(lgp, "for_dilation", spy)
+    monkeypatch.setattr(lgp, "ninth_power_rewrite", spy)
     out, rec = patch(prob)
     assert len(sizes) == 2
     assert sizes[1] <= 80
@@ -797,11 +799,11 @@ def test_patch_collects_the_overlap_word_at_the_seam(monkeypatch):
     prob = PatchProblem("A2", base, IdealSpec.gens(base, 3), data, "X")
     seen = {}
 
-    def spy(eng, w, i_spec, var=None):
+    def spy(eng, w, i_spec, var):
         seen[var] = w
-        return dilate(eng, w, i_spec, var=var)
+        return pullback(eng, w, i_spec, var)
 
-    monkeypatch.setattr(lgp, "dilate", spy)
+    monkeypatch.setattr(lgp, "pullback", spy)
     out, rec = patch(prob)
     overlap = seen["u2"].factors
     assert all(isinstance(f, Gen) for f in overlap)
@@ -826,11 +828,11 @@ def test_patch_collects_the_first_datum(monkeypatch):
     g_word = Prod((Gen(A, base.parse("9*X")), Gen(C, base.parse("3*X"))))
     seen = {}
 
-    def spy(eng, w, i_spec, var=None):
+    def spy(eng, w, i_spec, var):
         seen[var] = w
-        return dilate(eng, w, i_spec, var=var)
+        return pullback(eng, w, i_spec, var)
 
-    monkeypatch.setattr(lgp, "dilate", spy)
+    monkeypatch.setattr(lgp, "pullback", spy)
     out, rec = patch(prob)
     first = seen["u1"]
     loc = first.factors[0].arg.ring
@@ -842,10 +844,9 @@ def test_patch_collects_the_first_datum(monkeypatch):
 def test_patch_runs_no_congruence_check(monkeypatch, interleaved):
     # patch tests each datum at X = 0 through the retraction X -> 0, and
     # every generator of the crafted data vanishes there, so no congruence
-    # check runs; dilate and its split add none of their own.  Each stage
-    # runs `finish` once per call, and dilate and for_dilation compose
-    # unchecked builders, so no `finish` runs inside them but
-    # for_dilation's and their own
+    # check runs; the dilations and their splits add none of their own.
+    # patch composes the unchecked dilation builder, so `finish` runs once
+    # in patch and once per dilation, on its ninth-power rewrite
     calls = []
     original = rewrite.congruence_check
     ops = collections.Counter()
@@ -863,7 +864,25 @@ def test_patch_runs_no_congruence_check(monkeypatch, interleaved):
     monkeypatch.setattr(RewriteEngine, "finish", finishing)
     patch(crafted_problem(interleaved)[1])
     assert calls == []
-    assert ops == {"patch": 1, "dilate": 2, "for_dilation": 2}
+    assert ops == {"patch": 1, "for_dilation": 2}
+
+
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_patch_checks_each_shape_once(monkeypatch, interleaved):
+    # over k = 2 data: each datum's LevelShape gate and the RelConjShape of
+    # its dilation's ninth-power rewrite, then the glued word's LevelShape;
+    # the dilations gate nothing, since each word they receive is a ring-map
+    # image of a gated datum
+    shapes = []
+
+    def counted(word, shape, oracle):
+        shapes.append(type(shape).__name__)
+        return check_shape(word, shape, oracle)
+
+    monkeypatch.setattr(lgp, "check_shape", counted)
+    monkeypatch.setattr(rewrite, "check_shape", counted)
+    patch(crafted_problem(interleaved)[1])
+    assert shapes == ["LevelShape"] * 2 + ["RelConjShape"] * 2 + ["LevelShape"]
 
 
 def test_patch_reproduces_random_integral_words():
