@@ -9,7 +9,8 @@ functions here carry that out exactly and glue the pullbacks:
   input matrix, dilated into the base, equals its output shifted alike;
 - `for_dilation` rewrites a relative splitting whose indeterminate sits
   at a ninth power into a word whose conjugators live at level (t);
-- `dilate` composes splitting, ninth power, normalization and clearing
+- `dilate` splits its input read at var * var'^9, normalizes that
+  ninth-power splitting, and clears and collapses var' by var' -> s^m
   into the pullback itself, tracking every exponent in its receipt;
 - `unimodular_combination` handles the cover bookkeeping, and `patch`
   glues dilated pullbacks over a unimodular cover into one global word.
@@ -195,14 +196,10 @@ def unimodular_combination(ring, values):
                 % [str(v) for v in vals]
             )
         return combo
+    # the witness has checked that its terms sum to 1
     coeffs = [ring.zero() for _ in vals]
     for coeff, tag in combo:
         coeffs[tag[1]] = coeffs[tag[1]] + coeff
-    total = ring.zero()
-    for c, v in zip(coeffs, vals):
-        total = total + c * v
-    if total != ring.one():
-        raise OracleMismatch("unit combination does not sum to 1")
     return coeffs
 
 
@@ -323,21 +320,21 @@ def for_dilation(eng, w, k_spec, var):
 def pullback(eng, w, i_spec, var):
     """`dilate`'s builder over a localized ring: (l, word, shapes, details).
 
-    The variable is doubled through a fresh one (var -> var * var'), the
-    splitting of the doubled word along var' is raised to the ninth power
-    and rewritten by `ninth_power_rewrite`, and var' -> s^m * var', with m
-    the largest denominator exponent among its arguments, clears the
-    localization.  var' = 1 collapses the result, which is then shortened
-    (`RewriteEngine.shorten`).  One scan (`torsion_exponent`) pins l: the
-    least exponent from n = 9*m at which every model's input matrix,
-    mapped into the base by var -> s^l * var, equals the output's matrix
-    shifted by var -> s^(l-n) * var, the matrix of the output word shifted
-    alike; the word is shifted so when l > n.  The scan ends at the
-    deepest stored entry denominator of the input, or n if larger, plus
-    the torsion bound of the localization, which covers bases where s
+    w is mapped once by var -> var * var'^9, with var' a fresh variable,
+    and split along var'; the split equals the splitting of w(var * var')
+    raised by var' -> var'^9, an injective map fixing the retract var' = 0.
+    `ninth_power_rewrite` rewrites it, and var' -> s^m, with m the largest
+    denominator exponent among the rewrite's arguments, clears the
+    localization and collapses var' in one map into the base.  The result
+    is shortened (`RewriteEngine.shorten`).  One scan (`torsion_exponent`)
+    pins l: the least exponent from n = 9*m at which every model's input
+    matrix, mapped into the base by var -> s^l * var, equals the output's
+    matrix shifted by var -> s^(l-n) * var, the matrix of the output word
+    shifted alike; the word is shifted so when l > n.  The scan ends at
+    the deepest stored entry denominator of the input, or n if larger,
+    plus the torsion bound of the localization, which covers bases where s
     divides zero.  A word not trivial at var = 0 raises CongruenceFailed
-    in the split of the doubled word, whose variable-free part is w at
-    var = 0.
+    in the split, whose variable-free part is w at var = 0.
 
     The input is not gated.  `finish` checks the ninth-power rewrite
     against the split and caps its nodes, which nothing later adds to,
@@ -346,43 +343,35 @@ def pullback(eng, w, i_spec, var):
     ring = eng.ring
     s_elt = ring.loc_element()
     base_out = ring.delocalized()
+    s_out = _to_ring(s_elt, base_out)
     eng_out = RewriteEngine(eng.rs, base_out, node_budget=eng.node_budget)
     i_base = i_spec.substitute(_lift_map(ring, base_out), base_out)
 
-    # double the variable through a fresh one and split along it
+    # split w(var * var'^9) along a fresh variable var'
     vp = var + "p"
     while vp in ring.var_names:
         vp += "p"
     ring2 = ring.extend(vp)
     eng2 = RewriteEngine(eng.rs, ring2, node_budget=eng.node_budget)
-    tp = ring2.var(vp)
-    doubled = _lift_map(ring, ring2, {var: ring2.var(var) * tp})
+    ninth = _lift_map(ring, ring2, {var: ring2.var(var) * ring2.var(vp) ** 9})
     i2 = i_spec.substitute(_lift_map(ring, ring2), ring2)
-    f_word = substitute_word(w, doubled, ring2)
-    bar = eng2.split_pieces(f_word, i2, vp)
-    bar9 = substitute_word(bar, _lift_map(ring2, ring2, {vp: tp ** 9}), ring2)
+    bar9 = eng2.split_pieces(substitute_word(w, ninth, ring2), i2, vp)
     h9, shapes, ford = ninth_power_rewrite(eng2, bar9, i2, vp)
     rec_ford = eng2.finish("for_dilation", bar9, h9, shapes, bar9, details=ford)
 
-    # clear denominators with var' -> s^m var', m the largest denominator
+    # var' -> s^m clears the localization and collapses var' in one map
     dens = sorted({a.den for a in word_args(h9) if a.den})
     m = dens[-1] if dens else 0
-    base2 = ring2.delocalized()
-    clear = _lift_map(ring2, base2, {vp: _to_ring(s_elt, base2) ** m * base2.var(vp)})
     try:
-        cleared = substitute_word(h9, clear, base2)
+        h_word = substitute_word(h9, _lift_map(ring, base_out, {vp: s_out ** m}), base_out)
     except SubstitutionMismatch as e:
         # an attested factor kept a bare localized argument that no power
         # of s can absorb; report the boundary instead of guessing
         raise SubstitutionMismatch(
-            "clearing %s -> %s^m * %s leaves a denominator standing: %s"
-            % (vp, s_elt, vp, e)
+            "clearing %s -> %s^m leaves a denominator standing: %s" % (vp, s_elt, e)
         ) from None
+    h_word = eng_out.shorten(h_word)
     n = 9 * m
-
-    # collapse the auxiliary variable
-    drop = _lift_map(ring, base_out, {vp: base_out.one()})
-    h_word = eng_out.shorten(substitute_word(cleared, drop, base_out))
 
     # pin the exponent from n; over a Z base every input entry maps into
     # base_out past its stored denominator, and the torsion bound past
@@ -392,7 +381,6 @@ def pullback(eng, w, i_spec, var):
         (v.den for gm in mats_in for _, v in gm.entries_minus_identity()), default=0
     )
     hi = max(n, entry_den) + ring.torsion_bound()
-    s_out = _to_ring(s_elt, base_out)
     l = torsion_exponent(mats_in, eng_out.evaluate(h_word), s_out, var, n, hi)
     if l > n:
         shift = _lift_map(base_out, base_out, {var: s_out ** (l - n) * base_out.var(var)})

@@ -39,6 +39,7 @@ INSTANCE_EXIT = {
     "lgp_unit": 0,
     "moving_t_a2": 0,
     "moving_t_a2_no_level_side": 12,
+    "sp_relinc_c2_z5t": 0,
     "sp_relinc_c2z": 13,
     "splitting_a2": 0,
 }

@@ -689,6 +689,26 @@ def test_dilate_input_checks():
         dilate(RewriteEngine("A2", flat), Prod((Gen(A, flat.int_(3)),)), IdealSpec.gens(flat, 3))
 
 
+@pytest.mark.parametrize("label, b, l", [("G2", (2, -1, -1), 9), ("C2", (2, 0), 27)])
+def test_dilate_refuses_a_denominator_the_clearing_leaves_standing(label, b, l):
+    # Conj(x_b(3X), x_-b(1/s)) at level (3): over Z[X][1/3] the rewrite
+    # keeps a localized argument that var' -> 3^m cannot clear, and over
+    # Z[X][1/2] the same word glues.  Z[1/3] has the residue field F2,
+    # outside the paper's hypothesis for C2 and G2, so this refusal is
+    # expected to become a ConditionViolated that names it.
+    def word(loc):
+        neg_b = tuple(-x for x in b)
+        return Prod((Conj(Gen(b, loc.parse("3*X")), Gen(neg_b, loc.s_power(1))),))
+
+    loc = Ring(0, ("X",)).localize_at(3)
+    with pytest.raises(SubstitutionMismatch, match="clearing") as e:
+        dilate(RewriteEngine(label, loc), word(loc), IdealSpec.gens(loc, 3))
+    assert cli.exit_code(e.value) == 6
+    loc = Ring(0, ("X",)).localize_at(2)
+    got, _, _ = dilate(RewriteEngine(label, loc), word(loc), IdealSpec.gens(loc, 3))
+    assert got == l
+
+
 # ----- patch -----
 
 
@@ -971,6 +991,9 @@ def test_patch_rejections():
     with pytest.raises(SubstitutionMismatch):
         patch(PatchProblem("A2", base, IdealSpec.gens(other, 3),
                            (LocalDatum(2, Prod((Gen(A, l2.parse("3*X")),))),), "X"))
+    z = Ring.integers()
+    with pytest.raises(NotSplittingIdeal, match="no variable to glue along"):
+        patch(PatchProblem("A2", z, IdealSpec.gens(z, 3), (LocalDatum(1, EMPTY),)))
 
 
 # ----- shorten -----
