@@ -1056,6 +1056,59 @@ class _Substitution:
         return total
 
 
+class _SingleTermGens:
+    """The single-term generators of one ideal spec, split once for its
+    membership test.
+
+    Over a localization at a single-term s the generators are saturated:
+    each coefficient loses its s-primes (`removed`) and each exponent in
+    the support of s is freed (`excess`).  `gens[i]` is (e_str, removed,
+    excess, gden, tag), `needs[i]` the (position, exponent) pairs a term
+    of x must cover for generator i to apply, and `xgcd(indices)` the
+    `_combo_xgcd` of those generators' stripped coefficients (with the
+    stripped modulus over Z/m), solved once per tuple of indices.
+    """
+
+    __slots__ = ("gens", "needs", "multi_loc", "any_gden", "_values", "_mod", "_xgcds")
+
+    def __init__(self, ring, singles):
+        s_term = Ring._single_term(ring.loc_num) if ring.loc_num is not None else None
+        self.multi_loc = ring.loc_num is not None and s_term is None
+        self.any_gden = any(gden for _, _, gden, _ in singles)
+        s_primes = set(_prime_factors(s_term[0])) if s_term is not None else set()
+        self.gens = []
+        self._values = []
+        for c, e, gden, t in singles:
+            if s_term is not None:
+                c_str, removed = _strip_primes(c, s_primes)
+                e_str = tuple(0 if k else a for a, k in zip(e, s_term[1]))
+            else:
+                c_str, removed, e_str = c, 1, e
+            excess = tuple(a - b for a, b in zip(e, e_str))
+            self.gens.append((e_str, removed, excess, gden, t))
+            self._values.append(c_str)
+        self.needs = [tuple((p, k) for p, k in enumerate(e_str) if k) for e_str, *_ in self.gens]
+        self._mod = ring.base_mod
+        if s_term is not None and self._mod:
+            self._mod, _ = _strip_primes(self._mod, s_primes)
+        self._xgcds = {}
+
+    def xgcd(self, indices):
+        """(g, coeffs): g the gcd of the stripped coefficients of the
+        generators at `indices` (and the stripped modulus), with
+        sum(coeffs[j] * value[indices[j]]) = g modulo it."""
+        hit = self._xgcds.get(indices)
+        if hit is None:
+            values = [self._values[i] for i in indices]
+            if self._mod:
+                g_all, coeffs = _combo_xgcd(values + [self._mod])
+                hit = (g_all, coeffs[:-1])
+            else:
+                hit = _combo_xgcd(values)
+            self._xgcds[indices] = hit
+        return hit
+
+
 class IdealSpec:
     """A symbolic description of a finitely generated ideal.
 
@@ -1063,6 +1116,12 @@ class IdealSpec:
     squares (`sym_power(2)`) and sum nodes above them.  Expansion
     produces tagged generators so that membership witnesses can name the
     exact product of leaf generators each coefficient multiplies.
+
+    A spec caches two things on first use: its expansion, and the data
+    its membership test prepares from it (the nonzero tagged generators
+    and, when each has one term, a `_SingleTermGens`).  A spec is
+    immutable, so both stay valid; a pickle carries neither, and the copy
+    rebuilds them when it is first asked.
     """
 
     def __init__(self, ring, kind, parts):
@@ -1070,9 +1129,10 @@ class IdealSpec:
         self.kind = kind
         self.parts = parts
         self._expansion = None
+        self._membership = None
 
     def __reduce__(self):
-        # the tree alone: a pickled spec does not carry its expansion
+        # the tree alone: a pickled spec carries neither cache
         return IdealSpec, (self.ring, self.kind, self.parts)
 
     @classmethod
@@ -1187,18 +1247,11 @@ class IdealSpec:
         element per generator, built in time linear in the terms of x.
         """
         x = self.ring.coerce(x)
-        tagged = [(g, t) for g, t in self.expand_tagged() if not g.is_zero()]
+        tagged, singles = self._membership_data()
         if not tagged:
             if x.is_zero():
                 return ()
             raise NotInIdeal("%s is not in the zero ideal" % x)
-        singles = []
-        for g, t in tagged:
-            term = Ring._single_term(g.num)
-            if term is None:
-                singles = None
-                break
-            singles.append((term[0], term[1], g.den, t))
         if singles is not None:
             combo = self._witness_single_terms(x, singles)
         elif len(tagged) == 1:
@@ -1217,6 +1270,22 @@ class IdealSpec:
             )
         return combo
 
+    def _membership_data(self):
+        """(tagged, singles): the nonzero tagged generators, and their
+        `_SingleTermGens` when every one has a single term (else None).
+        Prepared on the first membership test and kept on the spec."""
+        if self._membership is None:
+            tagged = tuple((g, t) for g, t in self.expand_tagged() if not g.is_zero())
+            terms = [Ring._single_term(g.num) for g, _ in tagged]
+            singles = None
+            if tagged and None not in terms:
+                singles = _SingleTermGens(
+                    self.ring,
+                    [(c, e, g.den, t) for (c, e), (g, t) in zip(terms, tagged)],
+                )
+            self._membership = (tagged, singles)
+        return self._membership
+
     def _witness_single_terms(self, x, singles):
         """Membership and witness for single-term generator sets.
 
@@ -1227,52 +1296,32 @@ class IdealSpec:
         elements a successful unsaturated witness still proves membership,
         but a failure is inconclusive and raises.
 
-        Each term of x is split over the generators by one xgcd.  The
-        pieces of one generator have distinct monomials (distinct terms of
-        x shifted by the same exponent), so they are gathered into one
-        dict, made into one ring element and multiplied by the generator's
-        constant factors once: linear in the terms of x, with no running
-        sum of ring elements.
+        `singles` is the spec's prepared `_SingleTermGens`, kept on the
+        spec and, like its expansion, left out of its pickles: the per-
+        generator split is computed once per spec, and each term of x only
+        finds the generators whose exponents it covers and looks up the
+        xgcd of that tuple, solved once per tuple.  The pieces of one
+        generator have distinct monomials (distinct terms of x shifted by
+        the same exponent), so they are gathered into one dict, made into
+        one ring element and multiplied by the generator's constant
+        factors once: linear in the terms of x, with no running sum of
+        ring elements.
         """
         ring = self.ring
-        mod = ring.base_mod
-        nvars = len(ring.var_names)
-        s_term = Ring._single_term(ring.loc_num) if ring.loc_num is not None else None
-        saturate = s_term is not None
-        if ring.loc_num is not None and s_term is None:
-            if x.den or any(gden for _, _, gden, _ in singles):
-                raise UndecidableIdealClass(
-                    "denominators over a multi-term localization element"
-                )
-        s_primes = set()
-        s_exps = (0,) * nvars
-        if saturate:
-            s_primes = set(_prime_factors(s_term[0]))
-            s_exps = s_term[1]
-        gens = []
-        for c, e, gden, t in singles:
-            if saturate:
-                c_str, removed = _strip_primes(c, s_primes)
-                e_str = tuple(0 if s_exps[i] else e[i] for i in range(nvars))
-            else:
-                c_str, removed, e_str = c, 1, e
-            excess = tuple(a - b for a, b in zip(e, e_str))
-            gens.append((c_str, e_str, removed, excess, gden, t))
-        m_eff = mod
-        if saturate and mod:
-            m_eff, _ = _strip_primes(mod, s_primes)
+        if singles.multi_loc and (x.den or singles.any_gden):
+            raise UndecidableIdealClass(
+                "denominators over a multi-term localization element"
+            )
+        gens, needs = singles.gens, singles.needs
         terms = {}
         for xe in sorted(x.num, key=lambda t: (sum(t), t), reverse=True):
             xc = x.num[xe]
-            applicable = [g for g in gens if all(a >= b for a, b in zip(xe, g[1]))]
-            values = [g[0] for g in applicable]
-            if mod:
-                g_all, coeffs = _combo_xgcd(values + [m_eff])
-                coeffs = coeffs[:-1]
-            else:
-                g_all, coeffs = _combo_xgcd(values)
+            applicable = tuple(
+                i for i, need in enumerate(needs) if all(xe[p] >= k for p, k in need)
+            )
+            g_all, coeffs = singles.xgcd(applicable)
             if g_all == 0 or xc % g_all:
-                if ring.loc_num is not None and not saturate:
+                if singles.multi_loc:
                     raise UndecidableIdealClass(
                         "inconclusive membership over a multi-term localization"
                     )
@@ -1280,12 +1329,13 @@ class IdealSpec:
                     "term %s of %s is outside %s" % (xc, x, self.describe())
                 )
             scale = xc // g_all
-            for g, u in zip(applicable, coeffs):
+            for i, u in zip(applicable, coeffs):
                 if u:
-                    mono = tuple(a - b for a, b in zip(xe, g[1]))
-                    terms.setdefault(g, {})[mono] = u * scale
+                    mono = tuple(a - b for a, b in zip(xe, gens[i][0]))
+                    terms.setdefault(i, {})[mono] = u * scale
         combo = {}
-        for (_, _, removed, excess, gden, t), num in terms.items():
+        for i, num in terms.items():
+            _, removed, excess, gden, t = gens[i]
             coeff = ring._make(num, 0)
             if removed != 1 or any(excess):
                 coeff = coeff * ring.invert_s_smooth_term(removed, excess)

@@ -254,7 +254,8 @@ class RootSystem:
             for h, k in self.sums[e].items():
                 if h >= half:
                     self._extraspecial.setdefault(k, (e, h))
-        self._constants = {}
+        # _constants[i] = {j: N(roots[i], roots[j])}, filled on demand
+        self._constants = [{} for _ in self.roots]
 
     def __str__(self):
         return "%s%d" % (self.label, self.rank)
@@ -351,10 +352,10 @@ class RootSystem:
 
     def constant(self, i, j):
         """N(roots[i], roots[j]) for j not the index of -roots[i]."""
-        key = (i, j)
-        n = self._constants.get(key)
+        row = self._constants[i]
+        n = row.get(j)
         if n is None:
-            n = self._constants[key] = self._constant(i, j)
+            n = row[j] = self._constant(i, j)
         return n
 
     def _constant(self, a, b):

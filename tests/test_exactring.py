@@ -535,6 +535,16 @@ def _by_contains(spec, x):
         return UndecidableIdealClass
 
 
+def _witness_form(spec, x):
+    """spec.witness(x) as comparable data: the exception type, or the
+    pairs in order as (tag, coefficient num, coefficient den)."""
+    try:
+        pairs = spec.witness(x)
+    except (NotInIdeal, UndecidableIdealClass) as e:
+        return type(e)
+    return [(t, c.num, c.den) for c, t in pairs]
+
+
 @pytest.mark.parametrize("ring_name", sorted(CONTAINS_RINGS))
 def test_contains_matches_witness_then_reconstruction(ring_name):
     # x is a random element, or a combination of the ideal's generators
@@ -565,6 +575,12 @@ def test_contains_matches_witness_then_reconstruction(ring_name):
         want = _by_witness(spec, x)
         assert _by_contains(spec, x) == want
         seen.add(want)
+        # every spec reused across examples keeps its prepared membership
+        # data; a newly built equal spec must give the same witness of x
+        for warm, fresh in zip(ideals, _contains_ideals(ring)):
+            assert fresh._membership is None
+            assert _witness_form(warm, x) == _witness_form(fresh, x)
+            assert warm._membership is not None
 
     check()
     # over a multi-term s a failed test is inconclusive, so no refusal

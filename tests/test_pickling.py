@@ -55,16 +55,19 @@ def test_rep_matrix_round_trips():
 
 
 def test_used_ideal_spec_pickles_its_tree_not_its_expansion():
-    # receipts carry specs in their certificates; the expansion a
-    # membership test caches is rebuilt by the copy when it is needed
+    # receipts carry specs in their certificates; the expansion and the
+    # prepared membership data a membership test caches are rebuilt by
+    # the copy when they are needed
     ring = Ring(0, ("t", "X"))
     spec = IdealSpec.gens(ring, 3, ring.var("t")).product(IdealSpec.gens(ring, ring.var("X")))
     fresh = len(pickle.dumps(spec))
     assert spec.contains(ring.parse("3*X"))
     assert spec._expansion is not None
+    assert spec._membership is not None
     assert len(pickle.dumps(spec)) == fresh
     got = _round_trip(spec)
     assert got._expansion is None
+    assert got._membership is None
     assert got.describe() == spec.describe()
     for text, member in (("3*X", True), ("t^2*X - 6*X^3", True), ("t + X", False)):
         x = ring.parse(text)
