@@ -44,11 +44,13 @@ inside `conjugation_normalize`, between peels.
 
 Each public stage is an unchecked builder between a gate and `finish`:
 `for_dilation` gates BarShape around `ninth_power_rewrite`, `dilate`
-LevelShape around `pullback`.  `patch` calls `pullback` ungated, since
-its LevelShape gate on each datum covers every word a dilation receives
-(a ring-map image of the datum); each dilation keeps one `finish`, on the
-ninth-power rewrite against the unchecked split (`split_pieces`), and
-its torsion scan, which checks the pulled-back word's value.
+LevelShape around `pullback`.  Each gate is one
+`RewriteEngine.require_shapes` call that raises ConditionViolated.
+`patch` gates LevelShape on each datum and calls `pullback` ungated,
+since that gate covers every word a dilation receives (a ring-map image
+of the datum); each dilation keeps one `finish`, on the ninth-power
+rewrite against the unchecked split (`split_pieces`), and its torsion
+scan, which checks the pulled-back word's value.
 
 Every step is checked against the matrix representations through the
 RewriteEngine over its output ring, and every receipt comes from that
@@ -82,14 +84,13 @@ from .gword import (
     Prod,
     RelConjShape,
     _factors,
-    check_shape,
     collect,
     inv_word,
     substitute_word,
     unwrap,
     word_args,
 )
-from .rewrite import RewriteEngine, check_var
+from .rewrite import DEFAULT_NODE_BUDGET, RewriteEngine, check_var
 
 # Largest number of coefficient tuples the unit-combination fallback may
 # try.  The pool holds 7 + 4*nvars coefficients, so a k-element cover
@@ -304,12 +305,9 @@ def for_dilation(eng, w, k_spec, var):
     RelConjShape((var), k_spec * (var)).
     """
     check_var(eng.ring, var)
-    ninth = IdealSpec.gens(eng.ring, eng.ring.var(var) ** 9)
-    report = check_shape(w, BarShape(k_spec, ninth), eng.congruence_oracle())
-    if not report.ok:
-        raise ConditionViolated(
-            "input is not a relative splitting at %s^9: %s" % (var, report.reason)
-        )
+    bar = BarShape(k_spec, IdealSpec.gens(eng.ring, eng.ring.var(var) ** 9))
+    what = "input is not a relative splitting at %s^9" % var
+    eng.require_shapes([(w, bar)], ConditionViolated, what)
     out_word, shapes, details = ninth_power_rewrite(eng, w, k_spec, var)
     return out_word, eng.finish("for_dilation", w, out_word, shapes, w, details=details)
 
@@ -414,9 +412,7 @@ def dilate(eng, w, i_spec, var=None):
     if var is not None:
         check_var(ring, var)
     level = LevelShape(i_spec)
-    report = check_shape(w, level, eng.congruence_oracle())
-    if not report.ok:
-        raise ConditionViolated("input is not a level word: %s" % report.reason)
+    [report] = eng.require_shapes([(w, level)], ConditionViolated, "input is not a level word")
     if ring.loc_num is None:
         # already integral: nothing to clear, and the gate's report is the
         # certificate
@@ -458,7 +454,7 @@ class PatchProblem:
     var: object = None
 
 
-def patch(problem, verify=True, node_budget=200000):
+def patch(problem, verify=True, node_budget=DEFAULT_NODE_BUDGET):
     """Glue local words over a unimodular cover into one global word.
 
     Each datum's word lives over base localized at its s, certifies the
@@ -516,11 +512,9 @@ def patch(problem, verify=True, node_budget=200000):
                     "a local word does not live over %s localized at %s" % (base, s_k)
                 )
         i_loc = problem.ideal.substitute(_lift_map(base, loc), loc)
-        report = check_shape(d.word, LevelShape(i_loc), eng_k.congruence_oracle())
-        if not report.ok:
-            raise ConditionViolated(
-                "a local word is not a level word: %s" % report.reason
-            )
+        eng_k.require_shapes(
+            [(d.word, LevelShape(i_loc))], ConditionViolated, "a local word is not a level word"
+        )
         if not eng_k.trivial_at_zero(d.word, var):
             raise CongruenceFailed("a local word is not trivial at %s = 0" % var)
         cover.append(s_k)

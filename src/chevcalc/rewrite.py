@@ -24,9 +24,10 @@ Every engine op, and every stage of the patching pipeline, builds its
 receipt through `finish`, which issues the receipt only after two
 independent checks pass: the output evaluates to the same matrix as its
 target in every representation, and each certified part matches its
-shape.  Factors that the grammar alone cannot place are attested by a
-matrix congruence check; the receipt records how many such attestations
-were needed (zero on the fully structural paths).
+shape (`require_shapes`, which also decides the pipeline's gates).
+Factors that the grammar alone cannot place are attested by a matrix
+congruence check; the receipt records how many such attestations were
+needed (zero on the fully structural paths).
 """
 
 import itertools
@@ -202,11 +203,15 @@ class RewriteReceipt:
         return out
 
 
+# the largest node count an engine lets a word it certifies reach
+DEFAULT_NODE_BUDGET = 200000
+
+
 class RewriteEngine:
     """Rewrites words over one root system and one ring, running the
     matrix oracle and the certificate check on every receipt it issues."""
 
-    def __init__(self, rs, ring, node_budget=200000):
+    def __init__(self, rs, ring, node_budget=DEFAULT_NODE_BUDGET):
         if isinstance(rs, str):
             rs = system_from_label(rs)
         self.rs = rs
@@ -274,32 +279,42 @@ class RewriteEngine:
 
         return check
 
+    def require_shapes(self, pairs, error, what):
+        """The ShapeReports of (word, shape) `pairs`, checked in order with
+        one congruence oracle; the first that fails raises
+        error("<what>: <reason>").  Every shape refusal is decided here."""
+        oracle = self.congruence_oracle()
+        reports = []
+        for word, shape in pairs:
+            report = check_shape(word, shape, oracle)
+            if not report.ok:
+                raise error("%s: %s" % (what, report.reason))
+            reports.append(report)
+        return reports
+
     def finish(self, op, w_in, w_out, shapes, target=None, details=None):
         """The receipt of an op or stage that turned w_in into w_out.
 
         Gates the node budget, then checks that w_out equals `target`
         (skipped when None, as for output over another ring) and each
-        (word, shape) pair of `shapes`.  A (word, shape, report) triple
-        carries the passing report of a gate that has already checked
-        that shape on that word: it is counted, not checked again.  The
-        certificate is the shape, or the tuple of shapes when there are
-        several.
+        (word, shape) pair of `shapes` (`require_shapes`, OracleMismatch).
+        A (word, shape, report) triple carries the passing report of a
+        gate that has already checked that shape on that word: it is
+        counted, not checked again.  The certificate is the shape, or the
+        tuple of shapes when there are several.
         """
         nodes_in = node_count(w_in) if is_word(w_in) else 0
         nodes_out = node_count(w_out)
-        if self.node_budget is not None and nodes_out > self.node_budget:
+        if nodes_out > self.node_budget:
             raise NodeBudgetExceeded(
                 "%s produced %d nodes (budget %d)" % (op, nodes_out, self.node_budget)
             )
         if target is not None and not self.equal(w_out, target):
             raise OracleMismatch("%s output differs from its target" % op)
-        oracle = self.congruence_oracle()
-        attested = 0
-        for word, shape, *checked in shapes:
-            report = checked[0] if checked else check_shape(word, shape, oracle)
-            if not report.ok:
-                raise OracleMismatch("%s certificate failed: %s" % (op, report.reason))
-            attested += len(report.attested)
+        fresh = [entry for entry in shapes if len(entry) == 2]
+        reports = [entry[2] for entry in shapes if len(entry) == 3]
+        reports += self.require_shapes(fresh, OracleMismatch, "%s certificate failed" % op)
+        attested = sum(len(report.attested) for report in reports)
         certs = tuple(entry[1] for entry in shapes)
         return RewriteReceipt(
             op,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from chevcalc import cli
+from chevcalc import cli, errors
 from chevcalc.gword import word_from_text
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -123,10 +123,13 @@ def _datum(**fields):
     ("lgp_cover23", _with("lgp_cover23", ideal=3), "ideal", "a list of strings"),
     ("lgp_cover23", _datum(word=5), "word", "a string"),
     ("lgp_cover23", _datum(s=[2]), "s", "a string or an integer"),
+    ("lgp_cover23", _datum(s=True), "s", "a string or an integer"),
     ("lgp_cover23", _with("lgp_cover23", ring=5), "ring", "a string"),
     ("lgp_cover23", _with("lgp_cover23", var=5), "var", "a string"),
     ("lgp_cover23", _with("lgp_cover23", system=5), "system", "a string"),
     ("lgp_cover23_global", _with("lgp_cover23_global", cover="23"), "cover",
+     "a list of strings or integers"),
+    ("lgp_cover23_global", _with("lgp_cover23_global", cover=[True, 3]), "cover",
      "a list of strings or integers"),
     ("dilate_a2", _with("dilate_a2", ring=5), "ring", "a string"),
     ("dilate_a2", _with("dilate_a2", var=5), "var", "a string"),
@@ -134,8 +137,8 @@ def _datum(**fields):
     ("dilate_a2", _with("dilate_a2", lemma=["dilate"]), "lemma", "a string"),
     ("decomposition_a2", _with("decomposition_a2", root=5), "root", "a string"),
     ("decomposition_a2", _with("decomposition_a2", ideal2=[3]), "ideal2", "a list of strings"),
-], ids=["lgp-data", "lgp-ideal", "lgp-word", "lgp-s", "lgp-ring", "lgp-var", "lgp-system",
-        "lgp-cover", "demo-ring", "demo-var", "demo-system", "demo-lemma", "demo-root",
+], ids=["lgp-data", "lgp-ideal", "lgp-word", "lgp-s", "lgp-s-bool", "lgp-ring", "lgp-var",
+        "lgp-system", "lgp-cover", "lgp-cover-bool", "demo-ring", "demo-var", "demo-system", "demo-lemma", "demo-root",
         "demo-ideal2"])
 def test_a_field_of_the_wrong_json_type_is_a_parse_error(tmp_path, name, inst, field, expected):
     path = tmp_path / "instance.json"
@@ -213,6 +216,40 @@ def test_a_key_error_inside_a_lemma_is_not_a_missing_field(monkeypatch):
 
 
 # ----- refusals -----
+
+
+# the exit code of each error family, as scripted callers branch on it
+EXIT_CODES = [
+    ("InvalidType", 3),
+    ("OppositeRoots", 4),
+    ("UnsupportedRing", 5),
+    ("SubstitutionMismatch", 6),
+    ("UndecidableIdealClass", 7),
+    ("NotInIdeal", 8),
+    ("NotSplittingIdeal", 9),
+    ("NotExtendedIdeal", 10),
+    ("CongruenceFailed", 11),
+    ("ConditionViolated", 12),
+    ("NoUnitCombination", 13),
+    ("BudgetExhausted", 14),
+    ("NodeBudgetExceeded", 15),
+    ("LocalizationMismatch", 16),
+    ("NotUnimodular", 17),
+    ("ParseError", 18),
+    ("OracleMismatch", 19),
+]
+
+
+def test_each_error_family_declares_its_exit_code():
+    families = {
+        name: cls for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.ChevCalcError)
+    }
+    assert errors.ChevCalcError.exit_code == 1
+    assert sorted(families) == sorted([name for name, _ in EXIT_CODES] + ["ChevCalcError"])
+    for name, code in EXIT_CODES:
+        assert families[name].exit_code == code
+    assert len({cls.exit_code for cls in families.values()}) == len(families)
 
 
 @pytest.mark.parametrize("argv,code,message", [

@@ -14,7 +14,7 @@ from chevcalc import chevrep, cli, exactring, gword, lgp, rewrite, rootsys
 
 FUNCTIONS = [
     (gword, "substitute_word", (lgp, rewrite)),
-    (gword, "check_shape", (lgp, rewrite)),
+    (gword, "check_shape", (rewrite,)),
     (gword, "flatten", (rewrite,)),
     (gword, "word_from_text", (cli,)),
     (lgp, "dilate", ()),
