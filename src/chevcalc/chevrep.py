@@ -33,11 +33,19 @@ keep its column's larger denominator power, and equality subtracts.  The
 dense reference the tests compare against, a product of full generator
 matrices, lives in tests/wordgen.py (`dense_evaluate`).
 
-The adjoint model exists for every supported system.  The defining models
-(types A and C) share sign conventions with the adjoint model because
-their non-simple generators are propagated through the same minimal
-decomposition brackets that define the structure constants.
+The adjoint model exists for every supported system.  It reads each X_a
+from the root system's tables, a's rows of the sum and constant tables,
+and takes the Cartan integers <a, a_i^> as a's simple coordinates times
+the Cartan matrix.  The defining models (types A and C) share sign
+conventions with the adjoint model because their non-simple generators
+are propagated through the same minimal decomposition brackets that
+define the structure constants.  Every model takes its templates from
+`_divided_powers`, which groups X by row once for all its powers, checks
+each division by k exact and bounds the nilpotency index.  Every template
+is built when its model is, and `get_representation` keeps each model.
 """
+
+from operator import mul
 
 from .errors import InvalidType, OracleMismatch
 from . import gword
@@ -45,13 +53,19 @@ from .exactring import _strip_int_s
 from .rootsys import _vneg
 
 
-def _int_mat_mul(a, b):
-    cols = {}
+def _rows(b):
+    """{k: [(j, v), ...]} over the nonzero entries (k, j) of b."""
+    rows = {}
     for (k, j), v in b.items():
-        cols.setdefault(k, []).append((j, v))
+        rows.setdefault(k, []).append((j, v))
+    return rows
+
+
+def _int_mat_mul(a, rows):
+    """a * b for `rows` = `_rows(b)`."""
     out = {}
     for (i, k), u in a.items():
-        for j, v in cols.get(k, ()):
+        for j, v in rows.get(k, ()):
             c = out.get((i, j), 0) + u * v
             if c:
                 out[(i, j)] = c
@@ -61,8 +75,8 @@ def _int_mat_mul(a, b):
 
 
 def _int_mat_bracket(a, b):
-    ab = _int_mat_mul(a, b)
-    ba = _int_mat_mul(b, a)
+    ab = _int_mat_mul(a, _rows(b))
+    ba = _int_mat_mul(b, _rows(a))
     for pos, v in ba.items():
         c = ab.get(pos, 0) - v
         if c:
@@ -84,6 +98,7 @@ def _int_mat_divide(a, n):
 def _divided_powers(x, limit=6):
     """Return {k: X^k / k!} for k >= 1, asserting nilpotency within limit."""
     out = {}
+    rows = _rows(x)
     cur = dict(x)
     k = 1
     while cur:
@@ -91,7 +106,7 @@ def _divided_powers(x, limit=6):
         k += 1
         if k > limit:
             raise OracleMismatch("generator is not nilpotent within the bound")
-        cur = _int_mat_divide(_int_mat_mul(cur, x), k)
+        cur = _int_mat_divide(_int_mat_mul(cur, rows), k)
     return out
 
 
@@ -320,18 +335,22 @@ class Representation:
     def adjoint(cls, rs):
         """The adjoint model on the Chevalley basis: e_b for the roots b in
         `rs.roots` order, then h_i for the simple coroots.  X_a sends e_b to
-        N(a, b) e_{a+b} along a's sum table, e_-a to h_a (the coroot's
-        coordinates), and h_i to -<a, a_i^> e_a."""
+        N(a, b) e_{a+b} along a's rows of `rs.sums` and `rs.constants`,
+        e_-a to h_a (the coroot's coordinates), and h_i to -<a, a_i^> e_a."""
         n = len(rs.roots)
+        # <a, a_h^> = sum_j c_j <a_j, a_h^> over a's simple coordinates c
+        cartan = [[rs.cartan_int(sh, sj) for sj in rs.simple] for sh in rs.simple]
         powers = {}
         for i, a in enumerate(rs.roots):
-            x = {(k, j): rs.constant(i, j) for j, k in rs.sums[i].items()}
+            consts = rs.constants[i]
+            x = {(k, j): consts[j] for j, k in rs.sums[i].items()}
             neg_a = rs.index[_vneg(a)]
             for h, c in enumerate(rs.coroot_coords(a)):
                 if c:
                     x[(n + h, neg_a)] = c
-            for h, si in enumerate(rs.simple):
-                c = -rs.cartan_int(si, a)
+            coords = rs.coords(a)
+            for h, row in enumerate(cartan):
+                c = -sum(map(mul, row, coords))
                 if c:
                     x[(i, n + h)] = c
             powers[a] = _divided_powers(x)

@@ -16,7 +16,6 @@ family's `exit_code` (declared on each class in `errors`), so scripted
 callers can branch on it.
 """
 
-import argparse
 import json
 import random
 import re
@@ -479,6 +478,9 @@ def cmd_lgp(args):
 
 
 def build_parser():
+    # imported here so that importing the library does not load argparse
+    import argparse
+
     p = argparse.ArgumentParser(prog="chevcalc", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -3,7 +3,7 @@
 Every failure that callers are expected to catch and react to gets its own
 class; anything else is a plain bug and raises a builtin.  Each class
 carries the exit code the command line gives its family (`exit_code`):
-3-19 for the families, 1 for the base class, which the command line
+3-20 for the families, 1 for the base class, which the command line
 shares with failed checks; 0 is success and 2 a usage error.
 """
 
@@ -96,3 +96,8 @@ class ParseError(ChevCalcError):
 class OracleMismatch(ChevCalcError):
     """Two independent computations of the same quantity disagree."""
     exit_code = 19
+
+
+class InconsistentData(ChevCalcError):
+    """Two local data of a patching problem disagree where their cover overlaps."""
+    exit_code = 20

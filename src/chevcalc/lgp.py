@@ -46,11 +46,13 @@ Each public stage is an unchecked builder between a gate and `finish`:
 `for_dilation` gates BarShape around `ninth_power_rewrite`, `dilate`
 LevelShape around `pullback`.  Each gate is one
 `RewriteEngine.require_shapes` call that raises ConditionViolated.
-`patch` gates LevelShape on each datum and calls `pullback` ungated,
-since that gate covers every word a dilation receives (a ring-map image
-of the datum); each dilation keeps one `finish`, on the ninth-power
-rewrite against the unchecked split (`split_pieces`), and its torsion
-scan, which checks the pulled-back word's value.
+`patch` gates LevelShape on each datum, checks that the data agree on
+the overlaps of an integer cover (InconsistentData), and calls
+`pullback` ungated, since its LevelShape gate covers every word a
+dilation receives (a ring-map image of the datum); each dilation keeps
+one `finish`, on the ninth-power rewrite against the unchecked split
+(`split_pieces`), and its torsion scan, which checks the pulled-back
+word's value.
 
 Every step is checked against the matrix representations through the
 RewriteEngine over its output ring, and every receipt comes from that
@@ -65,6 +67,7 @@ from .chevrep import RepMatrix
 from .errors import (
     ConditionViolated,
     CongruenceFailed,
+    InconsistentData,
     LocalizationMismatch,
     NotInIdeal,
     NotSplittingIdeal,
@@ -454,6 +457,27 @@ class PatchProblem:
     var: object = None
 
 
+def _check_overlaps(problem, cover, loc_rings, node_budget):
+    """Each pair of data with integer cover elements s_i, s_j must agree
+    over the base localized at s_i * s_j (InconsistentData otherwise)."""
+    base, data = problem.base, problem.data
+    for i, j in itertools.combinations(range(len(data)), 2):
+        if cover[i].is_int_constant() is None or cover[j].is_int_constant() is None:
+            continue
+        s_ij = cover[i] * cover[j]
+        if not s_ij.num:
+            # the overlap is the zero ring, where every pair agrees
+            continue
+        loc = base.localize_at(s_ij)
+        u, v = (
+            substitute_word(data[k].word, _lift_map(loc_rings[k], loc), loc) for k in (i, j)
+        )
+        if not RewriteEngine(problem.system, loc, node_budget=node_budget).equal(u, v):
+            raise InconsistentData(
+                "local data %d and %d disagree over %s" % (i + 1, j + 1, loc)
+            )
+
+
 def patch(problem, verify=True, node_budget=DEFAULT_NODE_BUDGET):
     """Glue local words over a unimodular cover into one global word.
 
@@ -462,10 +486,21 @@ def patch(problem, verify=True, node_budget=DEFAULT_NODE_BUDGET):
     retraction var -> 0 equals the empty word, and only the generators
     that survive the retraction are evaluated (CongruenceFailed
     otherwise; NotSplittingIdeal for an s involving var, where var -> 0
-    is no retraction).  The k-th overlap word compares the datum at
-    var * (u_1 + ... + u_k) against the same datum at
-    var * (u_1 + ... + u_{k-1}) over fresh variables u_i, one per
-    cover element, and is collected before its dilation.  `pullback`
+    is no retraction).
+
+    After the cover check, the overlap gate compares each pair of data
+    with integer cover elements s_i, s_j over the base localized at
+    s_i * s_j with `RewriteEngine.equal`, and raises InconsistentData
+    naming the first pair that disagrees; an overlap that is the zero ring
+    (s_i * s_j = 0 in Z/m) agrees trivially.  Data that agree on every
+    overlap are the images of one element.  The gate runs on integer
+    covers only: for a cover element involving a variable, the map into
+    the overlap does not build yet.
+
+    The k-th overlap word compares the datum at var * (u_1 + ... + u_k)
+    against the same datum at var * (u_1 + ... + u_{k-1}) over fresh
+    variables u_i, one per cover element, and is collected before its
+    dilation.  `pullback`
     pulls each overlap back to the unlocalized extension, ungated (each
     overlap is a ring-map image of a gated datum); a unit combination of
     the powered cover elements pins the u_i to constants summing to 1,
@@ -474,10 +509,10 @@ def patch(problem, verify=True, node_budget=DEFAULT_NODE_BUDGET):
 
     The glued word is checked against every datum: over each localization
     it must evaluate to exactly the datum's matrices (OracleMismatch
-    otherwise, which is how inconsistent local data surfaces), and it
-    certifies LevelShape(ideal) over the base.  Returns (word, receipt).
-    Every step is checked: `verify` stays for callers that pass True, and
-    False raises ValueError.  The per-datum var = 0 check alone catches a
+    otherwise, which is how inconsistent data over a polynomial cover
+    surfaces), and it certifies LevelShape(ideal) over the base.  Returns
+    (word, receipt).  Every step is checked: `verify` stays for callers
+    that pass True, and False raises ValueError.  The per-datum var = 0 check alone catches a
     datum k >= 2 not trivial at var = 0: its overlap word is trivial at
     u_k = 0 by construction, so its dilation cannot.
     """
@@ -521,6 +556,7 @@ def patch(problem, verify=True, node_budget=DEFAULT_NODE_BUDGET):
         loc_rings.append(loc)
         loc_engines.append(eng_k)
     unimodular_combination(base, cover)
+    _check_overlaps(problem, cover, loc_rings, node_budget)
 
     aux = []
     for k in range(len(data)):

@@ -8,11 +8,14 @@ positive root, and the closure must be the whole root set.  E6 and E7 are
 that closure of their simple roots inside E8.  A coroot's coordinates over
 the simple coroots are c_i * (a_i, a_i) / (a, a).
 
-Each system indexes its roots once: a root's position in `roots`, a
-linear integer code of its simple coordinates, and from the codes one sum
-table per root.  Lie-level constants N(a, b) are computed over index pairs
-from the extraspecial pairs of the height ordering.  Group-level
-commutator coefficients follow from them by the Chevalley commutator
+Each system builds its tables once, when it is made: a root's position
+in `roots`, a linear integer code of its simple coordinates, and from the
+codes the sum table, looked up on the positive roots and negated onto the
+negative ones.  Every Lie-level constant N(a, b) follows in the same
+construction, from one pass over the positive pairs in the height ordering
+of their sums (the extraspecial pair, then the Jacobi identity), so
+`lie_constant` and `constant` are lookups.  Group-level commutator
+coefficients follow from them by the Chevalley commutator
 formula (Carter, Simple Groups of Lie Type, Thm 5.2.2) and are cached per
 pair; see `StructureConstants`.  The tests check the constants against a
 recursion in fractions (`FractionLieConstants`) and the coefficients
@@ -22,7 +25,7 @@ division checked exact.
 """
 
 import math
-from operator import mul
+import operator
 
 from .errors import InvalidType, OppositeRoots, OracleMismatch
 
@@ -34,15 +37,15 @@ def _basis(n, i, scale=1):
 
 
 def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _vneg(a):
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def _vsum(a, b, i=1, j=1):
@@ -228,6 +231,7 @@ class RootSystem:
         self.index = {r: i for i, r in enumerate(self.roots)}
         self._neg = [self.index[_vneg(r)] for r in self.roots]
         self._norm = [self.norm2(r) for r in self.roots]
+        self._simple_norm = [self.norm2(a) for a in self.simple]
         norms = sorted(set(self._norm))
         self._max_norm = norms[-1]
         self._min_norm = norms[0]
@@ -241,21 +245,24 @@ class RootSystem:
             sum(c * base**i for i, c in enumerate(self._coords[r])) for r in self.roots
         ]
         self._by_code = {c: i for i, c in enumerate(self._code)}
-        # sums[i] = {j: k} with roots[i] + roots[j] = roots[k]
-        by_code = self._by_code
-        self.sums = [
+        # sums[i] = {j: k} with roots[i] + roots[j] = roots[k], looked up by
+        # code on the positive roots.  A negative root's row is its
+        # positive's negated, -a + -b = -(a + b); negation reverses the
+        # order of the roots, so reading that row backwards keeps j
+        # ascending.
+        by_code, neg = self._by_code, self._neg
+        rows = [
             {j: k for j, cb in enumerate(self._code) if (k := by_code.get(ca + cb)) is not None}
-            for ca in self._code
+            for ca in self._code[half:]
         ]
+        self.sums = [
+            {neg[j]: neg[k] for j, k in reversed(rows[neg[i] - half].items())}
+            for i in range(half)
+        ] + rows
+        # constants[i] = {j: N(roots[i], roots[j]) for j in sums[i]};
         # _extraspecial[gamma] = (eps, gamma - eps) for the least eps in
         # the height ordering with gamma - eps positive
-        self._extraspecial = {}
-        for e in range(half, len(self.roots)):
-            for h, k in self.sums[e].items():
-                if h >= half:
-                    self._extraspecial.setdefault(k, (e, h))
-        # _constants[i] = {j: N(roots[i], roots[j])}, filled on demand
-        self._constants = [{} for _ in self.roots]
+        self.constants, self._extraspecial = self._lie_constants()
 
     def __str__(self):
         return "%s%d" % (self.label, self.rank)
@@ -282,7 +289,7 @@ class RootSystem:
         return None if k is None else self.roots[k]
 
     def inner(self, a, b):
-        return sum(map(mul, a, b))
+        return sum(map(operator.mul, a, b))
 
     def norm2(self, a):
         return self.inner(a, a)
@@ -324,8 +331,8 @@ class RootSystem:
         2a_i/(a_i, a_i): c_i * (a_i, a_i) / (a, a) for a = sum c_i a_i."""
         norm = self.norm2(a)
         out = []
-        for c, si in zip(self._coords[a], self.simple):
-            q, rem = divmod(c * self.norm2(si), norm)
+        for c, ni in zip(self._coords[a], self._simple_norm):
+            q, rem = divmod(c * ni, norm)
             if rem:
                 raise OracleMismatch("coroot outside the simple coroot lattice")
             out.append(q)
@@ -352,47 +359,73 @@ class RootSystem:
 
     def constant(self, i, j):
         """N(roots[i], roots[j]) for j not the index of -roots[i]."""
-        row = self._constants[i]
-        n = row.get(j)
-        if n is None:
-            n = row[j] = self._constant(i, j)
-        return n
+        return self.constants[i].get(j, 0)
 
-    def _constant(self, a, b):
-        # the extraspecial-pair recursion over indices; a and b name roots
-        k = self.sums[a].get(b)
-        if k is None:
-            return 0
-        half, neg, norm, n = self._half, self._neg, self._norm, self.constant
-        if a < half and b < half:
-            return -n(neg[a], neg[b])
-        if a < half:
-            return -n(b, a)
-        if b < half:
-            # from the cyclic identity N(a, b)/(c, c) = N(b, c)/(a, a) for
-            # a + b + c = 0
+    def _lie_constants(self):
+        """The constant rows and the extraspecial pairs, over indices.
+
+        One pass over the positive sums in the height ordering fills the
+        positive pairs: N(eps, eta) = p + 1 on the extraspecial pair of
+        gamma, and the Jacobi identity on (eps, eta, -a, -b) for each other
+        pair a + b = gamma.  Its terms are constants of one positive and one
+        negative root whose sum is lower than gamma, and the cyclic identity
+        reads each from a positive pair already filled.  N(a, b) = -N(b, a)
+        and N(-a, -b) = -N(a, b) give the rest.
+        """
+        half, neg, norm, sums = self._half, self._neg, self._norm, self.sums
+        size = len(self.roots)
+        consts = [{} for _ in range(size)]
+
+        def mixed(a, b):
+            # N(a, b) for a positive and b negative, from the cyclic
+            # identity N(a, b)/(c, c) = N(b, c)/(a, a) for a + b + c = 0
+            k = sums[a].get(b)
+            if k is None:
+                return 0
             if k >= half:
-                return _exact(-norm[k] * n(neg[b], k), norm[a], "structure constant")
-            return _exact(norm[k] * n(neg[k], a), norm[b], "structure constant")
-        if a > b:
-            return -n(b, a)
-        eps, eta = self._extraspecial[k]
-        if eps == a:
-            return self.p_value(self.roots[eps], self.roots[eta]) + 1
-        # The Jacobi identity on (eps, eta, -a, -b):
-        #   N(a, b) = (k, k) / N(eps, eta) * (t1 / n1 + t2 / n2),
-        # multiplied through by the norms n1 and n2.
-        na, nb = neg[a], neg[b]
-        t1, n1, t2, n2 = 0, 1, 0, 1
-        d1 = self.sums[eta].get(na)
-        if d1 is not None:
-            t1, n1 = n(eta, na) * n(eps, nb), norm[d1]
-        d2 = self.sums[eps].get(na)
-        if d2 is not None:
-            t2, n2 = n(na, eps) * n(eta, nb), norm[d2]
-        return _exact(
-            norm[k] * (t1 * n2 + t2 * n1), n1 * n2 * n(eps, eta), "structure constant"
-        )
+                return _exact(-norm[k] * consts[neg[b]][k], norm[a], "structure constant")
+            return _exact(norm[k] * consts[neg[k]][a], norm[b], "structure constant")
+
+        # by_sum[gamma] = the positive pairs (a, b), a < b, with a + b = gamma,
+        # least a first: the first is gamma's extraspecial pair
+        by_sum = {}
+        for a in range(half, size):
+            for b, k in sums[a].items():
+                if b > a:
+                    by_sum.setdefault(k, []).append((a, b))
+        for k in range(half, size):
+            pairs = by_sum.get(k)
+            if pairs is None:
+                continue
+            eps, eta = pairs[0]
+            n_ee = self.p_value(self.roots[eps], self.roots[eta]) + 1
+            consts[eps][eta], consts[eta][eps] = n_ee, -n_ee
+            for a, b in pairs[1:]:
+                # N(a, b) = (k, k) / N(eps, eta) * (t1 / n1 + t2 / n2),
+                # multiplied through by the norms n1 and n2
+                na, nb = neg[a], neg[b]
+                t1, n1, t2, n2 = 0, 1, 0, 1
+                d1 = sums[eta].get(na)
+                if d1 is not None:
+                    t1, n1 = mixed(eta, na) * mixed(eps, nb), norm[d1]
+                d2 = sums[eps].get(na)
+                if d2 is not None:
+                    # N(-a, eps) = -N(eps, -a)
+                    t2, n2 = -mixed(eps, na) * mixed(eta, nb), norm[d2]
+                n_ab = _exact(
+                    norm[k] * (t1 * n2 + t2 * n1), n1 * n2 * n_ee, "structure constant"
+                )
+                consts[a][b], consts[b][a] = n_ab, -n_ab
+        for a in range(half, size):
+            row = consts[a]
+            for b in sums[a]:
+                if b < half:
+                    row[b] = mixed(a, b)
+        for a in range(half):
+            row, na = consts[a], neg[a]
+            for b in sums[a]:
+                row[b] = -consts[na][neg[b]] if b < half else -consts[b][a]
+        return consts, {k: pairs[0] for k, pairs in by_sum.items()}
 
 
 _SYSTEM_CACHE = {}

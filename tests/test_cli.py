@@ -8,6 +8,9 @@ on copies of them with a field taken out.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,8 @@ import pytest
 from chevcalc import cli, errors
 from chevcalc.gword import word_from_text
 
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "instances"
 
 
 def _run(argv):
@@ -23,6 +27,21 @@ def _run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def test_argparse_loads_with_the_first_parser_only():
+    # a fresh interpreter, since this one has argparse loaded already
+    code = (
+        "import sys\n"
+        "import chevcalc.lgp, chevcalc.chevrep, chevcalc.cli\n"
+        "assert 'argparse' not in sys.modules\n"
+        "chevcalc.cli.build_parser()\n"
+        "assert 'argparse' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _argv(name, path=None):
@@ -237,6 +256,7 @@ EXIT_CODES = [
     ("NotUnimodular", 17),
     ("ParseError", 18),
     ("OracleMismatch", 19),
+    ("InconsistentData", 20),
 ]
 
 

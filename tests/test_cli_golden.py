@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# the four refusals are the intended outcomes of those instance files
+# the five refusals are the intended outcomes of those instance files
 INSTANCE_EXIT = {
     "decomposition_a2": 0,
     "dilate_a2": 0,
@@ -35,6 +35,7 @@ INSTANCE_EXIT = {
     "lgp_cover23_global": 0,
     "lgp_cover23_interleaved": 0,
     "lgp_cover24": 17,
+    "lgp_disagreeing_data": 20,
     "lgp_not_trivial_at_zero": 11,
     "lgp_unit": 0,
     "moving_t_a2": 0,

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevcalc import cli, lgp, rewrite
-from chevcalc.chevrep import RepMatrix
+from chevcalc.chevrep import Representation, RepMatrix
 from chevcalc.errors import (
     CongruenceFailed,
     ConditionViolated,
+    InconsistentData,
     LocalizationMismatch,
     NodeBudgetExceeded,
     NotSplittingIdeal,
@@ -936,14 +937,63 @@ def test_patch_single_chart_at_unit():
 
 
 def test_patch_surfaces_inconsistent_data():
+    # the data disagree over Z[X][1/6], so they are the images of no one
+    # element; the overlap gate refuses them before any dilation
     base = Ring(0, ("X",))
     l2, l3 = base.localize_at(2), base.localize_at(3)
     prob = PatchProblem("A2", base, IdealSpec.gens(base, 3), (
         LocalDatum(2, Prod((Gen(A, l2.parse("3*X")),))),
         LocalDatum(3, Prod((Gen(A, l3.parse("6*X")),))),
     ), "X")
-    with pytest.raises(OracleMismatch):
+    over_6 = r"local data 1 and 2 disagree over Z\[X\]\[1/\(6\)\]"
+    with pytest.raises(InconsistentData, match=over_6) as e:
         patch(prob)
+    assert e.value.exit_code == 20
+    # the first pair that disagrees is named
+    with pytest.raises(InconsistentData, match="local data 1 and 3 disagree"):
+        patch(_single_root_data(base, (2, 3, 5), (A, A, B)))
+
+
+def _single_root_data(base, cover, roots):
+    data = []
+    for s, root in zip(cover, roots):
+        loc = base.localize_at(s)
+        data.append(LocalDatum(s, Prod((Gen(root, loc.parse("3*X")),))))
+    return PatchProblem("A2", base, IdealSpec.gens(base, 3), tuple(data), "X")
+
+
+def test_patch_skips_an_overlap_that_is_the_zero_ring():
+    # over Z/6, 2 * 3 = 0: Z/6[X][1/2] and Z/6[X][1/3] have no common
+    # localization to compare in, and the pair agrees there trivially
+    out, _ = patch(_single_root_data(Ring(6, ("X",)), (2, 3), (A, A)))
+    assert out == Prod((Gen(A, Ring(6, ("X",)).parse("3*X")),))
+
+
+def test_the_overlap_gate_evaluates_nothing_on_lifts_of_one_word(monkeypatch):
+    # data lifted from one global word map to the same word over each
+    # overlap, so `equal` decides the pair without the oracle
+    evaluated = []
+    evaluate = Representation.evaluate_word
+    gate = lgp._check_overlaps
+
+    def counting(self, w, ring):
+        evaluated.append(w)
+        return evaluate(self, w, ring)
+
+    def counted_gate(*args):
+        with monkeypatch.context() as m:
+            m.setattr(Representation, "evaluate_word", counting)
+            gate(*args)
+
+    monkeypatch.setattr(lgp, "_check_overlaps", counted_gate)
+    base = Ring(0, ("X",))
+    g_word = Prod((Gen(A, base.parse("3*X")), Gen(C, base.parse("-3*X"))))
+    data = tuple(LocalDatum(s, lift(g_word, base.localize_at(s))) for s in (2, 3))
+    patch(PatchProblem("A2", base, IdealSpec.gens(base, 3), data, "X"))
+    assert evaluated == []
+    # the crafted data are different words, so their pair is evaluated
+    patch(crafted_problem()[1])
+    assert evaluated
 
 
 def test_patch_rejections():
