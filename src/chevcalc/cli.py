@@ -481,6 +481,12 @@ def build_parser():
     # imported here so that importing the library does not load argparse
     import argparse
 
+    def positive_int(text):
+        n = int(text)
+        if n < 1:
+            raise argparse.ArgumentTypeError("must be at least 1, got %s" % text)
+        return n
+
     p = argparse.ArgumentParser(prog="chevcalc", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -496,14 +502,14 @@ def build_parser():
     v.add_argument("--ideal", action="append")
     v.add_argument("--ideal2", action="append")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--count", type=int, default=100)
+    v.add_argument("--count", type=positive_int, default=100)
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
 
     d = sub.add_parser("demo", help="run one constructive rewrite on an instance file")
     d.add_argument("--instance", required=True)
     d.add_argument("--out")
-    d.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    d.add_argument("--budget", type=positive_int, default=DEFAULT_NODE_BUDGET)
     d.add_argument("--trace", action="store_true")
     d.set_defaults(func=cmd_demo)
 
@@ -511,7 +517,7 @@ def build_parser():
     g.add_argument("--problem", required=True)
     g.add_argument("--out")
     g.add_argument("--word-out")
-    g.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    g.add_argument("--budget", type=positive_int, default=DEFAULT_NODE_BUDGET)
     g.add_argument("--trace", action="store_true")
     g.set_defaults(func=cmd_lgp)
     return p

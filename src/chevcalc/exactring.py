@@ -1118,8 +1118,10 @@ class IdealSpec:
     exact product of leaf generators each coefficient multiplies.
 
     A spec caches two things on first use: its expansion, and the data
-    its membership test prepares from it (the nonzero tagged generators
-    and, when each has one term, a `_SingleTermGens`).  A spec is
+    its membership test prepares from it (the nonzero tagged generators;
+    when each has one term, a `_SingleTermGens`; and a map from every tag
+    of the expansion to its generator, which `element_for_tag` and the
+    witness check read instead of scanning the expansion).  A spec is
     immutable, so both stay valid; a pickle carries neither, and the copy
     rebuilds them when it is first asked.
     """
@@ -1195,10 +1197,10 @@ class IdealSpec:
         return tuple(g for g, _ in self.expand_tagged())
 
     def element_for_tag(self, tag):
-        for g, t in self.expand_tagged():
-            if t == tag:
-                return g
-        raise KeyError("tag %r not in spec" % (tag,))
+        g = self._membership_data()[2].get(tag)
+        if g is None:
+            raise KeyError("tag %r not in spec" % (tag,))
+        return g
 
     def describe(self):
         if self.kind == "gens":
@@ -1247,7 +1249,7 @@ class IdealSpec:
         element per generator, built in time linear in the terms of x.
         """
         x = self.ring.coerce(x)
-        tagged, singles = self._membership_data()
+        tagged, singles, by_tag = self._membership_data()
         if not tagged:
             if x.is_zero():
                 return ()
@@ -1261,9 +1263,8 @@ class IdealSpec:
                 "no complete membership test for generators %s"
                 % [str(g) for g, _ in tagged]
             )
-        total = self.ring.zero()
-        for coeff, tag in combo:
-            total = total + coeff * self.element_for_tag(tag)
+        products = [coeff * by_tag[tag] for coeff, tag in combo]
+        total = sum(products[1:], products[0]) if products else self.ring.zero()
         if total != x:
             raise OracleMismatch(
                 "witness reconstruction failed for %s in %s" % (x, self.describe())
@@ -1271,11 +1272,13 @@ class IdealSpec:
         return combo
 
     def _membership_data(self):
-        """(tagged, singles): the nonzero tagged generators, and their
-        `_SingleTermGens` when every one has a single term (else None).
-        Prepared on the first membership test and kept on the spec."""
+        """(tagged, singles, by_tag): the nonzero tagged generators, their
+        `_SingleTermGens` when every one has a single term (else None), and
+        every expanded generator (zero ones too) by its tag.  Prepared on
+        the first membership test or tag lookup and kept on the spec."""
         if self._membership is None:
-            tagged = tuple((g, t) for g, t in self.expand_tagged() if not g.is_zero())
+            expansion = self.expand_tagged()
+            tagged = tuple((g, t) for g, t in expansion if not g.is_zero())
             terms = [Ring._single_term(g.num) for g, _ in tagged]
             singles = None
             if tagged and None not in terms:
@@ -1283,7 +1286,7 @@ class IdealSpec:
                     self.ring,
                     [(c, e, g.den, t) for (c, e), (g, t) in zip(terms, tagged)],
                 )
-            self._membership = (tagged, singles)
+            self._membership = (tagged, singles, {t: g for g, t in expansion})
         return self._membership
 
     def _witness_single_terms(self, x, singles):
@@ -1316,10 +1319,14 @@ class IdealSpec:
         terms = {}
         for xe in sorted(x.num, key=lambda t: (sum(t), t), reverse=True):
             xc = x.num[xe]
-            applicable = tuple(
-                i for i, need in enumerate(needs) if all(xe[p] >= k for p, k in need)
-            )
-            g_all, coeffs = singles.xgcd(applicable)
+            applicable = []
+            for i, need in enumerate(needs):
+                for p, k in need:
+                    if xe[p] < k:
+                        break
+                else:
+                    applicable.append(i)
+            g_all, coeffs = singles.xgcd(tuple(applicable))
             if g_all == 0 or xc % g_all:
                 if singles.multi_loc:
                     raise UndecidableIdealClass(

@@ -72,6 +72,26 @@ def test_budget_flag_caps_the_nodes_of_every_step(name):
     assert "(budget 2)" in payload["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "steinberg", "--system", "A2", "--ring", "Z[t]", "--count", "0"],
+    ["verify", "--suite", "steinberg", "--system", "A2", "--ring", "Z[t]", "--count", "-1"],
+    _argv("dilate_a2") + ["--budget", "0"],
+    _argv("lgp_cover23") + ["--budget", "0"],
+    _argv("lgp_cover23") + ["--budget", "-5"],
+], ids=["count-0", "count-negative", "demo-budget-0", "lgp-budget-0", "lgp-budget-negative"])
+def test_a_count_or_budget_below_one_is_a_usage_error(argv):
+    # refused while the arguments are parsed: nothing runs, nothing is
+    # checked, and no payload is written
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("usage: chevcalc " + argv[0])
+    assert "must be at least 1, got %s" % argv[-1] in err.getvalue()
+
+
 def test_word_out_writes_the_payload_word(tmp_path):
     path = tmp_path / "word.txt"
     code, out, _ = _run(_argv("lgp_cover23") + ["--word-out", str(path)])

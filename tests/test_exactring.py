@@ -10,6 +10,7 @@ from chevcalc import exactring
 from chevcalc.chevrep import RepMatrix
 from chevcalc.errors import (
     NotInIdeal,
+    OracleMismatch,
     ParseError,
     SubstitutionMismatch,
     UndecidableIdealClass,
@@ -589,6 +590,46 @@ def test_contains_matches_witness_then_reconstruction(ring_name):
         assert seen == {True, UndecidableIdealClass}
     else:
         assert seen == {True, False, UndecidableIdealClass}
+
+
+@pytest.mark.parametrize("ring", [
+    _ZT,
+    _ZT.localize_at(2),
+    Ring(9, ("t",)),
+    Ring(12, ("t",)).localize_at(2),
+], ids=str)
+def test_a_wrong_witness_fails_its_reconstruction(monkeypatch, ring):
+    # the sum c*g over a witness is checked against x in ring arithmetic,
+    # independently of how the coefficients were found: a witness with
+    # one coefficient doubled is refused, and contains does not read the
+    # refusal as a verdict
+    spec = IdealSpec.gens(ring, ring.parse("3"), ring.parse("t^2"))
+    x = ring.parse("3*t + t^3")
+    assert spec.contains(x)
+    build = IdealSpec._witness_single_terms
+
+    def doubled(self, x, singles):
+        (c, t), *rest = build(self, x, singles)
+        return ((c * 2, t), *rest)
+
+    monkeypatch.setattr(IdealSpec, "_witness_single_terms", doubled)
+    with pytest.raises(OracleMismatch, match="witness reconstruction failed"):
+        spec.witness(x)
+    with pytest.raises(OracleMismatch, match="witness reconstruction failed"):
+        spec.contains(x)
+
+
+def test_element_for_tag_reads_every_expanded_tag():
+    # zero generators keep their tags, though no witness names them; an
+    # unknown tag is a KeyError before and after a membership test
+    ring = Ring(0, ("t",))
+    spec = IdealSpec.gens(ring, 3, 0).product(IdealSpec.gens(ring, ring.var("t")))
+    for used in (False, True):
+        if used:
+            assert spec.contains(ring.parse("6*t"))
+        assert [spec.element_for_tag(t) for _, t in spec.expand_tagged()] == list(spec.expand())
+        with pytest.raises(KeyError, match="not in spec"):
+            spec.element_for_tag(("g", 0))
 
 
 # ----- equality by stored forms -----
