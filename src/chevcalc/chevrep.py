@@ -25,13 +25,13 @@ exponents is adding keys.  Denominators are aligned by multiplying with a
 power of s; over Z/m coefficients are reduced, and over Z localized at an
 integer s the column's common power of s is divided out by a gcd.  At the
 end each column is unpacked into `RepMatrix` entries through
-`Ring._normal`.  Over a Z base, or over Z/m without a localization, that
-is the element's one normal form, so the stored (num, den) are those ring
-arithmetic gives and `RepMatrix.__eq__` compares them as stored
-(`Ring.canonical`); over Z/m localized no form is unique, an entry may
-keep its column's larger denominator power, and equality subtracts.  The
-dense reference the tests compare against, a product of full generator
-matrices, lives in tests/wordgen.py (`dense_evaluate`).
+`Ring._normal`, the element's one stored form, so the stored (num, den)
+are those ring arithmetic gives and `RepMatrix.__eq__` compares them as
+stored.  Over Z/m localized at an integer the coefficients are reduced
+modulo `Ring.mod` and no denominator arises; over the zero ring the
+identity is the zero matrix.  The dense reference the tests compare
+against, a product of full generator matrices, lives in tests/wordgen.py
+(`dense_evaluate`).
 
 The adjoint model exists for every supported system.  It reads each X_a
 from the root system's tables, a's rows of the sum and constant tables,
@@ -134,27 +134,25 @@ class RepMatrix:
                     yield (i, j), d
             elif v.num:
                 yield (i, j), v
+        minus_one = self.ring.int_(-1)
         for i in range(self.dim):
-            if i not in seen:
-                yield (i, i), self.ring.int_(-1)
+            if i not in seen and minus_one.num:
+                yield (i, i), minus_one
 
     def __eq__(self, other):
         if not isinstance(other, RepMatrix) or other.ring != self.ring:
             return NotImplemented
         a, b = self.entries, other.entries
-        if self.ring.canonical:
-            # stored forms are unique; an entry with an empty num is a zero
-            # stored explicitly, equal to a missing one
-            for p, v in a.items():
-                w = b.get(p)
-                if w is None:
-                    if v.num:
-                        return False
-                elif v.den != w.den or v.num != w.num:
+        # stored forms are unique; an entry with an empty num is a zero
+        # stored explicitly, equal to a missing one
+        for p, v in a.items():
+            w = b.get(p)
+            if w is None:
+                if v.num:
                     return False
-            return all(p in a or not w.num for p, w in b.items())
-        positions = set(a) | set(b)
-        return all((self.entry(*p) - other.entry(*p)).is_zero() for p in positions)
+            elif v.den != w.den or v.num != w.num:
+                return False
+        return all(p in a or not w.num for p, w in b.items())
 
     def __hash__(self):
         return hash((self.ring, self.dim))
@@ -187,7 +185,7 @@ class _Packing:
             for i in range(nvars):
                 degree[i] += top * max(e[i] for e in r.num)
             den += top * r.den
-        self.mod = ring.base_mod
+        self.mod = ring.mod
         self.s_int = ring._loc_int
         s = ring.loc_num
         if s is not None and self.s_int is None:
@@ -233,10 +231,8 @@ class _Packing:
         out = self._s_powers.get(k)
         if out is None:
             if self.s_int is not None:
-                c = self.s_int**k
-                if self.mod:
-                    c %= self.mod
-                out = {0: c} if c else {}
+                # only over Z: localized Z/m stores no denominator
+                out = {0: self.s_int**k}
             else:
                 out = _packed_mul(self.s_power(k - 1), self._s, self.mod)
             self._s_powers[k] = out
@@ -405,8 +401,8 @@ class Representation:
         gens = [(root, r) for root, r in gens if r.num]
         pk = _Packing(ring, self.dim, [(max(self.powers[root]), r) for root, r in gens])
         # column-major: cols[j] holds the packed terms of column j, all over
-        # the common denominator s^dens[j]
-        cols = [{j: 1} for j in range(self.dim)]
+        # the common denominator s^dens[j]; the zero ring (mod 1) has 1 = 0
+        cols = [{} if ring.mod == 1 else {j: 1} for j in range(self.dim)]
         dens = [0] * self.dim
         grouped = {}
         for root, r in gens:

@@ -3,23 +3,23 @@
 The rings supported here are multivariate polynomial rings over Z or Z/m,
 optionally localized at a single element s (denominators are powers of s).
 
-Equality in a localized ring is torsion aware: a/s^j = b/s^k holds exactly
-when s^T * (a*s^k - b*s^j) vanishes in the underlying polynomial ring,
-where T is a precomputed annihilator stabilization bound.
-
 An element is stored as num / s^den, num a dict exponent tuple -> nonzero
-coefficient, reduced mod m over Z/m.  Two constructors keep that form.
+coefficient reduced modulo `Ring.mod`, and every element has one stored
+form, so equality and hashing read it.  Over a Z base (`Ring.mod` 0) the
+largest power s^k, k <= den, that divides num is divided out.  For an
+integer s that is one division by s^k, k read off the gcd of the
+coefficients; otherwise s is divided out one power at a time while the
+division is exact.  Over Z/m unlocalized, `Ring.mod` is m and den is 0.
+Over Z/m localized at an integer s, Z/m[1/s] is Z/m', m' the largest
+divisor of m prime to s: of the factors Z/p^a of Z/m, s is a unit in
+those with p prime to s and nilpotent in the others, which inverting s
+kills.  There `Ring.mod` is m', den is 0 and 1/s^k is stored as the
+integer (s^-1 mod m')^k; m' = 1 is the zero ring.  Z/m localized at a
+non-integer is refused.  Two constructors keep the stored form.
 `Ring._make` takes raw data (parsed text, substitution images, witness
 coefficients, powers of 1/s): it reduces every coefficient and drops
 zeros.  `Ring._normal` takes the result of a `_poly_*` kernel, which is
-already reduced and free of zeros, and only fixes the denominator.  Over
-a Z base the form is canonical: the largest power s^k, k <= den, that
-divides num is divided out.  For an integer s that is one division by
-s^k, k read off the gcd of the coefficients; otherwise s is divided out
-one power at a time while the division is exact.  Where the form is
-canonical (`Ring.canonical`: a Z base, or Z/m unlocalized), equality and
-hashing read the stored form; over Z/m localized, equality subtracts and
-applies the torsion test above.
+already reduced and free of zeros, and only fixes the denominator.
 
 Most products have a one-term factor (an argument c*t^e, a power of an
 integer s, a witness coefficient), so `_poly_mul` multiplies by a one-term
@@ -304,15 +304,20 @@ class Ring:
             raise UnsupportedRing("duplicate variable names")
         # loc_num: monomial dict of the localization element, in true vars
         self.loc_num = None if loc_num is None else dict(loc_num)
-        if self.loc_num is not None and not self.loc_num:
+        if self.loc_num is not None and not any(self.loc_num.values()):
             raise UnsupportedRing("cannot localize at zero")
         # s as an int when it is an integer constant, else None
         self._loc_int = None if loc_num is None else self._as_int_constant(self.loc_num)
-        # every element has one stored (num, den): over a Z base `_normal`
-        # strips the largest power of s, and unlocalized Z/m keeps den = 0.
-        # Over Z/m localized, 2/s and 1 are equal (s = 2, m = 9) and stored
-        # apart, so equality there subtracts and hashing ignores the form.
-        self.canonical = self.base_mod == 0 or self.loc_num is None
+        # the modulus of stored coefficients; 1/s where it is an integer
+        self.mod = base_mod
+        self._s_inv = None
+        if base_mod and self.loc_num is not None:
+            if self._loc_int is None:
+                raise UnsupportedRing(
+                    "torsion bound needs an integer localization element over Z/m"
+                )
+            self.mod, _ = _strip_primes(base_mod, _prime_factors(self._loc_int))
+            self._s_inv = pow(self._loc_int, -1, self.mod)
         self._key = (
             self.base_mod,
             self.var_names,
@@ -374,9 +379,8 @@ class Ring:
     def localize_at(self, s):
         """Return the localization of this ring at s (an int or an element).
 
-        Equality in the result needs a torsion bound, so a localization
-        without one (Z/m at a non-integer element) is refused here.  Each
-        s gives one Ring, built on the first call and kept on this ring.
+        Z/m at a non-integer element is refused (UnsupportedRing).  Each s
+        gives one Ring, built on the first call and kept on this ring.
         """
         if self.loc_num is not None:
             raise UnsupportedRing("already localized; build from the base ring")
@@ -390,7 +394,6 @@ class Ring:
         loc = self._localizations.get(key)
         if loc is None:
             loc = Ring(self.base_mod, self.var_names, s.num)
-            loc.torsion_bound()
             self._localizations[key] = loc
         return loc
 
@@ -402,8 +405,11 @@ class Ring:
 
     def _make(self, num, den):
         """Normalize and wrap raw (num, den) data: coefficients are reduced
-        mod m and zero terms dropped before `_normal`."""
-        m = self.base_mod
+        modulo `Ring.mod` and zero terms dropped before `_normal`; where 1/s
+        is an integer, 1/s^den is folded into them."""
+        m = self.mod
+        if den and self._s_inv is not None:
+            num, den = {e: c * pow(self._s_inv, den, m) for e, c in num.items()}, 0
         clean = {}
         for e, c in num.items():
             if m:
@@ -443,7 +449,7 @@ class Ring:
         return self.int_(1)
 
     def int_(self, n):
-        c = n % self.base_mod if self.base_mod else n
+        c = n % self.mod if self.mod else n
         if not c:
             return self.zero()
         return RingElement(self, {(0,) * len(self.var_names): c}, 0)
@@ -455,7 +461,7 @@ class Ring:
             raise UnsupportedRing("no variable %r in %s" % (name, self)) from None
         e = [0] * len(self.var_names)
         e[i] = 1
-        return RingElement(self, {tuple(e): 1}, 0)
+        return RingElement(self, {tuple(e): 1} if self.mod != 1 else {}, 0)
 
     def loc_element(self):
         """The localization element s, as an element of this ring."""
@@ -493,26 +499,14 @@ class Ring:
         """Smallest safe T with ann(s^T) = ann(s^inf) in the polynomial ring.
 
         Over a Z base the polynomial ring is a domain, so T = 0.  Over Z/m
-        the bound is computed from prime multiplicities and requires the
-        localization element to be an integer constant.
+        the bound is computed from prime multiplicities of the integer s:
+        s^T kills the kernel of Z/m[vars] -> Z/m'[vars].
         """
         if self.loc_num is None or self.base_mod == 0:
             return 0
-        s = self._loc_int
-        if s is None:
-            raise UnsupportedRing(
-                "torsion bound needs an integer localization element over Z/m"
-            )
-        t = 0
-        for p, a in _prime_factors(self.base_mod).items():
-            v = 0
-            ss = abs(s)
-            while ss and ss % p == 0:
-                ss //= p
-                v += 1
-            if v:
-                t = max(t, -(-a // v))
-        return t
+        v = _prime_factors(self._loc_int)
+        pa = _prime_factors(self.base_mod).items()
+        return max((-(-a // v[p]) for p, a in pa if p in v), default=0)
 
     def _as_int_constant(self, num):
         if not num:
@@ -540,37 +534,29 @@ class Ring:
         """Is the integer n a unit of this ring?"""
         if n == 0:
             return False
-        if abs(n) == 1:
-            return True
-        if self.base_mod:
-            g = math.gcd(n, self.base_mod)
-            if g == 1:
-                return True
-            return set(_prime_factors(g)) <= self._s_content_primes()
+        if self.mod:
+            return math.gcd(n, self.mod) == 1
         return set(_prime_factors(n)) <= self._s_content_primes()
 
     def inverse_of_int(self, n):
         """Return the element 1/n, or raise UnsupportedRing."""
         if not self.n_invertible(n):
             raise UnsupportedRing("%d is not invertible in %s" % (n, self))
-        if self.base_mod == 0 and abs(n) == 1:
+        if self.mod:
+            return self.int_(pow(n, -1, self.mod))
+        if abs(n) == 1:
             return self.int_(n)
-        if self.base_mod and math.gcd(n, self.base_mod) == 1:
-            return self.int_(pow(n, -1, self.base_mod))
         # n is inverted through powers of s, whose content absorbs n.
-        m = self.base_mod
         sk = dict(self.loc_num)
         for k in range(1, _MAX_S_POWER_SEARCH + 1):
-            q = {e: _int_quotient(c, n, m) for e, c in sk.items()}
+            q = {e: _int_quotient(c, n, 0) for e, c in sk.items()}
             if None not in q.values():
                 return self._make(q, k)
-            sk = _poly_mul(sk, self.loc_num, m)
+            sk = _poly_mul(sk, self.loc_num, 0)
         raise UnsupportedRing("no power of s absorbs %d" % n)
 
     def no_f2_residue(self):
         """True when no quotient of this ring by a maximal ideal is F2."""
-        if self.base_mod and self.base_mod % 2:
-            return True
         if self.n_invertible(2):
             return True
         if self.loc_num is None:
@@ -607,7 +593,7 @@ class Ring:
         for k in range(1, _MAX_S_POWER_SEARCH + 1):
             if any(k * esi < xi for esi, xi in zip(es, exps)):
                 continue
-            q = _int_quotient(cs**k, c, self.base_mod)
+            q = _int_quotient(cs**k, c, self.mod)
             if q is None:
                 continue
             e = tuple(k * esi - xi for esi, xi in zip(es, exps))
@@ -743,19 +729,7 @@ class RingElement:
     # ----- basic predicates -----
 
     def is_zero(self):
-        if not self.num:
-            return True
-        if self.ring.base_mod == 0:
-            return False
-        if self.ring.loc_num is None:
-            return False
-        t = self.ring.torsion_bound()
-        if t == 0:
-            return False
-        work = dict(self.num)
-        for _ in range(t):
-            work = _poly_mul(work, self.ring.loc_num, self.ring.base_mod)
-        return not work
+        return not self.num
 
     def __bool__(self):
         return not self.is_zero()
@@ -796,7 +770,7 @@ class RingElement:
         lo, hi = (self, other) if self.den < other.den else (other, self)
         num = lo.num
         for _ in range(hi.den - lo.den):
-            num = _poly_mul(num, self.ring.loc_num, self.ring.base_mod)
+            num = _poly_mul(num, self.ring.loc_num, self.ring.mod)
         if lo is self:
             return num, hi.num, hi.den
         return hi.num, num, hi.den
@@ -806,7 +780,7 @@ class RingElement:
         if other is None:
             return NotImplemented
         a, b, den = self._common(other)
-        return self.ring._normal(_poly_add(a, b, self.ring.base_mod), den)
+        return self.ring._normal(_poly_add(a, b, self.ring.mod), den)
 
     __radd__ = __add__
 
@@ -815,7 +789,7 @@ class RingElement:
         if other is None:
             return NotImplemented
         a, b, den = self._common(other)
-        return self.ring._normal(_poly_add(a, b, self.ring.base_mod, sign=-1), den)
+        return self.ring._normal(_poly_add(a, b, self.ring.mod, sign=-1), den)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -825,7 +799,7 @@ class RingElement:
 
     def __neg__(self):
         zero = (0,) * len(self.ring.var_names)
-        num = _poly_mul_term(self.num, zero, -1, self.ring.base_mod)
+        num = _poly_mul_term(self.num, zero, -1, self.ring.mod)
         return self.ring._normal(num, self.den)
 
     def __mul__(self, other):
@@ -833,7 +807,7 @@ class RingElement:
         if other is None:
             return NotImplemented
         return self.ring._normal(
-            _poly_mul(self.num, other.num, self.ring.base_mod), self.den + other.den
+            _poly_mul(self.num, other.num, self.ring.mod), self.den + other.den
         )
 
     __rmul__ = __mul__
@@ -858,16 +832,10 @@ class RingElement:
             other.ring is not self.ring and other.ring != self.ring
         ):
             return NotImplemented
-        if self.ring.canonical:
-            return self.den == other.den and self.num == other.num
-        return (self - other).is_zero()
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        # by the stored form where it is unique (`Ring.canonical`); else
-        # equal elements can be stored apart, so they hash by the ring alone
-        if self.ring.canonical:
-            return hash((self.ring, tuple(sorted(self.num.items())), self.den))
-        return hash(self.ring)
+        return hash((self.ring, tuple(sorted(self.num.items())), self.den))
 
     # ----- division and substitution -----
 
@@ -878,13 +846,13 @@ class RingElement:
             raise TypeError("bad divisor")
         if not d.num:
             return None
-        q = _poly_divide(self.num, d.num, self.ring.base_mod)
+        q = _poly_divide(self.num, d.num, self.ring.mod)
         if q is None:
             return None
         den = self.den - d.den
         if den < 0:
             for _ in range(-den):
-                q = _poly_mul(q, self.ring.loc_num, self.ring.base_mod)
+                q = _poly_mul(q, self.ring.loc_num, self.ring.mod)
             den = 0
         return self.ring._normal(q, den)
 
@@ -911,27 +879,34 @@ class _Substitution:
     """The ring map var -> mapping[var] from `source` into `target`,
     prepared once and applied to many elements of `source`.
 
-    Preparing checks the base change (Z -> Z/m, or Z/m -> Z/m' with
-    m' | m) and the variable names, coerces the images and picks a kernel
-    (see the module docstring).  Denominators are resolved by exact
-    division by the image of s, by matching the target localization, or by
-    inverting an integer image of s, in that order; the last two are
-    tested once, on the first element with a denominator.  A failed check
-    raises on every element it concerns, and only there.
+    Preparing checks the base change and the variable names, coerces the
+    images and picks a kernel (see the module docstring).  The stored
+    coefficients map Z -> Z/b, Z/a -> Z/b with b | a, or, out of Z/m
+    localized at an integer (a = m' | b), by iota(c) = c*e, e = 1 mod a
+    and 0 mod b/a: `one_image` is e there and 1 elsewhere.  Denominators
+    are resolved by exact division by the image of s, by matching the
+    target localization, or by inverting an integer image of s, in that
+    order; the last two are tested once, on the first element with a
+    denominator.  A failed check raises on every element it concerns, and
+    only there.
     """
 
     def __init__(self, source, mapping, target):
         self.source, self.target = source, target
         self._absorb = None
+        self.one_image = 1
         names = source.var_names
         # raised before and after the element's missing-variable check
         self._errors = [None, None]
         mod = source.base_mod
-        if mod and (target.base_mod == 0 or mod % target.base_mod):
+        a, b = source.mod, target.mod
+        if mod and (target.base_mod == 0 or mod % target.base_mod or a % b and b % a):
             self._errors[0] = SubstitutionMismatch(
                 "no ring map from base Z/%d into %s" % (mod, target)
             )
             return
+        if a and a % b:
+            self.one_image = b // a * pow(b // a, -1, a) % b
         unknown = [name for name in mapping if name not in names]
         if unknown:
             self._errors[0] = SubstitutionMismatch(
@@ -985,6 +960,8 @@ class _Substitution:
         if after is not None:
             raise after.with_traceback(None)
         out = self._image(x.num)
+        if self.one_image != 1:
+            return out * self.one_image
         if not x.den:
             return out
         if self._absorb is None:
@@ -1013,7 +990,7 @@ class _Substitution:
     def _image(self, num):
         """The image of a numerator, with no denominator."""
         target = self.target
-        mod = target.base_mod
+        mod = target.mod
         if self._diagonal is not None:
             kill, scale, pad = self._diagonal
             out = {}
@@ -1025,7 +1002,7 @@ class _Substitution:
                     if k:
                         c *= pow(ci, k, mod) if mod else ci**k
                 out[e + pad] = c
-            if scale or mod != self.source.base_mod:
+            if scale or mod != self.source.mod:
                 return target._make(out, 0)
             return target._normal(out, 0)
         terms = self._terms
@@ -1066,14 +1043,28 @@ class _SingleTermGens:
     excess, gden, tag), `needs[i]` the (position, exponent) pairs a term
     of x must cover for generator i to apply, and `xgcd(indices)` the
     `_combo_xgcd` of those generators' stripped coefficients (with the
-    stripped modulus over Z/m), solved once per tuple of indices.
+    ring's modulus over Z/m), solved once per tuple of indices.
+
+    Over a multi-term s the test reads numerators, so it is complete when
+    s divides no zero modulo the ideal J of the generators' numerators:
+    then J : s^inf = J.  J is spanned by terms, so each associated prime
+    of J is (p, x_i : i in S) or (x_i : i in S), p a prime of some
+    coefficient and S a set of generator variables.  s lies in none of
+    them when s0, s with every generator variable set to 0, is nonzero
+    and its content is prime to every coefficient.  `partial` is True
+    when that fails and the test only proves membership.
     """
 
-    __slots__ = ("gens", "needs", "multi_loc", "any_gden", "_values", "_mod", "_xgcds")
+    __slots__ = ("gens", "needs", "partial", "any_gden", "_values", "_mod", "_xgcds")
 
     def __init__(self, ring, singles):
         s_term = Ring._single_term(ring.loc_num) if ring.loc_num is not None else None
-        self.multi_loc = ring.loc_num is not None and s_term is None
+        self.partial = False
+        if ring.loc_num is not None and s_term is None:
+            used = {p for _, e, _, _ in singles for p, k in enumerate(e) if k}
+            s0 = [c for e, c in ring.loc_num.items() if not any(e[p] for p in used)]
+            content = math.gcd(*s0)
+            self.partial = not s0 or any(math.gcd(content, c) != 1 for c, *_ in singles)
         self.any_gden = any(gden for _, _, gden, _ in singles)
         s_primes = set(_prime_factors(s_term[0])) if s_term is not None else set()
         self.gens = []
@@ -1088,14 +1079,12 @@ class _SingleTermGens:
             self.gens.append((e_str, removed, excess, gden, t))
             self._values.append(c_str)
         self.needs = [tuple((p, k) for p, k in enumerate(e_str) if k) for e_str, *_ in self.gens]
-        self._mod = ring.base_mod
-        if s_term is not None and self._mod:
-            self._mod, _ = _strip_primes(self._mod, s_primes)
+        self._mod = ring.mod
         self._xgcds = {}
 
     def xgcd(self, indices):
         """(g, coeffs): g the gcd of the stripped coefficients of the
-        generators at `indices` (and the stripped modulus), with
+        generators at `indices` (and the ring's modulus), with
         sum(coeffs[j] * value[indices[j]]) = g modulo it."""
         hit = self._xgcds.get(indices)
         if hit is None:
@@ -1295,9 +1284,11 @@ class IdealSpec:
         Without a localization the per-monomial gcd test is complete.  With
         a localization at a single-term s, generators are saturated (the
         s-smooth part of the coefficient and the exponents in the support
-        of s are free), which is again complete.  For other localization
-        elements a successful unsaturated witness still proves membership,
-        but a failure is inconclusive and raises.
+        of s are free), which is again complete.  Over a multi-term s the
+        test on numerators is complete when s divides no zero modulo their
+        ideal (`_SingleTermGens`); otherwise a successful witness still
+        proves membership, but a denominator or a failure is inconclusive
+        and raises.
 
         `singles` is the spec's prepared `_SingleTermGens`, kept on the
         spec and, like its expansion, left out of its pickles: the per-
@@ -1311,7 +1302,7 @@ class IdealSpec:
         ring elements.
         """
         ring = self.ring
-        if singles.multi_loc and (x.den or singles.any_gden):
+        if singles.partial and (x.den or singles.any_gden):
             raise UndecidableIdealClass(
                 "denominators over a multi-term localization element"
             )
@@ -1328,7 +1319,7 @@ class IdealSpec:
                     applicable.append(i)
             g_all, coeffs = singles.xgcd(tuple(applicable))
             if g_all == 0 or xc % g_all:
-                if singles.multi_loc:
+                if singles.partial:
                     raise UndecidableIdealClass(
                         "inconclusive membership over a multi-term localization"
                     )
@@ -1364,9 +1355,9 @@ class IdealSpec:
         """
         g, tag = tagged_gen
         ring = self.ring
-        if ring.base_mod:
+        if ring.mod:
             _, lc = _lead_term(g.num)
-            if math.gcd(lc, ring.base_mod) != 1:
+            if math.gcd(lc, ring.mod) != 1:
                 raise UndecidableIdealClass(
                     "principal test over Z/m needs a unit leading coefficient"
                 )

@@ -118,34 +118,44 @@ def _to_ring(elt, target):
 
 
 def _mat_substitute(m, sub):
-    """The matrix m mapped entrywise through the prepared ring map `sub`."""
+    """The matrix m mapped through the prepared ring map `sub`, entrywise;
+    for the embedding iota of `pullback` (`sub.one_image` e != 1), the
+    matrix of the word mapped by iota: L(M) = iota(M) + (1 - e)."""
     entries = {}
     for pos, v in m.entries.items():
         img = sub(v)
         if img.num:
             entries[pos] = img
+    if sub.one_image != 1:
+        shift = sub.target.int_(1 - sub.one_image)
+        for i in range(m.dim):
+            v = entries.pop((i, i), sub.target.zero()) + shift
+            if v.num:
+                entries[(i, i)] = v
     return RepMatrix(sub.target, m.dim, entries)
 
 
 # ----- torsion pinning -----
 
 
-def torsion_exponent(gs, hs, s, var, lo, hi):
+def torsion_exponent(gs, hs, s, var, lo, hi, n=None):
     """Least l in lo..hi at which every input matrix pulls back to its output.
 
     `gs` are the input matrices over R or R_s, `hs` the output matrices
-    over R in the same model order, `s` an element of R.  At l each input
-    is mapped into R by var -> s^l * var and compared with its output
-    shifted by var -> s^(l - lo) * var, an endomorphism of R that commutes
-    with evaluation; at l = lo the outputs are compared as they are.  An l
-    at which an input entry keeps a denominator is passed over: if no l
-    maps the inputs, the last SubstitutionMismatch is raised, and if none
-    matches, OracleMismatch.
+    over R in the same model order at the exponent n <= lo (default lo),
+    `s` an element of R.  At l each input is mapped into R by
+    var -> s^l * var (`_mat_substitute`, so as L(M) out of Z/m localized)
+    and compared with its output shifted by var -> s^(l - n) * var, an
+    endomorphism of R that commutes with evaluation; at l = n the outputs
+    are compared as they are.  An l at which an input entry keeps a
+    denominator is passed over: if no l maps the inputs, the last
+    SubstitutionMismatch is raised, and if none matches, OracleMismatch.
     """
     base = hs[0].ring
     src = gs[0].ring
     s = base.coerce(s)
     x = base.var(var)
+    n = lo if n is None else n
     mapped, refusal = False, None
     for l in range(lo, hi + 1):
         try:
@@ -156,8 +166,8 @@ def torsion_exponent(gs, hs, s, var, lo, hi):
             continue
         mapped = True
         shifted = hs
-        if l > lo:
-            shift = base.substitution(_lift_map(base, base, {var: s ** (l - lo) * x}), base)
+        if l > n:
+            shift = base.substitution(_lift_map(base, base, {var: s ** (l - n) * x}), base)
             shifted = [_mat_substitute(h, shift) for h in hs]
         if dilated == shifted:
             return l
@@ -328,23 +338,39 @@ def pullback(eng, w, i_spec, var):
     denominator exponent among the rewrite's arguments, clears the
     localization and collapses var' in one map into the base.  The result
     is shortened (`RewriteEngine.shorten`).  One scan (`torsion_exponent`)
-    pins l: the least exponent from n = 9*m at which every model's input
-    matrix, mapped into the base by var -> s^l * var, equals the output's
-    matrix shifted by var -> s^(l-n) * var, the matrix of the output word
-    shifted alike; the word is shifted so when l > n.  The scan ends at
-    the deepest stored entry denominator of the input, or n if larger,
-    plus the torsion bound of the localization, which covers bases where s
-    divides zero.  A word not trivial at var = 0 raises CongruenceFailed
-    in the split, whose variable-free part is w at var = 0.
+    pins l: the least exponent from lo = max(n, T), with n = 9*m and T =
+    `Ring.torsion_bound()`, at which every model's input matrix, mapped
+    into the base by var -> s^l * var, equals the output's matrix shifted
+    by var -> s^(l-n) * var, the matrix of the output word shifted alike;
+    the word is shifted so when l > n.  The scan ends at the deepest
+    stored entry denominator of the input, or n if larger, plus T.  A word
+    not trivial at var = 0 raises CongruenceFailed in the split, whose
+    variable-free part is w at var = 0.
+
+    Over a Z base T = 0.  Over Z/m localized at an integer s the ring is
+    Z/m'[vars] with no denominators (so n = 0), and the base is
+    Z/m'[vars] x Z/m''[vars], m'' = m/m'.  The map out of the ring is
+    iota(c) = c*e, e = 1 mod m' and 0 mod m''; s in the base is read from
+    `loc_num`, as iota(s) = s*e.  iota adds and multiplies but sends 1 to
+    e, so a word mapped by iota evaluates to L(M) = 1 + iota(M - 1):
+    x_a(r) = 1 + sum r^k T_k goes to 1 + iota(sum r^k T_k), and
+    (1 + iota(A))(1 + iota(B)) = 1 + iota(A + B + AB) makes L
+    multiplicative.  L(M) is M on Z/m' and 1 on Z/m'', and the scan
+    compares the inputs as L(M).  The element g the word stands for, 1 at
+    var = 0, is unseen on Z/m''; but s^T = 0 mod m'', so g(s^l * var) = 1
+    there once l >= T, and only then is the output g(s^l * var) over the
+    whole base.  `patch` needs that, as it reads each output over every
+    cover element: over Z/9[X] with cover {2, 3}, R_3 is the zero ring,
+    and its word pulled back at l = 0 takes all the weight of the unit
+    combination.
 
     The input is not gated.  `finish` checks the ninth-power rewrite
     against the split and caps its nodes, which nothing later adds to,
     and the scan raises OracleMismatch on a wrong word.
     """
     ring = eng.ring
-    s_elt = ring.loc_element()
     base_out = ring.delocalized()
-    s_out = _to_ring(s_elt, base_out)
+    s_out = base_out._make(dict(ring.loc_num), 0)
     eng_out = RewriteEngine(eng.rs, base_out, node_budget=eng.node_budget)
     i_base = i_spec.substitute(_lift_map(ring, base_out), base_out)
 
@@ -369,25 +395,25 @@ def pullback(eng, w, i_spec, var):
         # an attested factor kept a bare localized argument that no power
         # of s can absorb; report the boundary instead of guessing
         raise SubstitutionMismatch(
-            "clearing %s -> %s^m leaves a denominator standing: %s" % (vp, s_elt, e)
+            "clearing %s -> %s^m leaves a denominator standing: %s" % (vp, s_out, e)
         ) from None
     h_word = eng_out.shorten(h_word)
     n = 9 * m
 
-    # pin the exponent from n; over a Z base every input entry maps into
-    # base_out past its stored denominator, and the torsion bound past
-    # that kills any s-torsion left in positive var-degrees
+    # pin the exponent from max(n, T); over a Z base every input entry
+    # maps into base_out past its stored denominator
     mats_in = eng.evaluate(w)
     entry_den = max(
         (v.den for gm in mats_in for _, v in gm.entries_minus_identity()), default=0
     )
-    hi = max(n, entry_den) + ring.torsion_bound()
-    l = torsion_exponent(mats_in, eng_out.evaluate(h_word), s_out, var, n, hi)
+    t = ring.torsion_bound()
+    hs = eng_out.evaluate(h_word)
+    l = torsion_exponent(mats_in, hs, s_out, var, max(n, t), max(n, entry_den) + t, n)
     if l > n:
         shift = _lift_map(base_out, base_out, {var: s_out ** (l - n) * base_out.var(var)})
         h_word = substitute_word(h_word, shift, base_out)
     details = {
-        "s": str(s_elt),
+        "s": str(s_out),
         "var": var,
         "aux_var": vp,
         "den_exponents": dens,

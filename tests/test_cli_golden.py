@@ -36,6 +36,7 @@ INSTANCE_EXIT = {
     "lgp_cover23_interleaved": 0,
     "lgp_cover24": 17,
     "lgp_disagreeing_data": 20,
+    "lgp_nilpotent_cover_z9": 0,
     "lgp_not_trivial_at_zero": 11,
     "lgp_unit": 0,
     "moving_t_a2": 0,

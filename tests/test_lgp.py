@@ -54,7 +54,7 @@ from chevcalc.lgp import (
 )
 from chevcalc.rewrite import RewriteEngine
 
-from wordgen import dense_evaluate, random_level_word
+from wordgen import dense_evaluate, random_level_word, random_word
 
 A, B, C = (1, -1, 0), (0, 1, -1), (1, 0, -1)
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -425,29 +425,30 @@ def test_dilate_maps_deep_entry_denominators_at_the_clearing_exponent():
 
 
 def test_dilate_zero_divisor_base_pins_by_torsion():
-    # Z/4 localized at 2 collapses, so the cleared word is empty and the
-    # torsion scan alone finds the exponent that makes the match exact
+    # Z/4 localized at 2 is the zero ring, so the cleared word is empty,
+    # and the exponent is the torsion bound T = 2, from which s^l kills
+    # the whole of Z/4 at positive t-degrees
     loc = Ring(4, ("t",)).localize_at(2)
     eng = RewriteEngine("A2", loc)
     w = Prod((Gen(A, loc.parse("2*t")),))
     l, h, rec = dilate(eng, w, IdealSpec.gens(loc, 2))
-    assert l == 1
+    assert l == loc.torsion_bound() == 2
     assert h == EMPTY
     assert rec.details["n"] == 0
-    assert rec.details["torsion_k"] == 1
+    assert rec.details["torsion_k"] == 2
 
 
 def test_dilate_divides_by_a_zero_divisor_image_of_s():
-    # over Z/12[t] the entry 6t/s maps to 6t / 2 = 3t although 2 is no
-    # unit mod 12; Z/12[1/2] is Z/3, where the word is the identity, so
-    # the output is empty.  The scan starts at n = 0, where the input maps
-    # to x_a(3t), not the identity, and stops at l = 1, where 12t / 2 = 0
+    # 2 is no unit mod 12, but Z/12[1/2] is Z/3, where 6t/s is 0 and the
+    # word is the identity, so the output is empty.  The scan starts at
+    # the torsion bound T = 2 of s = 2 on Z/12
     loc = Ring(12, ("t",)).localize_at(2)
     eng = RewriteEngine("A2", loc)
     w = Prod((Gen(A, loc.parse("6*t/s")),))
+    assert w.factors[0].arg.is_zero()
     l, h, rec = dilate(eng, w, IdealSpec.gens(loc, 3))
-    assert (l, h) == (1, EMPTY)
-    assert (rec.details["n"], rec.details["torsion_k"]) == (0, 1)
+    assert (l, h) == (2, EMPTY)
+    assert (rec.details["n"], rec.details["torsion_k"]) == (0, 2)
     w_dil = substitute_word(w, {"t": loc.int_(2) ** l * loc.var("t")}, loc)
     for rep in eng.reps:
         assert dense_evaluate(rep, w_dil, loc) == dense_evaluate(rep, EMPTY, loc)
@@ -472,21 +473,24 @@ def _counting_evaluate(monkeypatch):
 def test_dilate_shifts_the_scanned_matrices_at_positive_torsion_k(monkeypatch, mod, text, out):
     # at torsion_k > 0 the output is the cleared word under t -> 2^k * t,
     # an endomorphism of the unlocalized base, so its matrices are the
-    # scanned ones shifted entrywise: the input and the cleared word are
-    # evaluated, and the shifted word is not
+    # scanned ones shifted entrywise: the input and the cleared word,
+    # shifted to the torsion bound T = 2 where the scan starts, are
+    # evaluated, and nothing else is
     loc = Ring(mod, ("t",)).localize_at(2)
     eng = RewriteEngine("A2", loc)
+    w = word_from_text(text, loc, eng.rs)
     calls = _counting_evaluate(monkeypatch)
-    l, h, rec = dilate(eng, word_from_text(text, loc, eng.rs), IdealSpec.gens(loc, 2))
+    l, h, rec = dilate(eng, w, IdealSpec.gens(loc, 2))
     assert len(calls) == 2
-    assert (l, word_to_text(h)) == (1, out)
+    assert (l, word_to_text(h)) == (2, out)
     assert rec.to_dict() == {
         "op": "dilate", "oracle_checked": True, "nodes_in": text.count("(x") + 1,
         "nodes_out": out.count("(x") + 1, "attested": 0,
         "details": {"s": "2", "var": "t", "aux_var": "tp", "den_exponents": [],
-                    "clear_m": 0, "n": 0, "torsion_k": 1, "l": 1,
+                    "clear_m": 0, "n": 0, "torsion_k": 2, "l": 2,
                     "ninth_power_attested": 0},
-        "input": text, "output": out, "certificate": "LevelShape",
+        # the input prints as stored, mod 1 and mod 3
+        "input": word_to_text(w), "output": out, "certificate": "LevelShape",
     }
 
 
@@ -526,8 +530,7 @@ def _seeded_dilation_word(loc, rng, level):
     ))
 
 
-# the words of 4 A2 generators c*t/s^j over Z/12[t] and Z/4[t] localized at
-# 2 that dilate glues at ideal (1); all four are integral, with l = 2, n = 0
+# four of the seeded words below, integral ones, with l = 2, n = 0
 GLUING_TORSION_WORDS = [
     (12, "(prod (x -1,0,1 {t}) (x 0,-1,1 {3*t}) (x 0,1,-1 {5*t}) (x 1,-1,0 {t}))"),
     (12, "(prod (x 1,0,-1 {5*t}) (x -1,1,0 {5*t}) (x 0,1,-1 {3*t}) (x 0,-1,1 {3*t}))"),
@@ -553,13 +556,15 @@ def _shortened(monkeypatch):
 
 def _check_least_exponent(shortened, loc, w, level):
     """dilate's output equals w dilated by s^l over the base in every model,
-    by dense products; when l > n the same comparison at l - 1 fails."""
+    by dense products; l is at least lo = max(n, T), T the torsion bound,
+    and when l > lo the same comparison at l - 1 fails."""
     base = loc.delocalized()
     var = loc.var_names[-1]
     eng = RewriteEngine("A2", loc)
     l, h, rec = dilate(eng, w, IdealSpec.gens(loc, level))
     n = rec.details["n"]
-    assert rec.details["torsion_k"] == l - n >= 0
+    lo = max(n, loc.torsion_bound())
+    assert rec.details["torsion_k"] == l - n and l >= lo
     cleared = [word for ring, word in shortened if ring == base]
     s_base = loc.loc_element().substitute({var: base.var(var)}, base)
 
@@ -579,7 +584,7 @@ def _check_least_exponent(shortened, loc, w, level):
 
     assert h == substitute_word(cleared[-1], dilation(l - n), base)
     assert agrees(l)
-    if l > n:
+    if l > lo:
         assert not agrees(l - 1)
     return l, n
 
@@ -598,6 +603,68 @@ def test_dilate_returns_the_least_exponent_over_a_torsion_base(monkeypatch, mod,
     loc = Ring(mod, ("t",)).localize_at(2)
     w = word_from_text(text, loc, RewriteEngine("A2", loc).rs)
     assert _check_least_exponent(_shortened(monkeypatch), loc, w, 1) == (2, 0)
+
+
+def _seeded_torsion_words(loc):
+    """12 words of 4 A2 generators x_r(c*t/s^j), drawn in that order with
+    random.Random(5): r a root, c in {1, 3, 5}, j in 0..2."""
+    roots = sorted(RewriteEngine("A2", loc).rs.roots)
+    rng = random.Random(5)
+    words = []
+    for _ in range(12):
+        gens = []
+        for _ in range(4):
+            root, c, j = rng.choice(roots), rng.choice((1, 3, 5)), rng.randrange(3)
+            gens.append(Gen(root, loc.int_(c) * loc.var("t") * loc.s_power(j)))
+        words.append(Prod(tuple(gens)))
+    return words
+
+
+@pytest.mark.parametrize("mod", (12, 4))
+def test_dilate_glues_every_seeded_word_over_localized_z_mod_m(mod):
+    # Z/12[1/2] is Z/3 and Z/4[1/2] the zero ring.  Every word dilates at
+    # l = T = 2; read over R_s, the output is w(s^l * t), and over the base
+    # it is L of that, 1 on the factor Z/4 of Z/12 and on all of Z/4
+    loc = Ring(mod, ("t",)).localize_at(2)
+    base = loc.delocalized()
+    eng = RewriteEngine("A2", loc)
+    for w in _seeded_torsion_words(loc):
+        l, h, _ = dilate(eng, w, IdealSpec.gens(loc, 1))
+        assert l == 2
+        w_dil = substitute_word(w, {"t": loc.int_(2) ** l * loc.var("t")}, loc)
+        at_l = loc.substitution({"t": base.int_(2) ** l * base.var("t")}, base)
+        for rep in eng.reps:
+            h_loc = substitute_word(h, {"t": loc.var("t")}, loc)
+            assert dense_evaluate(rep, h_loc, loc) == dense_evaluate(rep, w_dil, loc)
+            lifted = lgp._mat_substitute(dense_evaluate(rep, w, loc), at_l)
+            assert lifted == dense_evaluate(rep, h, base)
+
+
+@pytest.mark.parametrize("mod", (12, 20, 4))
+def test_a_word_mapped_out_of_localized_z_mod_m_evaluates_to_l_of_its_matrix(mod):
+    # Z/m[t][1/2] is Z/m'[t], and the map into Z/m[t] is iota(c) = c*e,
+    # e = 1 mod m' and 0 mod m/m': 4 over Z/12, 16 over Z/20, 0 over the
+    # zero ring Z/4[1/2].  iota(1) = e, so the word mapped by iota
+    # evaluates to L(M) = 1 + iota(M - 1), which `_mat_substitute` returns;
+    # the packed kernel and dense products agree on it
+    loc = Ring(mod, ("t",)).localize_at(2)
+    base = loc.delocalized()
+    eng = RewriteEngine("A2", loc)
+    rng = random.Random("iota/%d" % mod)
+    args = [loc.int_(c) * loc.var("t") ** k * loc.s_power(j)
+            for c in (1, 3, 5) for k in (0, 1) for j in (0, 1)]
+    maps = [{"t": base.var("t")}, {"t": base.int_(4) * base.var("t")}]
+    for mapping in maps:
+        sub = loc.substitution(mapping, base)
+        assert sub.one_image % loc.mod == 1 % loc.mod and sub.one_image % (mod // loc.mod) == 0
+        for _ in range(6):
+            w = random_word(eng.rs, loc, rng, depth=3, args=args)
+            w_base = substitute_word(w, mapping, base)
+            for rep in eng.reps:
+                want = dense_evaluate(rep, w_base, base)
+                assert rep.evaluate_word(w_base, base) == want
+                assert lgp._mat_substitute(rep.evaluate_word(w, loc), sub) == want
+                assert lgp._mat_substitute(dense_evaluate(rep, w, loc), sub) == want
 
 
 def test_dilate_gates_a_non_level_word_before_its_unlocalized_return():
@@ -967,6 +1034,24 @@ def test_patch_skips_an_overlap_that_is_the_zero_ring():
     # localization to compare in, and the pair agrees there trivially
     out, _ = patch(_single_root_data(Ring(6, ("X",)), (2, 3), (A, A)))
     assert out == Prod((Gen(A, Ring(6, ("X",)).parse("3*X")),))
+
+
+@pytest.mark.parametrize("mod, cover, roots, exponents, glued", [
+    (9, (2, 3), (A, A), [0, 2], "(prod (x 1,-1,0 {3*X}))"),
+    (4, (3, 2), (A, A), [0, 2], "(prod (x 1,-1,0 {3*X}))"),
+    (10, (2, 5), (A, B), [1, 1], "(prod (x 1,-1,0 {8*X}) (x 0,1,-1 {5*X}))"),
+])
+def test_patch_glues_when_a_cover_element_divides_zero(mod, cover, roots, exponents, glued):
+    # Z/9[1/3] and Z/4[1/2] are zero rings, and Z/10 is Z/5 x Z/2 with
+    # x_a(3X) on the first factor and x_b(3X) on the second (the CRT
+    # word x_a(8X) x_b(5X)).  Each pullback is pinned at its torsion bound
+    # or above, so a powered cover element vanishes on the factor its
+    # localization kills, and the unit combination weighs each datum
+    # where it lives
+    base = Ring(mod, ("X",))
+    out, rec = patch(_single_root_data(base, cover, roots))
+    assert (word_to_text(out), rec.details["exponents"]) == (glued, exponents)
+    assert [base.localize_at(s).torsion_bound() for s in cover] == exponents
 
 
 def test_the_overlap_gate_evaluates_nothing_on_lifts_of_one_word(monkeypatch):

@@ -357,9 +357,10 @@ def test_hall_witt_pieces_omit_exactly_the_trivial_ones(label, kind, data):
 _ZTX = Ring.integers().extend("t", "X")
 AT_ZERO_RINGS = {
     "Z[X]_2": Ring.integers().extend("X").localize_at(2),
-    # 6 is zero after inverting 2 but is stored nonzero
+    # Z/12[1/2] is Z/3, so elements are stored mod 3 and 6 is stored as 0
     "Z/12[X]_2": Ring.integers_mod(12).extend("X").localize_at(2),
-    # 2 is nilpotent, so the localization is the zero ring
+    # 2 is nilpotent, so the localization is the zero ring, stored mod 1:
+    # every element and every matrix is 0
     "Z/4[X]_2": Ring.integers_mod(4).extend("X").localize_at(2),
     "Z/9[X]": Ring.integers_mod(9).extend("X"),
     "Z[t,X]_(t+3)": _ZTX.localize_at(_ZTX.parse("t + 3")),
@@ -418,9 +419,6 @@ def test_trivial_at_zero_matches_the_congruence_oracle(ring_name):
             assert old == got
 
     check()
-    if ring_name == "Z[t,X]_(t+3)":
-        # the witnesses modulo (X) are incomplete over this ring; the
-        # retraction decides every word
-        assert undecided
-    else:
-        assert not undecided
+    # over Z[t,X]_(t+3) too: s = t + 3 is free of X with content 1, so it
+    # divides no zero modulo (X) and the witnesses modulo (X) decide
+    assert not undecided

@@ -33,7 +33,7 @@ RINGS = {
 }
 
 WITNESS_SHA256 = {
-    "Z/12[t,X][1/2]": "5a6cd5a22d523e6c2cf39cad8451623bdb26d07d95fb2a86f6390363a4a71a57",
+    "Z/12[t,X][1/2]": "3ddf80f74814f5833bfe08eb7c5283c8623a69cedf8090c4c5eab93d0f6f8ea3",
     "Z/4[t][1/2]": "b22373bc526dfb87eac34fe32737a34f5ea8069cf50a44d8a49e2f74d5d9951e",
     "Z/9[t,X]": "5bdf3e92d9439dae1896044360c70a7dcf9c7d7bb59742f40443add7eb41df90",
     "Z[t,X]": "77e0b310850250459ef5b025da93966b44dda0ab0f50ed146434cbcfa99a91b6",
@@ -73,8 +73,12 @@ def _spec(ring, rng):
     elif kind == "sum":
         spec = spec.sum_with(IdealSpec.gens(ring, _term(ring, rng, (1, 3, 4), 2)))
     elif kind in ("principal", "mixed"):
+        # a polynomial of two or more terms, where the ring has one; the
+        # zero ring has none, so the draws are bounded
         poly = ring.zero()
-        while len(poly.num) < 2:
+        for _ in range(100):
+            if len(poly.num) >= 2:
+                break
             poly = _poly(ring, rng, 3)
         spec = IdealSpec.gens(ring, poly, *gens[:1] if kind == "mixed" else ())
     return spec
